@@ -31,6 +31,7 @@ from .estimators import (
 from .grids import get_score, grid_mean
 from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
+    _fmt,
     format_json_report,
     load_lottery_csv,
     load_permutation_csv,
@@ -44,10 +45,6 @@ from .perm import Permutation, bin_counts, linear_statistic, spearman_r
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_ROOT = 2
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -150,8 +150,10 @@ def write_grid_csv(values: np.ndarray, path_or_stream) -> None:
     close, fh = _open_for_write(path_or_stream)
     try:
         fh.write(f"{arr.shape[0]}\n")
+        # %-formatting renders floats as _fmt does, in one call per row
+        line = ",".join(["%.10g"] * arr.shape[1]) + "\n"
         for row in arr:
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
     finally:
         if close:
             fh.close()

@@ -12,14 +12,17 @@ The accumulated log scale vectors are the discrete analogues of the
 potentials a(.), b(.) in the factorized density
 exp(theta f(x,y) + a(x) + b(y)); :func:`recover_potentials` converts
 them to that normalization.
+
+One kernel does all scaling: Sinkhorn's scaling vectors (Cuturi 2013),
+two mat-vecs per sweep, stabilized by absorbing the scalings into the
+log potentials when a marginal sum leaves float range (Schmitzer 2019).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .grids import CopulaGrid, ScoreFunction, grid_mean, grid_points, kl_to_uniform
 
@@ -35,18 +38,15 @@ __all__ = [
     "recover_potentials",
 ]
 
-# Beyond this log-range of kernel entries, plain multiplicative scaling
-# risks underflow of the small entries; switch to log-domain sweeps.
-_LOG_DOMAIN_RANGE = 30.0
-
 
 @dataclass(frozen=True, eq=False)
 class IpfpResult:
     """Outcome of an IPFP run.
 
-    ``log A = log B0 + row_log_scales[r] + col_log_scales[s]`` holds
-    exactly by construction; ``residual`` is the final max deviation of
-    any row/column sum from 1/k.
+    The grid is computed as ``A = exp(log B0 + row_log_scales[r] +
+    col_log_scales[s])``, so that identity holds up to rounding for every
+    cell in float range; ``residual`` is the final max deviation of any
+    row/column sum from 1/k.
     """
 
     grid: CopulaGrid
@@ -85,8 +85,7 @@ class IpfpNonConvergence(RuntimeError):
         )
 
 
-def ipfp_scale(b0: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000,
-               log_domain: bool | None = None) -> IpfpResult:
+def ipfp_scale(b0: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> IpfpResult:
     """Scale a strictly positive matrix to row and column sums 1/k.
 
     One iteration is a full sweep: exact row normalization followed by
@@ -104,67 +103,81 @@ def ipfp_scale(b0: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000,
         raise ValueError("kernel entries must be strictly positive and finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    k = b0.shape[0]
-    log_b0 = np.log(b0)
-    if log_domain is None:
-        log_domain = float(np.ptp(log_b0)) > _LOG_DOMAIN_RANGE
-
-    if log_domain:
-        return _ipfp_log(log_b0, k, tol, max_iter)
-    return _ipfp_plain(b0, k, tol, max_iter)
+    return _sinkhorn(np.log(b0), tol, max_iter)
 
 
-def _ipfp_plain(b0, k, tol, max_iter):
-    a = b0.copy()
-    alpha = np.zeros(k)
-    beta = np.zeros(k)
+# A half-sweep whose marginal sums leave [e^-200, e^200] (0 included)
+# is redone in the log domain, so the scalings never overflow or underflow.
+_SUM_LO, _SUM_HI = math.exp(-200.0), math.exp(200.0)
+
+
+def _in_range(sums: np.ndarray) -> bool:
+    return _SUM_LO <= sums.min() and sums.max() <= _SUM_HI
+
+
+def _log_normalize(kern, log_b0, other, axis):
+    """Give each line along ``axis`` of exp(log_b0 + other + new) mass 1/k.
+
+    Writes that kernel into ``kern`` and returns the log potential ``new``.
+    """
+    np.add(log_b0, np.expand_dims(other, 1 - axis), out=kern)
+    top = kern.max(axis=axis, keepdims=True)
+    kern -= top
+    np.exp(kern, out=kern)
+    mass = kern.sum(axis=axis, keepdims=True) * kern.shape[0]
+    kern /= mass
+    return -(top + np.log(mass)).ravel()
+
+
+def _sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
+    """The scaling kernel on exp(log_b0); see the module docstring.
+
+    The iterate is diag(u) K diag(v) with K = exp(log_b0 + alpha (+) beta);
+    alpha = -rowmax(log_b0) leaves an entry of 1 in every row.  Row sums
+    u * (K v) reuse the next sweep's K v, column sums are v * (K^T u).
+    """
+    k = log_b0.shape[0]
     target = 1.0 / k
+    alpha = -log_b0.max(axis=1)
+    beta = np.zeros(k)
+    kern = log_b0 + alpha[:, None]
+    np.exp(kern, out=kern)
+    u = v = np.ones(k)
+    kv = kern @ v
     iterations = 0
     residual = math.inf
     while iterations < max_iter:
-        r = a.sum(axis=1)
-        a /= (k * r)[:, None]
-        alpha -= np.log(k * r)
-        c = a.sum(axis=0)
-        a /= (k * c)[None, :]
-        beta -= np.log(k * c)
+        if _in_range(kv):
+            u = target / kv
+        else:
+            beta += np.log(v)
+            alpha = _log_normalize(kern, log_b0, beta, axis=1)
+            u = np.ones(k)
+        ktu = u @ kern
+        if _in_range(ktu):
+            v = target / ktu
+        else:
+            alpha += np.log(u)
+            beta = _log_normalize(kern, log_b0, alpha, axis=0)
+            u = v = np.ones(k)
+            ktu = kern.sum(axis=0)
+        kv = kern @ v
         iterations += 1
-        residual = max(
-            float(np.abs(a.sum(axis=1) - target).max()),
-            float(np.abs(a.sum(axis=0) - target).max()),
-        )
+        residual = max(float(np.abs(u * kv - target).max()),
+                       float(np.abs(v * ktu - target).max()))
         if residual <= tol:
-            return IpfpResult(CopulaGrid(a), iterations, residual, alpha, beta, True)
-    partial = IpfpResult(CopulaGrid(a), iterations, residual, alpha, beta, False)
-    raise IpfpNonConvergence(partial, tol)
-
-
-def _ipfp_log(log_b0, k, tol, max_iter):
-    log_a = log_b0.copy()
-    alpha = np.zeros(k)
-    beta = np.zeros(k)
-    logk = np.log(k)
-    target = 1.0 / k
-    iterations = 0
-    residual = math.inf
-    while iterations < max_iter:
-        rs = logsumexp(log_a, axis=1) + logk
-        log_a -= rs[:, None]
-        alpha -= rs
-        cs = logsumexp(log_a, axis=0) + logk
-        log_a -= cs[None, :]
-        beta -= cs
-        iterations += 1
-        residual = max(
-            float(np.abs(np.exp(logsumexp(log_a, axis=1)) - target).max()),
-            float(np.abs(np.exp(logsumexp(log_a, axis=0)) - target).max()),
-        )
-        if residual <= tol:
-            a = np.exp(log_a)
-            return IpfpResult(CopulaGrid(a), iterations, residual, alpha, beta, True)
-    a = np.exp(log_a)
-    partial = IpfpResult(CopulaGrid(a), iterations, residual, alpha, beta, False)
-    raise IpfpNonConvergence(partial, tol)
+            break
+    # exp of the final potentials keeps cells below K's float range exact
+    alpha += np.log(u)
+    beta += np.log(v)
+    np.add(log_b0, alpha[:, None], out=kern)
+    kern += beta
+    np.exp(kern, out=kern)
+    result = IpfpResult(CopulaGrid(kern), iterations, residual, alpha, beta,
+                        residual <= tol)
+    if not result.converged:
+        raise IpfpNonConvergence(result, tol)
+    return result
 
 
 def default_max_iter(k: int, theta: float) -> int:
@@ -176,31 +189,15 @@ def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
                  max_iter: int | None = None) -> IpfpResult:
     """IPFP limit of the kernel exp(theta * f(r/k, s/k)).
 
-    The kernel is max-shifted before scaling for overflow safety; the
-    shift is folded back into the row log scales, so
     log A = theta*F + row_log_scales[r] + col_log_scales[s] holds for
     the returned result.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    x, y = grid_points(k)
-    expo = theta * np.asarray(f(x, y), dtype=np.float64)
+    expo = theta * np.asarray(f(*grid_points(k)), dtype=np.float64)
     if max_iter is None:
         max_iter = default_max_iter(k, theta)
-    shift = float(expo.max())
-    log_domain = float(np.ptp(expo)) > _LOG_DOMAIN_RANGE
-
-    def _absorb(res: IpfpResult) -> IpfpResult:
-        return replace(res, row_log_scales=res.row_log_scales - shift)
-
-    try:
-        if log_domain:
-            result = _ipfp_log(expo - shift, k, tol, max_iter)
-        else:
-            result = _ipfp_plain(np.exp(expo - shift), k, tol, max_iter)
-    except IpfpNonConvergence as err:
-        raise IpfpNonConvergence(_absorb(err.result), err.tol) from None
-    return _absorb(result)
+    return _sinkhorn(expo, tol, max_iter)
 
 
 def variational_value(result: IpfpResult, f: ScoreFunction, theta: float) -> float:

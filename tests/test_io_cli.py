@@ -86,6 +86,18 @@ class TestGridCsv:
         assert lines[1] == "1,0.5"
         assert lines[2].split(",")[1] == "0.6666666667"
 
+    def test_matches_per_value_formatting(self):
+        rng = np.random.default_rng(11)
+        grid = rng.normal(scale=1e3, size=(6, 6))
+        grid[0, :5] = [0.0, -0.0, 1e-113, 1e300, -2.5]
+        grid[1, 0] = 1.0 / 3.0
+        buf = io.StringIO()
+        write_grid_csv(grid, buf)
+        want = "6\n" + "".join(
+            ",".join(f"{x:.10g}" for x in row) + "\n" for row in grid.tolist()
+        )
+        assert buf.getvalue() == want
+
 
 class TestDrawsCsv:
     def test_format(self):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from permexp.grids import (
     CopulaGrid,
@@ -104,18 +106,69 @@ class TestLimitMatrix:
             assert np.abs(logres).max() <= 1e-8
 
     def test_log_domain_matches_plain(self):
+        # oracle: textbook log-domain Sinkhorn, run for the same sweeps
         f = get_score("xy")
         k, theta = 25, 8.0
         x, y = grid_points(k)
-        b0 = np.exp(theta * np.asarray(f(x, y)))
-        plain = ipfp_scale(b0, log_domain=False)
-        logd = ipfp_scale(b0, log_domain=True)
-        assert np.abs(plain.grid.w - logd.grid.w).max() <= 1e-12
+        log_b0 = theta * np.asarray(f(x, y))
+        res = ipfp_scale(np.exp(log_b0))
+        log_a = log_b0.copy()
+        for _ in range(res.iterations):
+            log_a -= logsumexp(log_a, axis=1, keepdims=True) + np.log(k)
+            log_a -= logsumexp(log_a, axis=0, keepdims=True) + np.log(k)
+        assert np.abs(res.grid.w - np.exp(log_a)).max() <= 1e-12
 
     def test_large_theta_uses_log_domain_without_overflow(self):
         res = limit_matrix(get_score("xy"), 500.0, 30, tol=1e-10)
         assert res.converged
         assert np.all(np.isfinite(res.grid.w))
+
+    @pytest.mark.parametrize("name, theta, k, sweeps", [
+        ("xy", 500.0, 100, 1202),
+        ("footrule", 60.0, 100, 716),
+        ("xy", 20.0, 1000, 42),
+    ])
+    def test_sweep_counts(self, name, theta, k, sweeps):
+        res = limit_matrix(get_score(name), theta, k)
+        assert res.iterations == sweeps
+        assert res.residual <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scalings_beyond_float_range_are_absorbed(self):
+        # kernel entries reach e^-1980 of their row maximum, below float range
+        f = get_score("xy")
+        theta, k = 2000.0, 100
+        res = limit_matrix(f, theta, k)
+        assert res.converged and res.iterations == 4806
+        assert np.all(np.isfinite(res.grid.w))
+        assert np.all(np.isfinite(res.row_log_scales))
+        assert np.all(np.isfinite(res.col_log_scales))
+        x, y = grid_points(k)
+        logres = (theta * np.asarray(f(x, y)) + res.row_log_scales[:, None]
+                  + res.col_log_scales[None, :])
+        normal = res.grid.w >= np.finfo(np.float64).tiny
+        assert np.abs(np.log(res.grid.w[normal]) - logres[normal]).max() <= 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonconvergence_beyond_float_range_keeps_finite_state(self):
+        with pytest.raises(IpfpNonConvergence) as exc:
+            limit_matrix(get_score("xy"), 1e5, 50, max_iter=300)
+        partial = exc.value.result
+        assert not partial.converged and partial.iterations == 300
+        assert partial.residual == pytest.approx(0.6399994682, rel=1e-9)
+        assert np.all(np.isfinite(partial.grid.w))
+        assert np.all(np.isfinite(partial.row_log_scales))
+        assert np.all(np.isfinite(partial.col_log_scales))
+
+    def test_peak_memory_in_place(self):
+        k = 1000
+        tracemalloc.start()
+        try:
+            limit_matrix(get_score("xy"), 3.0, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * k * k * 8
 
     def test_qualitative_density_shape(self):
         # positive temperature: symmetric about both diagonals, peaked on x=y
