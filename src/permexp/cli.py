@@ -28,7 +28,7 @@ from .estimators import (
     pl_estimate,
     uniformity_test,
 )
-from .grids import get_score, grid_mean
+from .grids import SCORE_FUNCTIONS, get_score, grid_mean
 from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
     _fmt,
@@ -47,6 +47,10 @@ EXIT_ERROR = 1
 EXIT_NO_ROOT = 2
 
 
+def _add_score_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--f", dest="score", default="xy", choices=list(SCORE_FUNCTIONS))
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="permexp", description=__doc__,
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -55,8 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="estimate theta from permutation CSV files")
     fit.add_argument("--model", choices=["linear", "kendall"], default="linear")
-    fit.add_argument("--f", dest="score", default="xy",
-                     choices=["xy", "footrule", "sq", "centered"])
+    _add_score_argument(fit)
     fit.add_argument("--data", action="append", required=True,
                      help="permutation CSV (repeat with --multi for pooled fits)")
     fit.add_argument("--method", choices=["pl", "ld", "ml"], required=True)
@@ -69,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     logz = sub.add_parser("logz", help="curve of the limiting log-normalizer")
-    logz.add_argument("--f", dest="score", default="xy",
-                      choices=["xy", "footrule", "sq", "centered"])
+    _add_score_argument(logz)
     logz.add_argument("--theta-min", type=float, required=True)
     logz.add_argument("--theta-max", type=float, required=True)
     logz.add_argument("--steps", type=int, required=True)
@@ -82,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dens = sub.add_parser("density", help="limiting density on a k x k grid")
     dens.add_argument("--model", choices=["linear", "kendall"], default="linear")
-    dens.add_argument("--f", dest="score", default="xy",
-                      choices=["xy", "footrule", "sq", "centered"])
+    _add_score_argument(dens)
     dens.add_argument("--theta", type=float, required=True)
     dens.add_argument("--k", type=int, required=True)
     dens.add_argument("--iters", type=int, default=None)
@@ -93,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     smp = sub.add_parser("sample", help="draw permutations by MCMC")
     smp.add_argument("--model", choices=["linear", "kendall"], default="linear")
-    smp.add_argument("--f", dest="score", default="xy",
-                     choices=["xy", "footrule", "sq", "centered"])
+    _add_score_argument(smp)
     smp.add_argument("--theta", type=float, required=True)
     smp.add_argument("--n", type=int, required=True)
     smp.add_argument("--draws", type=int, default=1)
@@ -149,18 +149,9 @@ def cmd_fit(args) -> int:
                 result = kendall_ld_estimate(pi, root_tol=args.root_tol)
             else:
                 result = ml_exact(pi, KendallModel(0.0, pi.n), root_tol=args.root_tol)
-        elif args.multi:
+        else:
             result = multi_estimate(perms, f, args.method, root_tol=args.root_tol,
                                     k=args.k, tol=args.tol, max_iter=args.iters)
-        else:
-            pi = perms[0]
-            if args.method == "pl":
-                result = pl_estimate(pi, f, root_tol=args.root_tol)
-            elif args.method == "ld":
-                result = ld_estimate(pi, f, args.k, root_tol=args.root_tol,
-                                     tol=args.tol, max_iter=args.iters)
-            else:
-                result = ml_exact(pi, LinearModel(f, 0.0, pi.n), root_tol=args.root_tol)
     except NoRootError as err:
         print(format_json_report({
             "error": "no_root", "sign": err.sign,

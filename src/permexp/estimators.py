@@ -173,14 +173,64 @@ def pl_score_derivative(pi: Permutation, f: ScoreFunction, theta: float) -> floa
     return float(-np.sum(y * y * expit(theta * y) * expit(-theta * y)))
 
 
+def _check_same_n(perms: Sequence[Permutation]) -> int:
+    if not perms:
+        raise ValueError("need at least one permutation")
+    n = perms[0].n
+    if any(p.n != n for p in perms):
+        raise ValueError("size mismatch across samples")
+    return n
+
+
+def _ld_equation(stat_sum: float, m: int, f: ScoreFunction, k: int,
+                 **ipfp_kw) -> Callable[[float], float]:
+    return lambda theta: stat_sum - m * w_k_prime(f, theta, k, **ipfp_kw)
+
+
+def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction, method: str,
+                  k: int | None = None, **ipfp_kw) -> Callable[[float], float]:
+    """The estimating equation of ``method`` summed over i.i.d. samples.
+
+    The per-sample work (pair scores, statistics, the S_n enumeration)
+    is done once here; the returned closure maps theta to the summed
+    equation.  With one sample it is the single-sample equation exactly.
+    """
+    n = _check_same_n(perms)
+    m = len(perms)
+    if method == "pl":
+        ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
+        if not np.any(ys):
+            raise AllPairsDegenerateError("all pairwise scores vanish")
+        return lambda theta: _pl_score_from_pairs(ys, theta)
+    if method == "ld":
+        if k is None:
+            raise ValueError("method 'ld' needs a grid order k")
+        return _ld_equation(sum(linear_statistic(p, f) / n for p in perms), m, f, k,
+                            **ipfp_kw)
+    if method == "ml":
+        if n > BRUTE_FORCE_LIMIT:
+            raise ValueError(f"exact ML for linear models needs n <= {BRUTE_FORCE_LIMIT}")
+        _, stats = enumerate_statistics(f, n)
+        s_sum = sum(linear_statistic(p, f) for p in perms)
+
+        def score(theta):
+            w = theta * stats
+            w -= w.max()
+            e = np.exp(w)
+            return (s_sum - m * float(np.sum(stats * e) / np.sum(e))) / n
+        return score
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _solve(score: Callable[[float], float], label: str, root_tol: float,
+           k: int | None = None) -> EstimateResult:
+    root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
+    return EstimateResult(root, label, bracket, evals, resid, k=k)
+
+
 def pl_estimate(pi: Permutation, f: ScoreFunction, root_tol: float = 1e-8) -> EstimateResult:
     """Pseudo-likelihood estimate of theta from a single permutation."""
-    y = pairwise_swap_scores(pi, f)
-    if not np.any(y):
-        raise AllPairsDegenerateError("all pairwise scores vanish")
-    root, bracket, evals, resid = find_monotone_root(
-        lambda t: _pl_score_from_pairs(y, t), root_tol=root_tol)
-    return EstimateResult(root, "PL", bracket, evals, resid)
+    return _solve(_pooled_score([pi], f, "pl"), "PL", root_tol)
 
 
 def ld_score(pi: Permutation, f: ScoreFunction, theta: float, k: int,
@@ -190,27 +240,22 @@ def ld_score(pi: Permutation, f: ScoreFunction, theta: float, k: int,
     Mean statistic of pi minus the grid approximation of the limiting
     derivative of the log normalizer.
     """
-    return linear_statistic(pi, f) / pi.n - w_k_prime(f, theta, k, tol=tol,
-                                                      max_iter=max_iter)
+    return _pooled_score([pi], f, "ld", k, tol=tol, max_iter=max_iter)(theta)
 
 
 def ld_root_for_statistic(stat: float, f: ScoreFunction, k: int,
                           root_tol: float = 1e-8, tol: float = 1e-12,
-                          max_iter: int | None = None,
-                          weight: float = 1.0) -> tuple[float, tuple, int, float]:
+                          max_iter: int | None = None) -> tuple[float, tuple, int, float]:
     """Solve stat = w_k'(theta) for theta (the LD inverse problem)."""
-    def score(theta):
-        return weight * (stat - w_k_prime(f, theta, k, tol=tol, max_iter=max_iter))
-    return find_monotone_root(score, root_tol=root_tol)
+    return find_monotone_root(_ld_equation(stat, 1, f, k, tol=tol, max_iter=max_iter),
+                              root_tol=root_tol)
 
 
 def ld_estimate(pi: Permutation, f: ScoreFunction, k: int, root_tol: float = 1e-8,
                 tol: float = 1e-12, max_iter: int | None = None) -> EstimateResult:
     """Estimate theta by matching the statistic to the limiting derivative."""
-    stat = linear_statistic(pi, f) / pi.n
-    root, bracket, evals, resid = ld_root_for_statistic(
-        stat, f, k, root_tol=root_tol, tol=tol, max_iter=max_iter)
-    return EstimateResult(root, "LD", bracket, evals, resid, k=k)
+    return _solve(_pooled_score([pi], f, "ld", k, tol=tol, max_iter=max_iter), "LD",
+                  root_tol, k=k)
 
 
 def ml_exact(pi: Permutation, model: Model, root_tol: float = 1e-8) -> EstimateResult:
@@ -221,29 +266,12 @@ def ml_exact(pi: Permutation, model: Model, root_tol: float = 1e-8) -> EstimateR
     q-factorial derivative and works at any n.  The supplied model's
     theta is ignored; only its family matters.
     """
-    n = pi.n
     if isinstance(model, KendallModel):
+        n = pi.n
         rate = inversions(pi) / (n * n)
-
-        def score(theta):
-            return rate - kendall_logZ_prime(n, theta)
-
-        root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
-        return EstimateResult(root, "Kendall-ML", bracket, evals, resid)
-
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"exact ML for linear models needs n <= {BRUTE_FORCE_LIMIT}")
-    _, stats = enumerate_statistics(model.f, n)
-    s_obs = linear_statistic(pi, model.f)
-
-    def score(theta):
-        w = theta * stats
-        w -= w.max()
-        e = np.exp(w)
-        return (s_obs - float(np.sum(stats * e) / np.sum(e))) / n
-
-    root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
-    return EstimateResult(root, "ML", bracket, evals, resid)
+        return _solve(lambda theta: rate - kendall_logZ_prime(n, theta), "Kendall-ML",
+                      root_tol)
+    return _solve(_pooled_score([pi], model.f, "ml"), "ML", root_tol)
 
 
 def kendall_ld_estimate(pi: Permutation, root_tol: float = 1e-8) -> EstimateResult:
@@ -254,12 +282,7 @@ def kendall_ld_estimate(pi: Permutation, root_tol: float = 1e-8) -> EstimateResu
     """
     n = pi.n
     rate = inversions(pi) / (n * n)
-
-    def score(theta):
-        return rate - kendall_limit_C_prime(theta)
-
-    root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
-    return EstimateResult(root, "Kendall-LD", bracket, evals, resid)
+    return _solve(lambda theta: rate - kendall_limit_C_prime(theta), "Kendall-LD", root_tol)
 
 
 @dataclass(frozen=True)
@@ -308,60 +331,16 @@ def threshold_test(theta_hat: float, theta0: float, theta1: float) -> bool:
     return theta_hat > 0.5 * (theta0 + theta1)
 
 
-def _check_same_n(perms: Sequence[Permutation]) -> int:
-    if not perms:
-        raise ValueError("need at least one permutation")
-    n = perms[0].n
-    if any(p.n != n for p in perms):
-        raise ValueError("size mismatch across samples")
-    return n
-
-
 def multi_sample_scores(perms: Sequence[Permutation], f: ScoreFunction,
                         theta: float, method: str, k: int | None = None,
                         **ipfp_kw) -> float:
     """Summed estimating equation over i.i.d. samples."""
-    n = _check_same_n(perms)
-    if method == "pl":
-        return float(sum(pl_score(p, f, theta) for p in perms))
-    if method == "ld":
-        if k is None:
-            raise ValueError("method 'ld' needs a grid order k")
-        stat_sum = sum(linear_statistic(p, f) / n for p in perms)
-        return stat_sum - len(perms) * w_k_prime(f, theta, k, **ipfp_kw)
-    if method == "ml":
-        _, stats = enumerate_statistics(f, n)
-        w = theta * stats
-        w -= w.max()
-        e = np.exp(w)
-        ex = float(np.sum(stats * e) / np.sum(e))
-        return float(sum((linear_statistic(p, f) - ex) / n for p in perms))
-    raise ValueError(f"unknown method {method!r}")
+    return float(_pooled_score(perms, f, method, k, **ipfp_kw)(theta))
 
 
 def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction, method: str,
                    root_tol: float = 1e-8, k: int | None = None,
                    **ipfp_kw) -> EstimateResult:
-    """Pooled estimate from i.i.d. samples; m = 1 reduces to the single fit."""
-    n = _check_same_n(perms)
-    m = len(perms)
-    if method == "pl":
-        ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
-        if not np.any(ys):
-            raise AllPairsDegenerateError("all pairwise scores vanish")
-        root, bracket, evals, resid = find_monotone_root(
-            lambda t: _pl_score_from_pairs(ys, t), root_tol=root_tol)
-        return EstimateResult(root, "PL", bracket, evals, resid)
-    if method == "ld":
-        if k is None:
-            raise ValueError("method 'ld' needs a grid order k")
-        mean_stat = sum(linear_statistic(p, f) / n for p in perms) / m
-        root, bracket, evals, resid = ld_root_for_statistic(
-            mean_stat, f, k, root_tol=root_tol, weight=m, **ipfp_kw)
-        return EstimateResult(root, "LD", bracket, evals, resid, k=k)
-    if method == "ml":
-        def score(theta):
-            return multi_sample_scores(perms, f, theta, "ml")
-        root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
-        return EstimateResult(root, "ML", bracket, evals, resid)
-    raise ValueError(f"unknown method {method!r}")
+    """Pooled estimate from i.i.d. samples; m = 1 is the single-sample fit."""
+    score = _pooled_score(perms, f, method, k, **ipfp_kw)
+    return _solve(score, method.upper(), root_tol, k=k if method == "ld" else None)

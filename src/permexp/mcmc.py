@@ -47,23 +47,21 @@ class ChainState:
     """Mutable state of one chain.
 
     ``values`` is the current permutation as a 1-based image array; it
-    stays a bijection after every transition.  ``lineage`` records the
-    seed path that produced the state.
+    stays a bijection after every transition.
     """
 
     values: np.ndarray
     steps: int = 0
     sweeps: int = 0
     swaps_accepted: int = 0
-    lineage: str = ""
 
     @property
     def n(self) -> int:
         return int(self.values.size)
 
     @classmethod
-    def uniform_start(cls, n: int, rng: np.random.Generator, lineage: str = "") -> "ChainState":
-        return cls(rng.permutation(n).astype(np.int64) + 1, lineage=lineage)
+    def uniform_start(cls, n: int, rng: np.random.Generator) -> "ChainState":
+        return cls(rng.permutation(n).astype(np.int64) + 1)
 
     def permutation(self) -> Permutation:
         return Permutation(self.values.copy())
@@ -175,7 +173,7 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
         raise ValueError("n_samples must be >= 0")
     kind = _resolve_sampler(sampler, model)
     rng = make_rng(seed)
-    state = ChainState.uniform_start(model.n, rng, lineage=f"philox({seed})")
+    state = ChainState.uniform_start(model.n, rng)
     if kind == "swap":
         burn = 10 * model.n * model.n if burn is None else burn
         thin = max(1, model.n * model.n) if thin is None else max(1, thin)

@@ -36,7 +36,6 @@ __all__ = [
     "kendall_limit_C",
     "kendall_limit_C_prime",
     "kendall_limit_density",
-    "selected_density_form",
     "grid_discordance",
 ]
 
@@ -208,32 +207,16 @@ def kendall_limit_C(theta: float) -> float:
 
 
 def kendall_limit_C_prime(theta: float) -> float:
-    """Central-difference derivative of kendall_limit_C.
+    """Derivative of kendall_limit_C: the integral over [0,1] of x psi(theta x).
 
     Strictly increasing with range (0, 1/2); equals 1/4 at theta = 0.
     """
-    h = max(1e-5, 1e-5 * abs(theta))
-    return (kendall_limit_C(theta + h) - kendall_limit_C(theta - h)) / (2.0 * h)
-
-
-_DENSITY_FORMS = ("printed-sum", "diff-swapped", "diff")
-
-
-def _density_candidate(theta: float, x, y, form: str) -> np.ndarray:
-    num = (theta / 2.0) * np.sinh(theta / 2.0)
-    ca = np.cosh(theta * (x - y) / 2.0)
-    cb = np.cosh(theta * (x + y - 1.0) / 2.0)
-    ep = np.exp(theta / 4.0)
-    em = np.exp(-theta / 4.0)
-    if form == "printed-sum":
-        den = em * ca + ep * cb
-    elif form == "diff-swapped":
-        den = ep * ca - em * cb
-    elif form == "diff":
-        den = em * ca - ep * cb
-    else:
-        raise ValueError(f"unknown density form {form!r}")
-    return num / den ** 2
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    if theta == 0.0:
+        return 0.25
+    val, _ = quad(lambda x: x * float(_inv_expm1_ratio(theta * x)), 0.0, 1.0, limit=200)
+    return float(val)
 
 
 def grid_discordance(p: np.ndarray) -> float:
@@ -252,38 +235,6 @@ def grid_discordance(p: np.ndarray) -> float:
     return float(2.0 * np.sum(p * strictly))
 
 
-@functools.lru_cache(maxsize=1)
-def selected_density_form(theta: float = 2.0, k: int = 200) -> str:
-    """Pick the closed-form variant of the Kendall limit density.
-
-    Run once per process: keep the candidates whose row/column means
-    are 1 (uniform marginals), then among those pick by consistency of
-    the discretized variational value (theta/2) * discordance - KL
-    with kendall_limit_C(theta).
-    """
-    mid = (np.arange(k) + 0.5) / k
-    x, y = np.meshgrid(mid, mid, indexing="ij")
-    target = kendall_limit_C(theta)
-    best, best_gap = None, math.inf
-    for form in _DENSITY_FORMS:
-        rho = _density_candidate(theta, x, y, form)
-        if np.any(~np.isfinite(rho)) or np.any(rho <= 0):
-            continue
-        marg = max(abs(rho.mean(axis=0) - 1.0).max(), abs(rho.mean(axis=1) - 1.0).max())
-        if marg > 1e-3:
-            continue
-        p = rho / rho.sum()
-        value = (theta / 2.0) * grid_discordance(p) - (
-            float(np.sum(p * np.log(p * k * k)))
-        )
-        gap = abs(value - target)
-        if gap < best_gap:
-            best, best_gap = form, gap
-    if best is None:
-        raise RuntimeError("no density candidate has uniform marginals")
-    return best
-
-
 def kendall_limit_density(theta: float, k: int) -> np.ndarray:
     """Limit density of the Kendall model sampled at grid midpoints.
 
@@ -298,4 +249,7 @@ def kendall_limit_density(theta: float, k: int) -> np.ndarray:
         return np.ones((k, k))
     mid = (np.arange(k) + 0.5) / k
     x, y = np.meshgrid(mid, mid, indexing="ij")
-    return _density_candidate(theta, x, y, selected_density_form())
+    num = (theta / 2.0) * np.sinh(theta / 2.0)
+    den = (np.exp(-theta / 4.0) * np.cosh(theta * (x - y) / 2.0)
+           - np.exp(theta / 4.0) * np.cosh(theta * (x + y - 1.0) / 2.0))
+    return num / den ** 2

@@ -7,7 +7,12 @@ import pytest
 from permexp.grids import ScoreFunction, get_score
 from permexp.ipfp import w_k_prime
 from permexp.mcmc import sample
-from permexp.models import KendallModel, LinearModel, kendall_limit_C_prime
+from permexp.models import (
+    KendallModel,
+    LinearModel,
+    enumerate_statistics,
+    kendall_limit_C_prime,
+)
 from permexp.estimators import (
     AllPairsDegenerateError,
     EstimateResult,
@@ -334,14 +339,36 @@ class TestMultiSample:
         single = pl_score(pi, f, 0.7)
         assert multi_sample_scores([pi] * 4, f, 0.7, "pl") == pytest.approx(4 * single)
 
-    def test_single_sample_estimate_matches(self):
-        rng = np.random.default_rng(10)
+    @pytest.mark.parametrize("method", ["pl", "ld", "ml"])
+    def test_single_sample_estimate_matches(self, method):
         f = get_score("xy")
-        draws = sample(LinearModel(f, 2.0, 60), 1, burn=60, thin=1,
+        n = 7 if method == "ml" else 60
+        draws = sample(LinearModel(f, 2.0, n), 1, burn=60, thin=1,
                        sampler="auxiliary", seed=21)
-        a = pl_estimate(draws[0], f)
-        b = multi_estimate(draws, f, "pl")
-        assert a.theta_hat == b.theta_hat
+        pi = draws[0]
+        single = {
+            "pl": lambda: pl_estimate(pi, f),
+            "ld": lambda: ld_estimate(pi, f, 60),
+            "ml": lambda: ml_exact(pi, LinearModel(f, 0.0, n)),
+        }[method]()
+        # field for field: theta_hat, bracket, evaluations, score_at_root
+        assert multi_estimate(draws, f, method, k=60) == single
+
+    def test_pooled_ml_enumerates_once(self, monkeypatch):
+        import permexp.estimators as est
+
+        calls = []
+
+        def counting(f, n):
+            calls.append(n)
+            return enumerate_statistics(f, n)
+
+        monkeypatch.setattr(est, "enumerate_statistics", counting)
+        f = get_score("xy")
+        rng = np.random.default_rng(12)
+        res = multi_estimate([random_permutation(rng, 6) for _ in range(3)], f, "ml")
+        assert res.evaluations > 1
+        assert calls == [6]
 
     def test_pooling_tightens_pl(self):
         f = get_score("xy")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from permexp.cli import main
+from permexp.estimators import ml_exact
+from permexp.grids import get_score
 from permexp.io import (
     LotteryData,
     format_json_report,
@@ -15,6 +17,7 @@ from permexp.io import (
     save_permutation_csv,
     write_grid_csv,
 )
+from permexp.models import LinearModel
 from permexp.perm import Permutation
 
 from conftest import random_permutation
@@ -160,6 +163,18 @@ class TestCliFit:
         out = json.loads(capsys.readouterr().out)
         assert out["method"] == "Kendall-LD"
         assert out["theta_hat"] < 0  # tau has fewer inversions than uniform
+
+    def test_linear_ml(self, tmp_path, capsys):
+        f = get_score("xy")
+        pi = Permutation([2, 1, 3, 5, 4, 7, 6])
+        path = tmp_path / "p.csv"
+        save_permutation_csv(pi, path)
+        code = main(["fit", "--method", "ml", "--data", str(path)])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        want = ml_exact(pi, LinearModel(f, 0.0, pi.n))
+        assert out == json.loads(format_json_report(want.to_json_dict()))
+        assert out["method"] == "ML" and "k" not in out
 
     def test_missing_file(self, capsys):
         assert main(["fit", "--method", "pl", "--data", "/nonexistent.csv"]) == 1

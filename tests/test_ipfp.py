@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from permexp.grids import (
@@ -291,17 +292,22 @@ class TestWkPrime:
 class TestKlOptimality:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_convex_program(self, k):
-        cp = pytest.importorskip("cvxpy")
+        # w_k is max theta<F, A> + sum entr(A) - 2 log k over A >= 0 with
+        # 1/k margins.  Its smooth convex dual over the margin multipliers
+        # (a, b) is min sum exp(theta F - a_r - b_s - 1) + (sum a + sum b)/k
+        # - 2 log k, solved here independently of IPFP.
         f = get_score("xy")
         theta = 3.0
         x, y = grid_points(k)
-        fgrid = np.asarray(f(x, y))
-        a = cp.Variable((k, k), nonneg=True)
-        objective = cp.Maximize(
-            theta * cp.sum(cp.multiply(fgrid, a)) + cp.sum(cp.entr(a)) - 2 * np.log(k)
-        )
-        constraints = [cp.sum(a, axis=0) == 1.0 / k, cp.sum(a, axis=1) == 1.0 / k]
-        problem = cp.Problem(objective, constraints)
-        problem.solve()
-        assert problem.status == "optimal"
-        assert w_k(f, theta, k) == pytest.approx(problem.value, abs=1e-6)
+        tf = theta * np.asarray(f(x, y)) - 1.0
+
+        def dual(z):
+            a, b = z[:k], z[k:]
+            e = np.exp(tf - a[:, None] - b[None, :])
+            value = e.sum() + z.sum() / k - 2 * np.log(k)
+            grad = np.concatenate([1.0 / k - e.sum(axis=1), 1.0 / k - e.sum(axis=0)])
+            return value, grad
+
+        res = minimize(dual, np.zeros(2 * k), jac=True, method="BFGS",
+                       options={"gtol": 1e-12})
+        assert w_k(f, theta, k) == pytest.approx(res.fun, abs=1e-6)

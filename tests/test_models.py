@@ -16,7 +16,6 @@ from permexp.models import (
     kendall_limit_density,
     kendall_logZ,
     kendall_logZ_prime,
-    selected_density_form,
 )
 from permexp.perm import Permutation, inversions, linear_statistic
 
@@ -142,11 +141,14 @@ class TestKendallLimitC:
         vals = [kendall_limit_C_prime(t) for t in (-5, -1, 0, 1, 5)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("theta", [-40.0, -3.0, 1e-3, 0.5, 7.0, 150.0])
+    def test_prime_matches_central_difference(self, theta):
+        h = 1e-4 * max(1.0, abs(theta))
+        fd = (kendall_limit_C(theta + h) - kendall_limit_C(theta - h)) / (2.0 * h)
+        assert kendall_limit_C_prime(theta) == pytest.approx(fd, abs=1e-8)
+
 
 class TestKendallLimitDensity:
-    def test_selected_form(self):
-        assert selected_density_form() == "diff"
-
     def test_theta_zero_is_flat(self):
         assert np.array_equal(kendall_limit_density(0.0, 8), np.ones((8, 8)))
 
@@ -154,7 +156,7 @@ class TestKendallLimitDensity:
         rho = kendall_limit_density(0.01, 200)
         assert np.abs(rho - 1.0).max() < 0.01
 
-    @pytest.mark.parametrize("theta", [1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("theta", [-2.0, 1.0, 2.0, 5.0])
     def test_uniform_marginals(self, theta):
         rho = kendall_limit_density(theta, 400)
         assert np.abs(rho.mean(axis=0) - 1.0).max() <= 1e-4
