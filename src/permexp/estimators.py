@@ -2,10 +2,11 @@
 
 All estimating equations here are strictly monotone in theta, so roots
 are located by geometric bracket expansion from [-1, 1] (capped at
-[-64, 64]) followed by bisection.  A score with constant sign over the
-capped bracket has no root; that is a legitimate outcome for extremal
-permutations and raises :class:`NoRootError` rather than failing
-silently.
+[-64, 64]) followed by Brent's method on the sign-change bracket; the
+true root lies within ``root_tol`` of the returned theta.  A score with
+constant sign over the capped bracket has no root; that is a legitimate
+outcome for extremal permutations and raises :class:`NoRootError` rather
+than failing silently.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import expit
 
 from .grids import ScoreFunction
@@ -93,52 +95,50 @@ class EstimateResult:
         return out
 
 
+def _memo_score(t: float, score: Callable[[float], float],
+                seen: dict[float, float]) -> float:
+    if t not in seen:
+        seen[t] = score(t)
+    return seen[t]
+
+
 def find_monotone_root(score: Callable[[float], float], root_tol: float = 1e-8,
                        lo: float = -1.0, hi: float = 1.0,
                        cap: float = BRACKET_CAP) -> tuple[float, tuple, int, float]:
-    """Root of a strictly decreasing score by bracket expansion + bisection.
+    """Root of a strictly decreasing score by bracket expansion + Brent's method.
 
-    Returns (root, sign-change bracket, evaluations, score at root).
-    Raises NoRootError when no sign change exists within [-cap, cap].
+    The true root lies within ``root_tol`` (plus brentq's relative
+    tolerance, 4 eps |root|) of the returned value.  Returns
+    (root, sign-change bracket, evaluations, score at root), where
+    evaluations counts distinct calls of ``score``.  Raises NoRootError
+    when no sign change exists within [-cap, cap].
     """
-    evals = 0
-
-    def ev(t):
-        nonlocal evals
-        evals += 1
-        return score(t)
-
-    s_lo = ev(lo)
+    if not root_tol > 0:
+        raise ValueError("root_tol must be positive")
+    seen: dict[float, float] = {}
+    s_lo = _memo_score(lo, score, seen)
     while s_lo < 0 and lo > -cap:
         lo = max(-cap, 2.0 * lo)
-        s_lo = ev(lo)
+        s_lo = _memo_score(lo, score, seen)
     if s_lo < 0:
-        raise NoRootError("negative", (lo, hi), evals)
+        raise NoRootError("negative", (lo, hi), len(seen))
     if s_lo == 0:
-        return lo, (lo, lo), evals, 0.0
+        return lo, (lo, lo), len(seen), 0.0
 
-    s_hi = ev(hi)
+    s_hi = _memo_score(hi, score, seen)
     while s_hi > 0 and hi < cap:
         hi = min(cap, 2.0 * hi)
-        s_hi = ev(hi)
+        s_hi = _memo_score(hi, score, seen)
     if s_hi > 0:
-        raise NoRootError("positive", (lo, hi), evals)
+        raise NoRootError("positive", (lo, hi), len(seen))
     if s_hi == 0:
-        return hi, (hi, hi), evals, 0.0
+        return hi, (hi, hi), len(seen), 0.0
 
-    bracket = (lo, hi)
-    while hi - lo > root_tol:
-        mid = 0.5 * (lo + hi)
-        s_mid = ev(mid)
-        if s_mid == 0:
-            return mid, bracket, evals, 0.0
-        if s_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    s_root = ev(root)
-    return root, bracket, evals, s_root
+    # score rides in args: brentq's function wrapper is a reference cycle,
+    # so a closure over score would keep its arrays alive until the next gc.
+    # brentq returns a point it evaluated, so seen[root] exists.
+    root = brentq(_memo_score, lo, hi, args=(score, seen), xtol=root_tol)
+    return root, (lo, hi), len(seen), seen[root]
 
 
 def pairwise_swap_scores(pi: Permutation, f: ScoreFunction) -> np.ndarray:
@@ -158,13 +158,19 @@ def pairwise_swap_scores(pi: Permutation, f: ScoreFunction) -> np.ndarray:
     return y[iu]
 
 
-def _pl_score_from_pairs(y: np.ndarray, theta: float) -> float:
-    return float(np.sum(y * expit(-theta * y)))
+def _pl_equation(ys: np.ndarray) -> Callable[[float], float]:
+    buf = np.empty_like(ys)
+
+    def score(theta):
+        np.multiply(ys, -theta, out=buf)
+        expit(buf, out=buf)
+        return float(ys @ buf)
+    return score
 
 
 def pl_score(pi: Permutation, f: ScoreFunction, theta: float) -> float:
     """Pseudo-likelihood score: sum over pairs of y / (1 + e^{theta y})."""
-    return _pl_score_from_pairs(pairwise_swap_scores(pi, f), theta)
+    return _pl_equation(pairwise_swap_scores(pi, f))(theta)
 
 
 def pl_score_derivative(pi: Permutation, f: ScoreFunction, theta: float) -> float:
@@ -201,7 +207,7 @@ def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction, method: str,
         ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
         if not np.any(ys):
             raise AllPairsDegenerateError("all pairwise scores vanish")
-        return lambda theta: _pl_score_from_pairs(ys, theta)
+        return _pl_equation(ys)
     if method == "ld":
         if k is None:
             raise ValueError("method 'ld' needs a grid order k")

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from permexp.models import (
 )
 from permexp.estimators import (
     AllPairsDegenerateError,
-    EstimateResult,
     NoRootError,
     find_monotone_root,
     kendall_ld_estimate,
@@ -57,6 +58,65 @@ class TestRootFinder:
     def test_root_outside_initial_bracket(self):
         root, *_ = find_monotone_root(lambda t: 37.5 - t)
         assert root == pytest.approx(37.5, abs=1e-8)
+
+    def test_evaluations_count_distinct_score_calls(self):
+        calls = []
+
+        def score(t):
+            calls.append(t)
+            return 5.3 - t - 0.3 * math.sin(t)
+
+        root, bracket, evals, resid = find_monotone_root(score)
+        assert evals == len(calls) == len(set(calls))
+        assert resid == score(root)
+        assert bracket[0] <= root <= bracket[1]
+
+    def test_step_score_terminates(self):
+        # the tolerance is below the float spacing at pi, so no bracket
+        # can get that narrow; the finder must still stop
+        root, _, _, resid = find_monotone_root(
+            lambda t: 1.0 if t <= math.pi else -1.0, root_tol=1e-20)
+        assert abs(root - math.pi) <= 4 * math.ulp(math.pi)
+        assert resid == 1.0
+
+    def test_score_released_without_gc(self):
+        # a PL score holds its pair arrays; they must go when the fit returns,
+        # not at the next garbage collection
+        class Score:
+            def __call__(self, t):
+                return 3.0 - t
+
+        score = Score()
+        ref = weakref.ref(score)
+        gc.disable()
+        try:
+            find_monotone_root(score)
+            del score
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("root_tol", [0.0, -1e-8])
+    def test_root_tol_must_be_positive(self, root_tol):
+        with pytest.raises(ValueError, match="root_tol must be positive"):
+            find_monotone_root(lambda t: 3.0 - t, root_tol=root_tol)
+
+    @pytest.mark.parametrize("seed", [30, 31, 32, 33])
+    def test_pl_root_within_tolerance(self, seed):
+        rng = np.random.default_rng(seed)
+        f = get_score("xy")
+        tau = random_permutation(rng, 150)
+        tol = 1e-8
+        theta = pl_estimate(tau, f, root_tol=tol).theta_hat
+        assert pl_score(tau, f, theta - tol) >= 0 >= pl_score(tau, f, theta + tol)
+
+    def test_lottery_fits_take_few_evaluations(self, lottery_path, capsys):
+        from permexp.cli import main
+
+        assert main(["lottery", "--data", str(lottery_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pl"]["evaluations"] <= 12
+        assert report["ld"]["evaluations"] <= 12
 
 
 class TestPlScore:

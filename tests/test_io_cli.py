@@ -1,6 +1,5 @@
 import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from permexp.cli import main
 from permexp.estimators import ml_exact
 from permexp.grids import get_score
 from permexp.io import (
-    LotteryData,
     format_json_report,
     load_lottery_csv,
     load_permutation_csv,
@@ -150,6 +148,11 @@ class TestCliFit:
         assert code == 2
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "no_root" and out["sign"] == "positive"
+
+    def test_nonpositive_root_tol_exit_code(self, tau_csv, capsys):
+        code = main(["fit", "--method", "pl", "--data", tau_csv, "--root-tol", "0"])
+        assert code == 1
+        assert "root_tol must be positive" in capsys.readouterr().err
 
     def test_kendall_pl_incompatible(self, tau_csv, capsys):
         code = main(["fit", "--model", "kendall", "--method", "pl",

@@ -7,13 +7,10 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from permexp.grids import (
-    CopulaGrid,
     ScoreFunction,
     get_score,
-    grid_mean,
     grid_points,
     kl_to_uniform,
-    uniform_grid,
 )
 from permexp.ipfp import (
     IpfpNonConvergence,

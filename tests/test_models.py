@@ -19,8 +19,6 @@ from permexp.models import (
 )
 from permexp.perm import Permutation, inversions, linear_statistic
 
-from conftest import all_perms
-
 
 class TestBruteLogZ:
     def test_theta_zero_is_log_factorial(self):
