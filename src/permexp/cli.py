@@ -32,6 +32,7 @@ from .grids import SCORE_FUNCTIONS, get_score, grid_mean
 from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
     _fmt,
+    _open_for_write,
     format_json_report,
     load_lottery_csv,
     load_permutation_csv,
@@ -123,12 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _open_out(path: str):
-    if path == "-":
-        return False, sys.stdout
-    return True, open(path, "w", newline="")
-
-
 def cmd_fit(args) -> int:
     if args.model == "kendall" and args.method == "pl":
         print("error: pseudo-likelihood applies to the linear model only",
@@ -173,7 +168,7 @@ def cmd_logz(args) -> int:
         print("error: need steps >= 2 and theta-max > theta-min", file=sys.stderr)
         return EXIT_ERROR
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
-    close, fh = _open_out(args.out)
+    close, fh = _open_for_write(sys.stdout if args.out == "-" else args.out)
     try:
         fh.write("theta,w_k,w_k_prime,status\n")
         for theta in thetas:
@@ -194,23 +189,18 @@ def cmd_logz(args) -> int:
 
 
 def cmd_density(args) -> int:
-    close, fh = _open_out(args.out)
-    try:
-        if args.model == "kendall":
-            grid = kendall_limit_density(args.theta, args.k)
-        else:
-            f = get_score(args.score)
-            try:
-                res = limit_matrix(f, args.theta, args.k, tol=args.tol,
-                                   max_iter=args.iters)
-            except IpfpNonConvergence as err:
-                print(f"error: {err}", file=sys.stderr)
-                return EXIT_ERROR
-            grid = res.grid.step_density()
-        write_grid_csv(grid, fh)
-    finally:
-        if close:
-            fh.close()
+    if args.model == "kendall":
+        grid = kendall_limit_density(args.theta, args.k)
+    else:
+        f = get_score(args.score)
+        try:
+            res = limit_matrix(f, args.theta, args.k, tol=args.tol,
+                               max_iter=args.iters)
+        except IpfpNonConvergence as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_ERROR
+        grid = res.grid.step_density()
+    write_grid_csv(grid, sys.stdout if args.out == "-" else args.out)
     return EXIT_OK
 
 
@@ -227,12 +217,7 @@ def cmd_sample(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    close, fh = _open_out(args.out)
-    try:
-        save_draws_csv(draws, fh)
-    finally:
-        if close:
-            fh.close()
+    save_draws_csv(draws, sys.stdout if args.out == "-" else args.out)
     if args.hist is not None:
         if not draws:
             print("error: --hist needs at least one draw", file=sys.stderr)
@@ -272,7 +257,7 @@ def cmd_lottery(args) -> int:
     }
     exit_code = EXIT_OK
     try:
-        report["pl"] = pl_estimate(tau, f).to_json_dict()
+        report["pl"] = pl_estimate(tau, f, root_tol=args.root_tol).to_json_dict()
         report["ld"] = ld_estimate(tau, f, args.k, root_tol=args.root_tol,
                                    tol=args.tol, max_iter=args.iters).to_json_dict()
     except NoRootError as err:

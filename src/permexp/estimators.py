@@ -111,7 +111,8 @@ def find_monotone_root(score: Callable[[float], float], root_tol: float = 1e-8,
     tolerance, 4 eps |root|) of the returned value.  Returns
     (root, sign-change bracket, evaluations, score at root), where
     evaluations counts distinct calls of ``score``.  Raises NoRootError
-    when no sign change exists within [-cap, cap].
+    when no sign change exists within [-cap, cap], and ValueError when
+    Brent's method does not reach ``root_tol`` within its iteration cap.
     """
     if not root_tol > 0:
         raise ValueError("root_tol must be positive")
@@ -137,7 +138,11 @@ def find_monotone_root(score: Callable[[float], float], root_tol: float = 1e-8,
     # score rides in args: brentq's function wrapper is a reference cycle,
     # so a closure over score would keep its arrays alive until the next gc.
     # brentq returns a point it evaluated, so seen[root] exists.
-    root = brentq(_memo_score, lo, hi, args=(score, seen), xtol=root_tol)
+    root, info = brentq(_memo_score, lo, hi, args=(score, seen), xtol=root_tol,
+                        full_output=True, disp=False)
+    if not info.converged:
+        raise ValueError(f"root finder did not converge to root_tol={root_tol:g} "
+                         f"in {info.iterations} iterations")
     return root, (lo, hi), len(seen), seen[root]
 
 

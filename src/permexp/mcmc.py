@@ -5,13 +5,18 @@ Two kernels are provided:
 * a pair-swap Gibbs step: pick an unordered pair of positions uniformly
   and resample the two entries from their conditional distribution given
   the rest (keep or swap).  The model pmf is stationary and reversible
-  for this kernel, for both model families.
+  for this kernel, for both model families.  One loop, ``_run_swap``,
+  runs every swap step, ``gibbs_swap_step`` and ``sample`` alike, with
+  the model's own ``swap_log_ratio``.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
   over assignments satisfying per-position floors; that law is sampled
-  exactly by a sequential uniform assignment.  A handful of sweeps mixes
-  even for n in the thousands.
+  exactly by a sequential uniform assignment.
+
+The default burn-ins of ``sample`` are fixed step and sweep counts; no
+check shows that a chain has reached equilibrium after them, and 10
+auxiliary sweeps are far too few at n = 1000.
 
 All randomness flows through an explicit counter-based generator
 (numpy Philox); a seed fully determines the output, and independent
@@ -19,7 +24,6 @@ seeds give independent chains.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +39,10 @@ __all__ = [
     "supports_auxiliary",
     "sample",
 ]
+
+
+# Swap steps per block of randomness; the block size fixes the RNG stream.
+_BLOCK = 1 << 15
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -64,15 +72,7 @@ class ChainState:
         return cls(rng.permutation(n).astype(np.int64) + 1)
 
     def permutation(self) -> Permutation:
-        return Permutation(self.values.copy())
-
-
-def _accept_probability(log_ratio: float) -> float:
-    # conditional probability of the swapped configuration among the two
-    if log_ratio >= 0:
-        return 1.0 / (1.0 + math.exp(-log_ratio))
-    e = math.exp(log_ratio)
-    return e / (1.0 + e)
+        return Permutation(self.values)
 
 
 def gibbs_swap_step(state: ChainState, model: Model, rng: np.random.Generator) -> ChainState:
@@ -83,16 +83,7 @@ def gibbs_swap_step(state: ChainState, model: Model, rng: np.random.Generator) -
     sigma(log Q(swapped) - log Q(current)), so at theta = 0 the swap
     happens with probability exactly 1/2.
     """
-    n = state.n
-    i = int(rng.integers(n))
-    j = int(rng.integers(n - 1))
-    if j >= i:
-        j += 1
-    log_ratio = model.swap_log_ratio(state.values, i, j)
-    if rng.random() < _accept_probability(log_ratio):
-        state.values[i], state.values[j] = state.values[j], state.values[i]
-        state.swaps_accepted += 1
-    state.steps += 1
+    _run_swap(state, model, rng, 0, 1, 1)
     return state
 
 
@@ -145,19 +136,6 @@ def auxiliary_gibbs_sweep(state: ChainState, model: Model,
     return state
 
 
-def _resolve_sampler(sampler: str, model: Model) -> str:
-    if sampler == "auto":
-        return "auxiliary" if supports_auxiliary(model) else "swap"
-    if sampler == "auxiliary" and not supports_auxiliary(model):
-        raise ValueError(
-            "auxiliary sampler requires the Linear xy model with theta > 0; "
-            "use sampler='swap' (or 'auto' to fall back)"
-        )
-    if sampler not in ("swap", "auxiliary"):
-        raise ValueError(f"unknown sampler {sampler!r}")
-    return sampler
-
-
 def sample(model: Model, n_samples: int, burn: int | None = None,
            thin: int | None = None, sampler: str = "swap",
            seed: int = 0) -> list[Permutation]:
@@ -171,10 +149,14 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    kind = _resolve_sampler(sampler, model)
+    if sampler not in ("swap", "auxiliary"):
+        raise ValueError(f"unknown sampler {sampler!r}")
+    if sampler == "auxiliary" and not supports_auxiliary(model):
+        raise ValueError("auxiliary sampler requires the Linear xy model with theta > 0; "
+                         "use sampler='swap'")
     rng = make_rng(seed)
     state = ChainState.uniform_start(model.n, rng)
-    if kind == "swap":
+    if sampler == "swap":
         burn = 10 * model.n * model.n if burn is None else burn
         thin = max(1, model.n * model.n) if thin is None else max(1, thin)
         return _run_swap(state, model, rng, n_samples, burn, thin)
@@ -192,45 +174,37 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
 
 def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
               n_samples: int, burn: int, thin: int) -> list[Permutation]:
-    """Tight swap-chain loop with block-generated randomness."""
+    """Run burn + n_samples * thin swap steps on ``state``; return the draws.
+
+    The draws are the states after steps burn + thin, burn + 2 thin, ...
+    Randomness comes in blocks of (I, J, U) arrays.  A swap is accepted
+    when logit(U) < log ratio, which is U < sigma(log ratio).
+    """
     n = model.n
     values = state.values
-    theta = getattr(model, "theta", 0.0)
-    is_linear = isinstance(model, LinearModel)
-    fmat = None
-    if is_linear and n <= 1024:
-        t = np.arange(1, n + 1) / n
-        x, y = np.meshgrid(t, t, indexing="ij")
-        fmat = np.asarray(model.f(x, y), dtype=np.float64)
-
+    log_ratio = model.swap_log_ratio
     total = burn + n_samples * thin
     draws: list[Permutation] = []
     next_record = burn + thin if n_samples > 0 else total + 1
     done = 0
-    block = 1 << 15
     while done < total:
-        m = min(block, total - done)
+        m = min(_BLOCK, total - done)
         ii = rng.integers(0, n, size=m)
         jj = rng.integers(0, n - 1, size=m)
         uu = rng.random(m)
-        for t_ in range(m):
-            i = int(ii[t_])
-            j = int(jj[t_])
+        with np.errstate(divide="ignore"):
+            logits = np.log(uu) - np.log1p(-uu)
+        # memoryviews yield Python ints and floats one at a time: no numpy
+        # scalars in the loop and no block-sized lists in memory
+        for i, j, logit in zip(memoryview(ii), memoryview(jj), memoryview(logits)):
             if j >= i:
                 j += 1
-            if fmat is not None:
-                vi = values[i] - 1
-                vj = values[j] - 1
-                y_ = fmat[i, vi] + fmat[j, vj] - fmat[i, vj] - fmat[j, vi]
-                log_ratio = -theta * y_
-            else:
-                log_ratio = model.swap_log_ratio(values, i, j)
-            if uu[t_] < _accept_probability(log_ratio):
+            if logit < log_ratio(values, i, j):
                 values[i], values[j] = values[j], values[i]
                 state.swaps_accepted += 1
             done += 1
             if done == next_record:
-                draws.append(Permutation(values.copy()))
+                draws.append(state.permutation())
                 next_record = done + thin if len(draws) < n_samples else total + 1
     state.steps += total
     return draws

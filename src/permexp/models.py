@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
-from .grids import ScoreFunction
+from .grids import ScoreFunction, grid_points
 from .perm import Permutation, inversions, linear_statistic
 
 __all__ = [
@@ -43,6 +43,12 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 9
 
 
+# Largest n whose swap log-ratios read the n x n score table; above it each
+# ratio evaluates f at four points.  The table is n^2 floats, 8 MB at 1024;
+# at n=2000 it would add 32 MB, about 28% of the sample benchmark's peak RSS.
+SCORE_TABLE_MAX_N = 1024
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """pmf proportional to exp(theta * sum_i f(i/n, pi(i)/n))."""
@@ -51,15 +57,32 @@ class LinearModel:
     theta: float
     n: int
 
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
+
+    @functools.cached_property
+    def score_table(self) -> np.ndarray:
+        """Read-only n x n table of f(i/n, v/n), row i-1, column v-1."""
+        table = np.asarray(self.f(*grid_points(self.n)), dtype=np.float64)
+        table.setflags(write=False)
+        return table
+
     def log_weight(self, pi: Permutation) -> float:
         return self.theta * linear_statistic(pi, self.f)
 
     def swap_log_ratio(self, values: np.ndarray, i: int, j: int) -> float:
         """log weight change from swapping positions i, j (0-based)."""
         n = self.n
-        xi, xj = (i + 1) / n, (j + 1) / n
-        ui, uj = values[i] / n, values[j] / n
-        y = float(self.f(xi, ui) + self.f(xj, uj) - self.f(xi, uj) - self.f(xj, ui))
+        if n <= SCORE_TABLE_MAX_N:
+            s = self.score_table
+            vi = values[i] - 1
+            vj = values[j] - 1
+            y = s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi]
+        else:
+            xi, xj = (i + 1) / n, (j + 1) / n
+            ui, uj = values[i] / n, values[j] / n
+            y = float(self.f(xi, ui) + self.f(xj, uj) - self.f(xi, uj) - self.f(xj, ui))
         return -self.theta * y
 
 
@@ -69,6 +92,10 @@ class KendallModel:
 
     theta: float
     n: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
 
     def log_weight(self, pi: Permutation) -> float:
         return (self.theta / self.n) * inversions(pi)
@@ -99,10 +126,7 @@ def _all_permutations(n: int) -> np.ndarray:
 def _log_weights(model: Model, perms: np.ndarray) -> np.ndarray:
     n = model.n
     if isinstance(model, LinearModel):
-        x, y = np.meshgrid(np.arange(1, n + 1) / n, np.arange(1, n + 1) / n,
-                           indexing="ij")
-        fmat = np.asarray(model.f(x, y))
-        stats = fmat[np.arange(n), perms - 1].sum(axis=1)
+        stats = model.score_table[np.arange(n), perms - 1].sum(axis=1)
         return model.theta * stats
     inv = np.zeros(perms.shape[0], dtype=np.int64)
     for i in range(n - 1):

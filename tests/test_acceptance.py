@@ -10,12 +10,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from permexp.estimators import ld_estimate, pl_estimate, threshold_test, uniformity_test
 from permexp.grids import get_score, grid_points, kl_to_uniform
 from permexp.io import load_lottery_csv
 from permexp.ipfp import ipfp_scale, limit_matrix, recover_potentials, variational_value, w_k
-from permexp.mcmc import ChainState, _accept_probability, auxiliary_gibbs_sweep, make_rng, sample
+from permexp.mcmc import ChainState, auxiliary_gibbs_sweep, make_rng, sample
 from permexp.models import (
     KendallModel,
     LinearModel,
@@ -152,7 +153,7 @@ def test_06_sampler_exactness():
         vals = np.array(s)
         for i in range(4):
             for j in range(i + 1, 4):
-                acc = _accept_probability(model.swap_log_ratio(vals, i, j))
+                acc = expit(model.swap_log_ratio(vals, i, j))
                 t = list(s)
                 t[i], t[j] = t[j], t[i]
                 kmat[a, index[tuple(t)]] += acc / 6.0

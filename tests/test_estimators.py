@@ -96,6 +96,11 @@ class TestRootFinder:
         finally:
             gc.enable()
 
+    def test_nonconvergence_raises_value_error(self):
+        # 1e-300 needs about 1000 Brent iterations next to a root at 0
+        with pytest.raises(ValueError, match="root_tol"):
+            find_monotone_root(lambda t: 1.0 if t <= 0 else -1.0, root_tol=1e-300)
+
     @pytest.mark.parametrize("root_tol", [0.0, -1e-8])
     def test_root_tol_must_be_positive(self, root_tol):
         with pytest.raises(ValueError, match="root_tol must be positive"):

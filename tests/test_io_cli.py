@@ -260,6 +260,14 @@ class TestCliDensity:
         vals = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.abs(vals.mean(axis=0) - 1).max() <= 1e-4
 
+    def test_failed_density_keeps_existing_out(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        out.write_text("earlier output\n")
+        assert main(["density", "--theta", "50", "--k", "50", "--iters", "1",
+                     "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
+
     def test_spearman_density_peaks_on_diagonal(self, tmp_path):
         out = tmp_path / "d.csv"
         assert main(["density", "--f", "xy", "--theta", "20", "--k", "60",
@@ -285,6 +293,15 @@ class TestCliSample:
         code = main(["sample", "--model", "kendall", "--theta", "1", "--n", "8",
                      "--sampler", "aux", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("theta, sampler", [("nan", "swap"), ("inf", "aux")])
+    def test_nonfinite_theta_exit_code(self, tmp_path, capsys, theta, sampler):
+        out = tmp_path / "x.csv"
+        code = main(["sample", "--f", "xy", "--theta", theta, "--n", "8",
+                     "--sampler", sampler, "--out", str(out)])
+        assert code == 1
+        assert "theta must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hist_grid_tracks_density(self, tmp_path):
         out = tmp_path / "draws.csv"
@@ -331,6 +348,14 @@ class TestCliLottery:
         # tau is identity-biased: its grid is further from flat than uniform's
         flat = 366 / 100
         assert ((tau_bins - flat) ** 2).sum() > ((ref_bins - flat) ** 2).sum()
+
+    def test_root_tol_reaches_pl_fit(self, lottery_path, capsys):
+        evaluations = []
+        for root_tol in ("1e-3", "1e-8"):
+            assert main(["lottery", "--data", str(lottery_path), "--k", "50",
+                         "--iters", "100", "--root-tol", root_tol]) == 0
+            evaluations.append(json.loads(capsys.readouterr().out)["pl"]["evaluations"])
+        assert evaluations[0] != evaluations[1]
 
     def test_shuffled_data_looks_null(self, tmp_path, capsys):
         rng = np.random.default_rng(123)

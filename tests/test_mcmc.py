@@ -1,12 +1,14 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from permexp.grids import get_score
 from permexp.mcmc import (
     ChainState,
-    _accept_probability,
+    _run_swap,
     auxiliary_gibbs_sweep,
     gibbs_swap_step,
     make_rng,
@@ -36,7 +38,7 @@ def exact_swap_kernel(model):
         vals = np.array(s)
         for i in range(n):
             for j in range(i + 1, n):
-                acc = _accept_probability(model.swap_log_ratio(vals, i, j))
+                acc = expit(model.swap_log_ratio(vals, i, j))
                 t = list(s)
                 t[i], t[j] = t[j], t[i]
                 kmat[a, index[tuple(t)]] += acc / npairs
@@ -46,7 +48,12 @@ def exact_swap_kernel(model):
 
 class TestSwapKernel:
     def test_zero_temperature_swaps_half_the_time(self):
-        assert _accept_probability(0.0) == 0.5
+        model = LinearModel(get_score("xy"), 0.0, 10)
+        rng = make_rng(12)
+        state = ChainState.uniform_start(10, rng)
+        assert _run_swap(state, model, rng, 0, 100_000, 1) == []
+        assert state.steps == 100_000
+        assert abs(state.swaps_accepted / state.steps - 0.5) <= 0.01
 
     def test_detailed_balance_s4(self):
         model = LinearModel(get_score("xy"), 3.0, 4)
@@ -70,6 +77,48 @@ class TestSwapKernel:
             assert sorted(state.values) == list(range(1, 26))
         assert state.steps == 500
         assert 0 < state.swaps_accepted <= 500
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenChains:
+    """Seeded swap chains reproduce recorded SHA-256 digests of their states.
+
+    The digests pin the RNG stream and the acceptance rule: the linear
+    chains below and above SCORE_TABLE_MAX_N, the Kendall chain, and
+    single gibbs_swap_step calls all give the draws they gave when the
+    digests were recorded.
+    """
+
+    @pytest.mark.parametrize("model, draws, burn, thin, seed, want", [
+        (LinearModel(get_score("sq"), -6.0, 40), 4, 1000, 400, 31,
+         "122114709d7d5c5e751ab63efbf379744651ddb31bef962bb896568796025f98"),
+        (LinearModel(get_score("xy"), 20.0, 1100), 2, 3000, 2000, 32,
+         "9e5b2362b17dc567f01aaf5241cff77c5ea5e059bb0fc0a9cc28ae69d313304b"),
+        (KendallModel(2.0, 40), 4, 1000, 400, 33,
+         "ccadd6ae1c3f3072fc356cd525cc483c00499fab492ca7e358063123752ff4f2"),
+    ], ids=["linear-table", "linear-above-table", "kendall"])
+    def test_sample(self, model, draws, burn, thin, seed, want):
+        out = sample(model, draws, burn=burn, thin=thin, sampler="swap", seed=seed)
+        assert _digest(d.values for d in out) == want
+
+    def test_gibbs_swap_step(self):
+        model = LinearModel(get_score("footrule"), 3.0, 30)
+        rng = make_rng(34)
+        state = ChainState.uniform_start(30, rng)
+        snapshots = []
+        for t in range(3000):
+            gibbs_swap_step(state, model, rng)
+            if t % 100 == 99:
+                snapshots.append(state.values.copy())
+        assert state.swaps_accepted == 1082
+        assert (_digest(snapshots)
+                == "b3a5d195d74cadcd65dd98f4c89e3da218530bb3a34fcf8ec11d85ba56364b9a")
 
 
 class TestAuxiliarySweep:
@@ -120,10 +169,6 @@ class TestSample:
     def test_sampler_model_mismatch(self):
         with pytest.raises(ValueError):
             sample(KendallModel(1.0, 5), 1, sampler="auxiliary")
-
-    def test_auto_falls_back_to_swap(self):
-        draws = sample(KendallModel(1.0, 5), 2, burn=50, thin=5, sampler="auto", seed=0)
-        assert len(draws) == 2
 
     def test_uniform_inversion_mean(self):
         # theta = 0: E Inv = n(n-1)/4 = 95 at n = 20

@@ -224,15 +224,17 @@ class TestSwapLogRatios:
     def test_linear_ratio_matches_weight_difference(self):
         rng = np.random.default_rng(4)
         f = get_score("footrule")
-        model = LinearModel(f, 1.7, 9)
-        for _ in range(50):
-            vals = rng.permutation(9) + 1
-            i, j = rng.choice(9, size=2, replace=False)
-            swapped = vals.copy()
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            want = model.log_weight(Permutation(swapped)) - model.log_weight(
-                Permutation(vals)
-            )
-            assert model.swap_log_ratio(vals, int(i), int(j)) == pytest.approx(
-                want, abs=1e-10
-            )
+        # n = 1100 is above SCORE_TABLE_MAX_N: the ratio evaluates f directly
+        for n in (9, 1100):
+            model = LinearModel(f, 1.7, n)
+            for _ in range(50):
+                vals = rng.permutation(n) + 1
+                i, j = rng.choice(n, size=2, replace=False)
+                swapped = vals.copy()
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                want = model.log_weight(Permutation(swapped)) - model.log_weight(
+                    Permutation(vals)
+                )
+                assert model.swap_log_ratio(vals, int(i), int(j)) == pytest.approx(
+                    want, abs=1e-10
+                )
