@@ -13,6 +13,7 @@ off an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -164,24 +165,24 @@ def cmd_fit(args) -> int:
 
 def cmd_logz(args) -> int:
     f = get_score(args.score)
-    if args.steps < 2 or args.theta_max <= args.theta_min:
-        print("error: need steps >= 2 and theta-max > theta-min", file=sys.stderr)
+    lo, hi = args.theta_min, args.theta_max
+    if args.steps < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        print("error: need steps >= 2 and finite theta-min < theta-max", file=sys.stderr)
         return EXIT_ERROR
-    thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
+    rows = ["theta,w_k,w_k_prime,status\n"]
+    for theta in np.linspace(lo, hi, args.steps).tolist():
+        status = "ok"
+        try:
+            res = limit_matrix(f, theta, args.k, tol=args.tol, max_iter=args.iters)
+        except IpfpNonConvergence as err:
+            res = err.result
+            status = "maxiter"
+        w = variational_value(res, f, theta)
+        wp = grid_mean(res.grid, f)
+        rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")
     close, fh = _open_for_write(sys.stdout if args.out == "-" else args.out)
     try:
-        fh.write("theta,w_k,w_k_prime,status\n")
-        for theta in thetas:
-            status = "ok"
-            try:
-                res = limit_matrix(f, float(theta), args.k, tol=args.tol,
-                                   max_iter=args.iters)
-            except IpfpNonConvergence as err:
-                res = err.result
-                status = "maxiter"
-            w = variational_value(res, f, float(theta))
-            wp = grid_mean(res.grid, f)
-            fh.write(f"{_fmt(float(theta))},{_fmt(w)},{_fmt(wp)},{status}\n")
+        fh.write("".join(rows))
     finally:
         if close:
             fh.close()
@@ -205,6 +206,17 @@ def cmd_density(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    hist_out = args.hist_out
+    if args.hist is not None:
+        if args.draws < 1:
+            print("error: --hist needs at least one draw", file=sys.stderr)
+            return EXIT_ERROR
+        if hist_out is None:
+            if args.out == "-":
+                print("error: --hist with stdout output needs --hist-out",
+                      file=sys.stderr)
+                return EXIT_ERROR
+            hist_out = f"{args.out}_hist.csv"
     f = get_score(args.score)
     if args.model == "kendall":
         model = KendallModel(args.theta, args.n)
@@ -217,23 +229,15 @@ def cmd_sample(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    save_draws_csv(draws, sys.stdout if args.out == "-" else args.out)
+    density = None
     if args.hist is not None:
-        if not draws:
-            print("error: --hist needs at least one draw", file=sys.stderr)
-            return EXIT_ERROR
         counts = np.zeros((args.hist, args.hist), dtype=np.int64)
         for pi in draws:
             counts += bin_counts(pi, args.hist).counts
         total = sum(pi.n for pi in draws)
         density = counts * (args.hist * args.hist / total)
-        hist_out = args.hist_out
-        if hist_out is None:
-            if args.out == "-":
-                print("error: --hist with stdout output needs --hist-out",
-                      file=sys.stderr)
-                return EXIT_ERROR
-            hist_out = f"{args.out}_hist.csv"
+    save_draws_csv(draws, sys.stdout if args.out == "-" else args.out)
+    if density is not None:
         write_grid_csv(density, hist_out)
     return EXIT_OK
 

@@ -81,8 +81,8 @@ def save_permutation_csv(pi: Permutation, path_or_stream) -> None:
     close, fh = _open_for_write(path_or_stream)
     try:
         fh.write("i,pi\n")
-        for i, v in enumerate(pi.values, start=1):
-            fh.write(f"{i},{int(v)}\n")
+        fh.write("".join([f"{i},{v}\n"
+                          for i, v in enumerate(pi.values.tolist(), start=1)]))
     finally:
         if close:
             fh.close()
@@ -94,8 +94,8 @@ def save_draws_csv(draws: Sequence[Permutation], path_or_stream) -> None:
     try:
         fh.write("draw,i,pi\n")
         for d, pi in enumerate(draws, start=1):
-            for i, v in enumerate(pi.values, start=1):
-                fh.write(f"{d},{i},{int(v)}\n")
+            fh.write("".join([f"{d},{i},{v}\n"
+                              for i, v in enumerate(pi.values.tolist(), start=1)]))
     finally:
         if close:
             fh.close()

@@ -7,12 +7,18 @@ Two kernels are provided:
   the rest (keep or swap).  The model pmf is stationary and reversible
   for this kernel, for both model families.  One loop, ``_run_swap``,
   runs every swap step, ``gibbs_swap_step`` and ``sample`` alike, with
-  the model's own ``swap_log_ratio``.
+  the model's own ``swap_log_ratio``.  On S_1 there is no pair, and a
+  step keeps the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
   over assignments satisfying per-position floors; that law is sampled
   exactly by a sequential uniform assignment.
+
+Both loops draw their randomness as numpy arrays and then step through
+them as plain Python ints and floats, read and written through
+memoryviews: a numpy scalar costs far more per operation than the model
+arithmetic of one step, and memoryviews copy nothing.
 
 The default burn-ins of ``sample`` are fixed step and sweep counts; no
 check shows that a chain has reached equilibrium after them, and 10
@@ -112,25 +118,26 @@ def auxiliary_gibbs_sweep(state: ChainState, model: Model,
     with np.errstate(divide="ignore"):
         b = state.values + (n * n / theta) * np.log(rng.random(n)) / j_arr
     entry = np.ceil(np.maximum(b, 1.0)).astype(np.int64)  # first l with b_j <= l
-    order = np.argsort(entry, kind="stable")
-    entry_sorted = entry[order]
+    # ndarray methods skip the dispatch of their np.* wrappers, which costs
+    # more than the work itself at small n
+    order = entry.argsort(kind="stable")
+    # positions order[:stops[l - 1]] are feasible for target l and all later ones
+    stops = entry[order].searchsorted(j_arr, side="right")
     picks = rng.random(n)
     new_values = np.empty(n, dtype=np.int64)
-    pool = np.empty(n, dtype=np.int64)
-    pool_size = 0
-    ptr = 0
-    for l in range(1, n + 1):
-        while ptr < n and entry_sorted[ptr] <= l:
-            pool[pool_size] = order[ptr]
-            pool_size += 1
-            ptr += 1
-        if pool_size == 0:
+    out = memoryview(new_values)
+    arrivals = memoryview(order)
+    pool: list[int] = []
+    start = 0
+    for l, stop, pick in zip(range(1, n + 1), memoryview(stops), memoryview(picks)):
+        pool += arrivals[start:stop]
+        start = stop
+        if not pool:
             raise RuntimeError("feasible pool emptied; sweep invariant broken")
-        r = int(picks[l - 1] * pool_size)
-        idx = pool[r]
-        pool[r] = pool[pool_size - 1]
-        pool_size -= 1
-        new_values[idx] = l
+        r = int(pick * len(pool))
+        out[pool[r]] = l
+        pool[r] = pool[-1]
+        pool.pop()
     state.values[:] = new_values
     state.sweeps += 1
     return state
@@ -182,8 +189,13 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
     """
     n = model.n
     values = state.values
-    log_ratio = model.swap_log_ratio
     total = burn + n_samples * thin
+    if n < 2:
+        # S_1 has no pair to swap: every step keeps its one permutation
+        state.steps += total
+        return [state.permutation() for _ in range(n_samples)]
+    cells = memoryview(values)
+    log_ratio = model.swap_log_ratio
     draws: list[Permutation] = []
     next_record = burn + thin if n_samples > 0 else total + 1
     done = 0
@@ -200,7 +212,7 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
             if j >= i:
                 j += 1
             if logit < log_ratio(values, i, j):
-                values[i], values[j] = values[j], values[i]
+                cells[i], cells[j] = cells[j], cells[i]
                 state.swaps_accepted += 1
             done += 1
             if done == next_record:

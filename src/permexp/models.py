@@ -43,10 +43,18 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 9
 
 
-# Largest n whose swap log-ratios read the n x n score table; above it each
-# ratio evaluates f at four points.  The table is n^2 floats, 8 MB at 1024;
-# at n=2000 it would add 32 MB, about 28% of the sample benchmark's peak RSS.
+# Largest n whose swap log-ratios read four cells of the n x n score table;
+# above it each ratio calls f once on the four points as one array.  The
+# table is n^2 floats, 8 MB at 1024; at n=2000 it would add 32 MB, about 28%
+# of the sample benchmark's peak RSS.
 SCORE_TABLE_MAX_N = 1024
+
+
+def _check_parameters(theta: float, n: int) -> None:
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +66,12 @@ class LinearModel:
     n: int
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        _check_parameters(self.theta, self.n)
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the fields; the cached memoryview
+        # of the score table cannot be pickled
+        return (LinearModel, (self.f, self.theta, self.n))
 
     @functools.cached_property
     def score_table(self) -> np.ndarray:
@@ -71,18 +83,27 @@ class LinearModel:
     def log_weight(self, pi: Permutation) -> float:
         return self.theta * linear_statistic(pi, self.f)
 
+    @functools.cached_property
+    def _score_cells(self) -> memoryview:
+        """score_table as a memoryview: cells read as Python floats."""
+        return memoryview(self.score_table)
+
     def swap_log_ratio(self, values: np.ndarray, i: int, j: int) -> float:
         """log weight change from swapping positions i, j (0-based)."""
         n = self.n
+        vi = values.item(i)
+        vj = values.item(j)
         if n <= SCORE_TABLE_MAX_N:
-            s = self.score_table
-            vi = values[i] - 1
-            vj = values[j] - 1
+            s = self._score_cells
+            vi -= 1
+            vj -= 1
             y = s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi]
         else:
             xi, xj = (i + 1) / n, (j + 1) / n
-            ui, uj = values[i] / n, values[j] / n
-            y = float(self.f(xi, ui) + self.f(xj, uj) - self.f(xi, uj) - self.f(xj, ui))
+            ui, uj = vi / n, vj / n
+            a, b, c, d = self.f(np.array((xi, xj, xi, xj)),
+                                np.array((ui, uj, uj, ui))).tolist()
+            y = a + b - c - d
         return -self.theta * y
 
 
@@ -94,8 +115,7 @@ class KendallModel:
     n: int
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        _check_parameters(self.theta, self.n)
 
     def log_weight(self, pi: Permutation) -> float:
         return (self.theta / self.n) * inversions(pi)

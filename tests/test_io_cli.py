@@ -108,6 +108,22 @@ class TestDrawsCsv:
             "draw,i,pi\n1,1,2\n1,2,1\n2,1,1\n2,2,2\n"
         )
 
+    def test_matches_per_row_formatting(self):
+        rng = np.random.default_rng(12)
+        draws = [random_permutation(rng, n) for n in (1, 9, 12, 300)]
+        buf = io.StringIO()
+        save_draws_csv(draws, buf)
+        want = "draw,i,pi\n" + "".join(
+            f"{d},{i},{int(v)}\n"
+            for d, pi in enumerate(draws, start=1)
+            for i, v in enumerate(pi.values, start=1)
+        )
+        assert buf.getvalue() == want
+        buf = io.StringIO()
+        save_permutation_csv(draws[3], buf)
+        assert buf.getvalue() == "i,pi\n" + "".join(
+            f"{i},{int(v)}\n" for i, v in enumerate(draws[3].values, start=1))
+
 
 class TestJsonFormatting:
     def test_ten_significant_digits(self):
@@ -241,6 +257,16 @@ class TestCliLogz:
         assert rows[0][3] == "maxiter" and rows[2][3] == "maxiter"
         assert rows[1][3] == "ok"
 
+    @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("-1", "inf"), ("2", "1")])
+    def test_bad_range_keeps_existing_out(self, tmp_path, capsys, lo, hi):
+        out = tmp_path / "curve.csv"
+        out.write_text("earlier output\n")
+        code = main(["logz", "--theta-min", lo, "--theta-max", hi, "--steps", "2",
+                     "--k", "10", "--out", str(out)])
+        assert code == 1
+        assert "theta-min < theta-max" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
+
 
 class TestCliDensity:
     def test_theta_zero_flat(self, tmp_path):
@@ -327,6 +353,30 @@ class TestCliSample:
                      "--hist", "2"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("args", [["--draws", "0", "--hist", "3"],
+                                      ["--draws", "2", "--hist", "9"]],
+                             ids=["no-draws", "hist-above-n"])
+    def test_bad_hist_keeps_existing_out(self, tmp_path, capsys, args):
+        out = tmp_path / "s.csv"
+        out.write_text("earlier output\n")
+        code = main(["sample", "--theta", "1", "--n", "5", "--burn", "10", "--thin", "5",
+                     "--out", str(out)] + args)
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
+        assert not (tmp_path / "s.csv_hist.csv").exists()
+
+    @pytest.mark.parametrize("sampler", ["swap", "aux"])
+    def test_single_position(self, capsys, sampler):
+        assert main(["sample", "--theta", "2", "--n", "1", "--draws", "2",
+                     "--sampler", sampler]) == 0
+        assert capsys.readouterr().out == "draw,i,pi\n1,1,1\n2,1,1\n"
+
+    @pytest.mark.parametrize("model", ["linear", "kendall"])
+    def test_empty_permutation_rejected(self, capsys, model):
+        assert main(["sample", "--model", model, "--theta", "2", "--n", "0"]) == 1
+        assert "n must be >= 1" in capsys.readouterr().err
 
 
 class TestCliLottery:

@@ -87,12 +87,12 @@ def _digest(arrays):
 
 
 class TestGoldenChains:
-    """Seeded swap chains reproduce recorded SHA-256 digests of their states.
+    """Seeded chains reproduce recorded SHA-256 digests of their states.
 
     The digests pin the RNG stream and the acceptance rule: the linear
-    chains below and above SCORE_TABLE_MAX_N, the Kendall chain, and
-    single gibbs_swap_step calls all give the draws they gave when the
-    digests were recorded.
+    chains below and above SCORE_TABLE_MAX_N, the Kendall chain, single
+    gibbs_swap_step calls and auxiliary sweeps all give the draws they
+    gave when the digests were recorded.
     """
 
     @pytest.mark.parametrize("model, draws, burn, thin, seed, want", [
@@ -119,6 +119,17 @@ class TestGoldenChains:
         assert state.swaps_accepted == 1082
         assert (_digest(snapshots)
                 == "b3a5d195d74cadcd65dd98f4c89e3da218530bb3a34fcf8ec11d85ba56364b9a")
+
+    @pytest.mark.parametrize("n, draws, burn, thin, seed, want", [
+        (500, 4, 5, 2, 35,
+         "76da6aa27bb3b5f99fd576c991dbafea2089f039d0b95437e017d4663250090b"),
+        (3000, 2, 2, 1, 36,
+         "b6a5aa7cc7407d86c43e5c1840e2dd9e4cf212e5a8fde235c719a53f56868ad8"),
+    ], ids=["n500", "n3000"])
+    def test_auxiliary(self, n, draws, burn, thin, seed, want):
+        model = LinearModel(get_score("xy"), 20.0, n)
+        out = sample(model, draws, burn=burn, thin=thin, sampler="auxiliary", seed=seed)
+        assert _digest(d.values for d in out) == want
 
 
 class TestAuxiliarySweep:

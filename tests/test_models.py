@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -238,3 +239,27 @@ class TestSwapLogRatios:
                 assert model.swap_log_ratio(vals, int(i), int(j)) == pytest.approx(
                     want, abs=1e-10
                 )
+
+    @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
+    def test_f_path_reads_as_score_table(self, name):
+        # above SCORE_TABLE_MAX_N the ratio evaluates f on arrays, as the
+        # table does, so both give the same floats
+        rng = np.random.default_rng(5)
+        n = 1100
+        theta = -2.5
+        model = LinearModel(get_score(name), theta, n)
+        s = model.score_table
+        vals = rng.permutation(n) + 1
+        for _ in range(3000):
+            i, j = rng.choice(n, size=2, replace=False).tolist()
+            vi, vj = vals[i] - 1, vals[j] - 1
+            want = -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
+            assert model.swap_log_ratio(vals, i, j) == want
+
+    def test_model_copies_after_a_ratio(self):
+        model = LinearModel(get_score("xy"), 1.5, 6)
+        vals = np.array([3, 1, 2, 6, 4, 5])
+        ratio = model.swap_log_ratio(vals, 1, 4)
+        twin = copy.deepcopy(model)
+        assert twin == model
+        assert twin.swap_log_ratio(vals, 1, 4) == ratio
