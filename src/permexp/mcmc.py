@@ -6,9 +6,15 @@ Two kernels are provided:
   and resample the two entries from their conditional distribution given
   the rest (keep or swap).  The model pmf is stationary and reversible
   for this kernel, for both model families.  One loop, ``_run_swap``,
-  runs every swap step, ``gibbs_swap_step`` and ``sample`` alike, with
-  the model's own ``swap_log_ratio``.  On S_1 there is no pair, and a
-  step keeps the one permutation.
+  runs every swap step, ``gibbs_swap_step`` and ``sample`` alike.  It
+  asks the model for a ratio evaluator over the chain's state, given the
+  run's step count: ``log_ratio(i, j)`` and a ``swap(i, j)`` that also
+  updates any per-chain cache.  Linear models read a score table or call
+  f and keep no cache; a Kendall run of at least n steps at n <=
+  INVERSION_TABLE_MAX_N reads an inversion prefix-count table in O(1) and
+  updates it on each accepted swap, and any other Kendall run counts the
+  entries between the pair.  On S_1 there is no pair, and a step keeps
+  the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
@@ -18,7 +24,9 @@ Two kernels are provided:
 Both loops draw their randomness as numpy arrays and then step through
 them as plain Python ints and floats, read and written through
 memoryviews: a numpy scalar costs far more per operation than the model
-arithmetic of one step, and memoryviews copy nothing.
+arithmetic of one step, and memoryviews copy nothing.  Recorded draws are
+read-only copies of the state, which is a bijection by construction, so
+they skip ``Permutation``'s checks.
 
 The default burn-ins of ``sample`` are fixed step and sweep counts; no
 check shows that a chain has reached equilibrium after them, and 10
@@ -78,7 +86,8 @@ class ChainState:
         return cls(rng.permutation(n).astype(np.int64) + 1)
 
     def permutation(self) -> Permutation:
-        return Permutation(self.values)
+        """A read-only copy of the state; the bijection is not re-checked."""
+        return Permutation._trusted(self.values)
 
 
 def gibbs_swap_step(state: ChainState, model: Model, rng: np.random.Generator) -> ChainState:
@@ -194,8 +203,7 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
         return [state.permutation() for _ in range(n_samples)]
-    cells = memoryview(values)
-    log_ratio = model.swap_log_ratio
+    log_ratio, swap = model.swap_evaluator(values, total)
     draws: list[Permutation] = []
     next_record = burn + thin if n_samples > 0 else total + 1
     done = 0
@@ -211,8 +219,8 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         for i, j, logit in zip(memoryview(ii), memoryview(jj), memoryview(logits)):
             if j >= i:
                 j += 1
-            if logit < log_ratio(values, i, j):
-                cells[i], cells[j] = cells[j], cells[i]
+            if logit < log_ratio(i, j):
+                swap(i, j)
                 state.swaps_accepted += 1
             done += 1
             if done == next_record:

@@ -150,10 +150,10 @@ def test_06_sampler_exactness():
 
     kmat = np.zeros((24, 24))
     for a, s in enumerate(states):
-        vals = np.array(s)
+        log_ratio, _ = model.swap_evaluator(np.array(s), 1)
         for i in range(4):
             for j in range(i + 1, 4):
-                acc = expit(model.swap_log_ratio(vals, i, j))
+                acc = expit(log_ratio(i, j))
                 t = list(s)
                 t[i], t[j] = t[j], t[i]
                 kmat[a, index[tuple(t)]] += acc / 6.0

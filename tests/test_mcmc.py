@@ -26,23 +26,27 @@ from permexp.perm import Permutation, inversions
 from conftest import empirical_law, tv_distance
 
 
-def exact_swap_kernel(model):
-    """Transition matrix of the pair-swap Gibbs chain by enumeration."""
+def exact_swap_kernel(model, steps):
+    """Transition matrix of the pair-swap Gibbs chain by enumeration.
+
+    Acceptance comes from the evaluator a ``steps``-step run of
+    ``_run_swap`` uses, over the ordered pairs (i, j), i != j, that it
+    draws uniformly.
+    """
     perms, probs = enumerate_pmf(model)
     states = [tuple(p) for p in perms]
     index = {s: i for i, s in enumerate(states)}
     n = model.n
-    npairs = n * (n - 1) // 2
+    npairs = n * (n - 1)
     kmat = np.zeros((len(states), len(states)))
     for a, s in enumerate(states):
-        vals = np.array(s)
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = expit(model.swap_log_ratio(vals, i, j))
-                t = list(s)
-                t[i], t[j] = t[j], t[i]
-                kmat[a, index[tuple(t)]] += acc / npairs
-                kmat[a, a] += (1.0 - acc) / npairs
+        log_ratio, _ = model.swap_evaluator(np.array(s), steps)
+        for i, j in itertools.permutations(range(n), 2):
+            acc = expit(log_ratio(i, j))
+            t = list(s)
+            t[i], t[j] = t[j], t[i]
+            kmat[a, index[tuple(t)]] += acc / npairs
+            kmat[a, a] += (1.0 - acc) / npairs
     return states, probs, kmat
 
 
@@ -57,16 +61,24 @@ class TestSwapKernel:
 
     def test_detailed_balance_s4(self):
         model = LinearModel(get_score("xy"), 3.0, 4)
-        states, probs, kmat = exact_swap_kernel(model)
+        states, probs, kmat = exact_swap_kernel(model, 1)
         flow = probs[:, None] * kmat
         assert np.abs(flow - flow.T).max() <= 1e-12
         assert np.abs(probs @ kmat - probs).max() <= 1e-12
 
     def test_detailed_balance_kendall(self):
         model = KendallModel(-1.5, 4)
-        states, probs, kmat = exact_swap_kernel(model)
+        states, probs, kmat = exact_swap_kernel(model, 4)
         flow = probs[:, None] * kmat
         assert np.abs(flow - flow.T).max() <= 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 5], ids=["count", "table"])
+    def test_detailed_balance_kendall_s5(self, steps):
+        model = KendallModel(2.5, 5)
+        states, probs, kmat = exact_swap_kernel(model, steps)
+        flow = probs[:, None] * kmat
+        assert np.abs(flow - flow.T).max() <= 1e-12
+        assert np.abs(probs @ kmat - probs).max() <= 1e-12
 
     def test_step_preserves_bijectivity_and_counts(self):
         model = KendallModel(2.0, 25)
@@ -86,11 +98,23 @@ def _digest(arrays):
     return h.hexdigest()
 
 
+def _step_snapshots(model, seed):
+    """3000 gibbs_swap_step calls; the state after every 100th."""
+    rng = make_rng(seed)
+    state = ChainState.uniform_start(model.n, rng)
+    snapshots = []
+    for t in range(3000):
+        gibbs_swap_step(state, model, rng)
+        if t % 100 == 99:
+            snapshots.append(state.values.copy())
+    return state, snapshots
+
+
 class TestGoldenChains:
     """Seeded chains reproduce recorded SHA-256 digests of their states.
 
     The digests pin the RNG stream and the acceptance rule: the linear
-    chains below and above SCORE_TABLE_MAX_N, the Kendall chain, single
+    and Kendall chains below and above their table cutoffs, single
     gibbs_swap_step calls and auxiliary sweeps all give the draws they
     gave when the digests were recorded.
     """
@@ -102,23 +126,25 @@ class TestGoldenChains:
          "9e5b2362b17dc567f01aaf5241cff77c5ea5e059bb0fc0a9cc28ae69d313304b"),
         (KendallModel(2.0, 40), 4, 1000, 400, 33,
          "ccadd6ae1c3f3072fc356cd525cc483c00499fab492ca7e358063123752ff4f2"),
-    ], ids=["linear-table", "linear-above-table", "kendall"])
+        (KendallModel(20.0, 1100), 2, 3000, 2000, 37,
+         "7d56ed0c9a70139cb27c6d0f735ce83c315edf25290233988914e721d1f67865"),
+    ], ids=["linear-table", "linear-above-table", "kendall", "kendall-above-table"])
     def test_sample(self, model, draws, burn, thin, seed, want):
         out = sample(model, draws, burn=burn, thin=thin, sampler="swap", seed=seed)
         assert _digest(d.values for d in out) == want
 
     def test_gibbs_swap_step(self):
-        model = LinearModel(get_score("footrule"), 3.0, 30)
-        rng = make_rng(34)
-        state = ChainState.uniform_start(30, rng)
-        snapshots = []
-        for t in range(3000):
-            gibbs_swap_step(state, model, rng)
-            if t % 100 == 99:
-                snapshots.append(state.values.copy())
+        state, snapshots = _step_snapshots(LinearModel(get_score("footrule"), 3.0, 30), 34)
         assert state.swaps_accepted == 1082
         assert (_digest(snapshots)
                 == "b3a5d195d74cadcd65dd98f4c89e3da218530bb3a34fcf8ec11d85ba56364b9a")
+
+    def test_gibbs_swap_step_kendall(self):
+        # one-step runs count the entries between the pair
+        state, snapshots = _step_snapshots(KendallModel(-3.0, 30), 38)
+        assert state.swaps_accepted == 1248
+        assert (_digest(snapshots)
+                == "2be7bb67a93a2abf47cb28530b006018913ceb5e1d83703a0d2d01fe695f6582")
 
     @pytest.mark.parametrize("n, draws, burn, thin, seed, want", [
         (500, 4, 5, 2, 35,
@@ -169,6 +195,21 @@ class TestAuxiliarySweep:
 
 
 class TestSample:
+    def test_draw_is_a_read_only_copy(self):
+        model = KendallModel(0.0, 6)
+        rng = make_rng(9)
+        state = ChainState.uniform_start(6, rng)
+        draw = state.permutation()
+        recorded = draw.as_tuple()
+        for _ in range(50):
+            gibbs_swap_step(state, model, rng)
+        assert tuple(state.values) != recorded
+        assert draw.as_tuple() == recorded
+        assert not draw.values.flags.writeable
+        assert not np.shares_memory(draw.values, state.values)
+        assert draw == Permutation(recorded)
+        assert hash(draw) == hash(Permutation(recorded))
+
     def test_fixed_seed_reproducible(self):
         model = LinearModel(get_score("xy"), 1.0, 8)
         a = sample(model, 5, burn=200, thin=20, sampler="swap", seed=42)

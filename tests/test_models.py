@@ -1,13 +1,17 @@
 import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permexp.grids import ScoreFunction, get_score
 from permexp.models import (
     KendallModel,
     LinearModel,
+    _inversion_table_evaluator,
     brute_logZ,
     enumerate_pmf,
     enumerate_statistics,
@@ -208,19 +212,54 @@ class TestGridDiscordance:
         assert grid_discordance(p) == pytest.approx(total, abs=1e-14)
 
 
+def _ratio(model, vals, i, j):
+    """One swap log-ratio from the evaluator a one-step chain uses."""
+    log_ratio, _ = model.swap_evaluator(vals, 1)
+    return log_ratio(i, j)
+
+
+def _inversion_change(vals, i, j):
+    swapped = vals.copy()
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    return inversions(Permutation(swapped)) - inversions(Permutation(vals))
+
+
 class TestSwapLogRatios:
     def test_kendall_delta_matches_recount(self):
+        # a one-step chain counts the entries between the pair
         rng = np.random.default_rng(3)
         model = KendallModel(2.5, 12)
         for _ in range(100):
             vals = rng.permutation(12) + 1
             i, j = rng.choice(12, size=2, replace=False)
-            before = inversions(Permutation(vals))
-            swapped = vals.copy()
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            after = inversions(Permutation(swapped))
-            want = (2.5 / 12) * (after - before)
-            assert model.swap_log_ratio(vals, int(i), int(j)) == pytest.approx(want)
+            want = (2.5 / 12) * _inversion_change(vals, i, j)
+            assert _ratio(model, vals, int(i), int(j)) == pytest.approx(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kendall_table_tracks_accepted_swaps(self, data):
+        n = data.draw(st.integers(2, 9), label="n")
+        theta = data.draw(st.floats(-30.0, 30.0), label="theta")
+        vals = np.array(data.draw(st.permutations(range(1, n + 1))), dtype=np.int64)
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1])
+        swaps = data.draw(st.lists(pair, max_size=12), label="swaps")
+        log_ratio, swap = _inversion_table_evaluator(vals, theta / n)
+        want = vals.copy()
+        for i, j in swaps:
+            swap(i, j)
+            want[i], want[j] = want[j], want[i]
+        assert np.array_equal(vals, want)
+        for i, j in itertools.permutations(range(n), 2):
+            assert log_ratio(i, j) == (theta / n) * _inversion_change(vals, i, j)
+
+    @pytest.mark.parametrize("n, steps, table", [
+        (5, 5, True), (5, 4, False), (256, 256, True), (257, 10 ** 6, False),
+    ])
+    def test_kendall_table_needs_small_n_and_a_long_run(self, n, steps, table):
+        log_ratio, _ = KendallModel(1.0, n).swap_evaluator(np.arange(1, n + 1), steps)
+        owner = log_ratio.__qualname__.split(".")[0]
+        assert (owner == "_inversion_table_evaluator") == table
 
     def test_linear_ratio_matches_weight_difference(self):
         rng = np.random.default_rng(4)
@@ -236,7 +275,7 @@ class TestSwapLogRatios:
                 want = model.log_weight(Permutation(swapped)) - model.log_weight(
                     Permutation(vals)
                 )
-                assert model.swap_log_ratio(vals, int(i), int(j)) == pytest.approx(
+                assert _ratio(model, vals, int(i), int(j)) == pytest.approx(
                     want, abs=1e-10
                 )
 
@@ -250,16 +289,17 @@ class TestSwapLogRatios:
         model = LinearModel(get_score(name), theta, n)
         s = model.score_table
         vals = rng.permutation(n) + 1
+        log_ratio, _ = model.swap_evaluator(vals, 3000)
         for _ in range(3000):
             i, j = rng.choice(n, size=2, replace=False).tolist()
             vi, vj = vals[i] - 1, vals[j] - 1
             want = -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
-            assert model.swap_log_ratio(vals, i, j) == want
+            assert log_ratio(i, j) == want
 
     def test_model_copies_after_a_ratio(self):
         model = LinearModel(get_score("xy"), 1.5, 6)
         vals = np.array([3, 1, 2, 6, 4, 5])
-        ratio = model.swap_log_ratio(vals, 1, 4)
+        ratio = _ratio(model, vals, 1, 4)
         twin = copy.deepcopy(model)
         assert twin == model
-        assert twin.swap_log_ratio(vals, 1, 4) == ratio
+        assert _ratio(twin, vals, 1, 4) == ratio
