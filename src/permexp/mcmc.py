@@ -7,14 +7,13 @@ Two kernels are provided:
   the rest (keep or swap).  The model pmf is stationary and reversible
   for this kernel, for both model families.  One loop, ``_run_swap``,
   runs every swap step, ``gibbs_swap_step`` and ``sample`` alike.  It
-  asks the model for a ratio evaluator over the chain's state, given the
-  run's step count: ``log_ratio(i, j)`` and a ``swap(i, j)`` that also
-  updates any per-chain cache.  Linear models read a score table or call
-  f and keep no cache; a Kendall run of at least n steps at n <=
-  INVERSION_TABLE_MAX_N reads an inversion prefix-count table in O(1) and
-  updates it on each accepted swap, and any other Kendall run counts the
-  entries between the pair.  On S_1 there is no pair, and a step keeps
-  the one permutation.
+  asks the model for a ratio evaluator over the chain's state:
+  ``log_ratio(i, j)`` and a ``swap(i, j)`` that also updates any
+  per-chain cache.  Linear models read a score table or call f and keep
+  no cache; a Kendall chain at n <= INVERSION_TABLE_MAX_N reads an
+  inversion prefix-count table in O(1) and updates it on each accepted
+  swap, and at larger n counts the entries between the pair.  On S_1
+  there is no pair, and a step keeps the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
@@ -25,8 +24,8 @@ Both loops draw their randomness as numpy arrays and then step through
 them as plain Python ints and floats, read and written through
 memoryviews: a numpy scalar costs far more per operation than the model
 arithmetic of one step, and memoryviews copy nothing.  Recorded draws are
-read-only copies of the state, which is a bijection by construction, so
-they skip ``Permutation``'s checks.
+read-only copies of the state, which ``ChainState`` checks once when it is
+made, so they skip ``Permutation``'s checks.
 
 The default burn-ins of ``sample`` are fixed step and sweep counts; no
 check shows that a chain has reached equilibrium after them, and 10
@@ -68,14 +67,20 @@ def make_rng(seed: int) -> np.random.Generator:
 class ChainState:
     """Mutable state of one chain.
 
-    ``values`` is the current permutation as a 1-based image array; it
-    stays a bijection after every transition.
+    ``values`` is the current permutation as a 1-based int64 image array;
+    it must be a bijection of {1..n} and stays one after every transition.
     """
 
     values: np.ndarray
     steps: int = 0
     sweeps: int = 0
     swaps_accepted: int = 0
+
+    def __post_init__(self):
+        # checked once per chain: the transitions and recorded draws rely on
+        # it and do not check again; the swap loop writes values in place
+        self.values = np.ascontiguousarray(self.values, dtype=np.int64)
+        Permutation(self.values)  # raises unless values is a bijection
 
     @property
     def n(self) -> int:
@@ -203,7 +208,7 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
         return [state.permutation() for _ in range(n_samples)]
-    log_ratio, swap = model.swap_evaluator(values, total)
+    log_ratio, swap = model.swap_evaluator(values)
     draws: list[Permutation] = []
     next_record = burn + thin if n_samples > 0 else total + 1
     done = 0

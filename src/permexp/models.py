@@ -49,16 +49,19 @@ BRUTE_FORCE_LIMIT = 9
 # of the sample benchmark's peak RSS.
 SCORE_TABLE_MAX_N = 1024
 
-# Largest n whose Kendall runs of at least n steps read their log-ratios
-# from an (n+1) x (n+1) int16 prefix-count table, 132 KB at 256.  Each
-# accepted swap updates a slice of about (n/3)^2 cells, so the table's cost
-# grows as n^2 times the acceptance rate, which depends on theta and hardly
-# on n: 50% at theta=0, 33% at |theta|=5, 12% at |theta|=20.  Measured per
-# step against counting the entries between the pair (2 cores, numpy
-# 2.4.6): at theta=0 the table takes 0.80x the time at n=200, 0.87x at 300,
-# 1.07x at 350, 1.46x at 500 and 2.8x at 1000; at |theta|=20 it takes
-# 0.30x at n=200, 0.33-0.43x at 500-1000 and 0.55-0.7x at 2000-3000.  The
-# cutoff keeps the table where it wins at every theta.
+# Largest n whose Kendall chains read their log-ratios from an (n+1) x
+# (n+1) int16 prefix-count table, 132 KB at 256.  Each accepted swap
+# updates a slice of about (n/3)^2 cells, so the table's cost grows as n^2
+# times the acceptance rate, which depends on theta and hardly on n: 50% at
+# theta=0, 33% at |theta|=5, 12% at |theta|=20.  Measured per step against
+# counting the entries between the pair (2 cores, numpy 2.4.6): at theta=0
+# the table takes 0.80x the time at n=200, 0.87x at 300, 1.07x at 350,
+# 1.46x at 500 and 2.8x at 1000; at |theta|=20 it takes 0.30x at n=200,
+# 0.33-0.43x at 500-1000 and 0.55-0.7x at 2000-3000.  The cutoff keeps the
+# table where it wins at every theta.  Building it takes 15 us at n=32,
+# 190 us at 200 and 320 us at 256; a run repays that within 0.1-0.5 n
+# steps (1.1 n at theta=0, n=256).  Only shorter runs, such as one-step
+# gibbs_swap_step calls, would count faster.
 INVERSION_TABLE_MAX_N = 256
 
 # log_ratio(i, j) and swap(i, j) over one chain's state; see swap_evaluator.
@@ -103,8 +106,8 @@ class LinearModel:
         """score_table as a memoryview: cells read as Python floats."""
         return memoryview(self.score_table)
 
-    def swap_evaluator(self, values: np.ndarray, steps: int) -> SwapEvaluator:
-        """``(log_ratio, swap)`` for a chain of ``steps`` steps on ``values``.
+    def swap_evaluator(self, values: np.ndarray) -> SwapEvaluator:
+        """``(log_ratio, swap)`` for a chain on ``values``.
 
         ``log_ratio(i, j)`` is the log weight change from swapping
         positions i and j (0-based) of the 1-based image array ``values``;
@@ -146,16 +149,15 @@ class KendallModel:
     def log_weight(self, pi: Permutation) -> float:
         return (self.theta / self.n) * inversions(pi)
 
-    def swap_evaluator(self, values: np.ndarray, steps: int) -> SwapEvaluator:
-        """``(log_ratio, swap)`` for a chain of ``steps`` steps on ``values``.
+    def swap_evaluator(self, values: np.ndarray) -> SwapEvaluator:
+        """``(log_ratio, swap)`` for a chain on ``values``.
 
-        As for ``LinearModel.swap_evaluator``.  A run of at least n steps
-        with n <= INVERSION_TABLE_MAX_N reads each ratio from a prefix-count
-        table built for ``values``; shorter runs and larger n count the
-        entries between the pair.
+        As for ``LinearModel.swap_evaluator``.  With n <=
+        INVERSION_TABLE_MAX_N each ratio is read from a prefix-count table
+        built for ``values``; larger n count the entries between the pair.
         """
         scale = self.theta / self.n
-        if self.n <= INVERSION_TABLE_MAX_N and steps >= self.n:
+        if self.n <= INVERSION_TABLE_MAX_N:
             return _inversion_table_evaluator(values, scale)
         return _inversion_count_evaluator(values, scale)
 

@@ -150,7 +150,7 @@ def test_06_sampler_exactness():
 
     kmat = np.zeros((24, 24))
     for a, s in enumerate(states):
-        log_ratio, _ = model.swap_evaluator(np.array(s), 1)
+        log_ratio, _ = model.swap_evaluator(np.array(s))
         for i in range(4):
             for j in range(i + 1, 4):
                 acc = expit(log_ratio(i, j))

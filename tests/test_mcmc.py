@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -18,6 +19,7 @@ from permexp.mcmc import (
 from permexp.models import (
     KendallModel,
     LinearModel,
+    _inversion_count_evaluator,
     enumerate_pmf,
     kendall_limit_C_prime,
 )
@@ -26,13 +28,14 @@ from permexp.perm import Permutation, inversions
 from conftest import empirical_law, tv_distance
 
 
-def exact_swap_kernel(model, steps):
+def exact_swap_kernel(model, evaluator=None):
     """Transition matrix of the pair-swap Gibbs chain by enumeration.
 
-    Acceptance comes from the evaluator a ``steps``-step run of
-    ``_run_swap`` uses, over the ordered pairs (i, j), i != j, that it
-    draws uniformly.
+    Acceptance comes from ``evaluator(values)``, by default the
+    ``model.swap_evaluator`` that ``_run_swap`` uses, over the ordered
+    pairs (i, j), i != j, that it draws uniformly.
     """
+    evaluator = evaluator or model.swap_evaluator
     perms, probs = enumerate_pmf(model)
     states = [tuple(p) for p in perms]
     index = {s: i for i, s in enumerate(states)}
@@ -40,7 +43,7 @@ def exact_swap_kernel(model, steps):
     npairs = n * (n - 1)
     kmat = np.zeros((len(states), len(states)))
     for a, s in enumerate(states):
-        log_ratio, _ = model.swap_evaluator(np.array(s), steps)
+        log_ratio, _ = evaluator(np.array(s))
         for i, j in itertools.permutations(range(n), 2):
             acc = expit(log_ratio(i, j))
             t = list(s)
@@ -61,21 +64,26 @@ class TestSwapKernel:
 
     def test_detailed_balance_s4(self):
         model = LinearModel(get_score("xy"), 3.0, 4)
-        states, probs, kmat = exact_swap_kernel(model, 1)
+        states, probs, kmat = exact_swap_kernel(model)
         flow = probs[:, None] * kmat
         assert np.abs(flow - flow.T).max() <= 1e-12
         assert np.abs(probs @ kmat - probs).max() <= 1e-12
 
     def test_detailed_balance_kendall(self):
         model = KendallModel(-1.5, 4)
-        states, probs, kmat = exact_swap_kernel(model, 4)
+        states, probs, kmat = exact_swap_kernel(model)
         flow = probs[:, None] * kmat
         assert np.abs(flow - flow.T).max() <= 1e-12
 
-    @pytest.mark.parametrize("steps", [1, 5], ids=["count", "table"])
-    def test_detailed_balance_kendall_s5(self, steps):
+    @pytest.mark.parametrize("evaluator", [_inversion_count_evaluator, None],
+                             ids=["count", "table"])
+    def test_detailed_balance_kendall_s5(self, evaluator):
+        # n = 5 chains read the table; the counting path runs above
+        # INVERSION_TABLE_MAX_N, so it is gated here directly
         model = KendallModel(2.5, 5)
-        states, probs, kmat = exact_swap_kernel(model, steps)
+        if evaluator is not None:
+            evaluator = functools.partial(evaluator, scale=model.theta / model.n)
+        states, probs, kmat = exact_swap_kernel(model, evaluator)
         flow = probs[:, None] * kmat
         assert np.abs(flow - flow.T).max() <= 1e-12
         assert np.abs(probs @ kmat - probs).max() <= 1e-12
@@ -89,6 +97,12 @@ class TestSwapKernel:
             assert sorted(state.values) == list(range(1, 26))
         assert state.steps == 500
         assert 0 < state.swaps_accepted <= 500
+
+    @pytest.mark.parametrize("values", [[1, 1, 3], [0, 1, 2], [1, 2, 4], [[1, 2], [2, 1]], []],
+                             ids=["repeat", "zero", "out-of-range", "2-d", "empty"])
+    def test_state_rejects_a_non_bijection(self, values):
+        with pytest.raises(ValueError):
+            ChainState(np.array(values, dtype=np.int64))
 
 
 def _digest(arrays):
@@ -140,7 +154,7 @@ class TestGoldenChains:
                 == "b3a5d195d74cadcd65dd98f4c89e3da218530bb3a34fcf8ec11d85ba56364b9a")
 
     def test_gibbs_swap_step_kendall(self):
-        # one-step runs count the entries between the pair
+        # each one-step run builds and reads a fresh table
         state, snapshots = _step_snapshots(KendallModel(-3.0, 30), 38)
         assert state.swaps_accepted == 1248
         assert (_digest(snapshots)
