@@ -6,9 +6,9 @@ Subcommands: ``fit`` (estimate theta from permutation files), ``logz``
 1970 draft-lottery analysis).
 
 Exit codes: 0 success, 2 when a fit legitimately has no root
-(extremal data), 1 on I/O or validation failure.  All floats are
-printed with 10 significant digits; every source of randomness hangs
-off an explicit ``--seed``.
+(extremal data), 1 on a usage, I/O or validation failure.  All floats
+are printed with 10 significant digits; every source of randomness
+hangs off an explicit ``--seed``.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .grids import SCORE_FUNCTIONS, get_score, grid_mean
 from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
     _fmt,
-    _open_for_write,
+    _writing,
     format_json_report,
     load_lottery_csv,
     load_permutation_csv,
@@ -49,13 +49,21 @@ EXIT_ERROR = 1
 EXIT_NO_ROOT = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means a fit has no root."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_score_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f", dest="score", default="xy", choices=list(SCORE_FUNCTIONS))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="permexp", description=__doc__,
-                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    top = _Parser(prog="permexp", description=__doc__,
+                  formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--version", action="version", version=f"permexp {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -63,14 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--model", choices=["linear", "kendall"], default="linear")
     _add_score_argument(fit)
     fit.add_argument("--data", action="append", required=True,
-                     help="permutation CSV (repeat with --multi for pooled fits)")
+                     help="permutation CSV; repeat it for a pooled fit")
     fit.add_argument("--method", choices=["pl", "ld", "ml"], required=True)
     fit.add_argument("--k", type=int, default=100, help="grid order for method ld")
     fit.add_argument("--iters", type=int, default=None, help="IPFP sweep cap")
     fit.add_argument("--tol", type=float, default=1e-12, help="IPFP residual tolerance")
     fit.add_argument("--root-tol", type=float, default=1e-8)
-    fit.add_argument("--multi", action="store_true",
-                     help="pool the estimating equations over all --data files")
     fit.set_defaults(func=cmd_fit)
 
     logz = sub.add_parser("logz", help="curve of the limiting log-normalizer")
@@ -130,16 +136,14 @@ def cmd_fit(args) -> int:
         print("error: pseudo-likelihood applies to the linear model only",
               file=sys.stderr)
         return EXIT_ERROR
-    if len(args.data) > 1 and not args.multi:
-        print("error: multiple --data files need --multi", file=sys.stderr)
+    if args.model == "kendall" and len(args.data) > 1:
+        print("error: pooling several --data files supports the linear model only",
+              file=sys.stderr)
         return EXIT_ERROR
     perms = [load_permutation_csv(p) for p in args.data]
     f = get_score(args.score)
     try:
         if args.model == "kendall":
-            if args.multi and len(perms) > 1:
-                print("error: --multi supports the linear model only", file=sys.stderr)
-                return EXIT_ERROR
             pi = perms[0]
             if args.method == "ld":
                 result = kendall_ld_estimate(pi, root_tol=args.root_tol)
@@ -180,12 +184,8 @@ def cmd_logz(args) -> int:
         w = variational_value(res, f, theta)
         wp = grid_mean(res.grid, f)
         rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")
-    close, fh = _open_for_write(sys.stdout if args.out == "-" else args.out)
-    try:
+    with _writing(sys.stdout if args.out == "-" else args.out) as fh:
         fh.write("".join(rows))
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 

@@ -102,24 +102,26 @@ def _memo_score(t: float, score: Callable[[float], float],
     return seen[t]
 
 
-def find_monotone_root(score: Callable[[float], float], root_tol: float = 1e-8,
-                       lo: float = -1.0, hi: float = 1.0,
-                       cap: float = BRACKET_CAP) -> tuple[float, tuple, int, float]:
+def find_monotone_root(score: Callable[[float], float],
+                       root_tol: float = 1e-8) -> tuple[float, tuple, int, float]:
     """Root of a strictly decreasing score by bracket expansion + Brent's method.
 
-    The true root lies within ``root_tol`` (plus brentq's relative
-    tolerance, 4 eps |root|) of the returned value.  Returns
-    (root, sign-change bracket, evaluations, score at root), where
-    evaluations counts distinct calls of ``score``.  Raises NoRootError
-    when no sign change exists within [-cap, cap], and ValueError when
-    Brent's method does not reach ``root_tol`` within its iteration cap.
+    The bracket starts at [-1, 1] and each end doubles outward until the
+    score changes sign, up to ``BRACKET_CAP``.  The true root lies within
+    ``root_tol`` (plus brentq's relative tolerance, 4 eps |root|) of the
+    returned value.  Returns (root, sign-change bracket, evaluations,
+    score at root), where evaluations counts distinct calls of ``score``.
+    Raises NoRootError when no sign change exists within
+    [-BRACKET_CAP, BRACKET_CAP], and ValueError when Brent's method does
+    not reach ``root_tol`` within its iteration cap.
     """
     if not root_tol > 0:
         raise ValueError("root_tol must be positive")
+    lo, hi = -1.0, 1.0
     seen: dict[float, float] = {}
     s_lo = _memo_score(lo, score, seen)
-    while s_lo < 0 and lo > -cap:
-        lo = max(-cap, 2.0 * lo)
+    while s_lo < 0 and lo > -BRACKET_CAP:
+        lo = max(-BRACKET_CAP, 2.0 * lo)
         s_lo = _memo_score(lo, score, seen)
     if s_lo < 0:
         raise NoRootError("negative", (lo, hi), len(seen))
@@ -127,8 +129,8 @@ def find_monotone_root(score: Callable[[float], float], root_tol: float = 1e-8,
         return lo, (lo, lo), len(seen), 0.0
 
     s_hi = _memo_score(hi, score, seen)
-    while s_hi > 0 and hi < cap:
-        hi = min(cap, 2.0 * hi)
+    while s_hi > 0 and hi < BRACKET_CAP:
+        hi = min(BRACKET_CAP, 2.0 * hi)
         s_hi = _memo_score(hi, score, seen)
     if s_hi > 0:
         raise NoRootError("positive", (lo, hi), len(seen))

@@ -2,13 +2,11 @@
 
 A grid of order k is a k x k matrix of cell probabilities summing to 1;
 it is "doubly stochastic at level k" when every row and column carries
-mass 1/k.  Score functions are evaluable maps [0,1]^2 -> R carrying a
-per-k uniform-continuity bound used to control grid discretization
-error.
+mass 1/k.  Score functions are named, vectorized maps [0,1]^2 -> R.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,55 +29,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoreFunction:
-    """A score f(x, y) on the unit square with continuity metadata.
-
-    ``modulus(k)`` bounds sup |f(p) - f(q)| over pairs p, q within a
-    1/k box; the built-ins carry closed-form Lipschitz bounds, while
-    user functions without one fall back to a sampled estimate and are
-    flagged ``heuristic_modulus``.
-    """
+    """A named score f(x, y) on the unit square, evaluated on float arrays."""
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    symmetric: bool = False
-    modulus_fn: Callable[[int], float] | None = None
-    heuristic_modulus: bool = field(default=False, compare=False)
 
     def __call__(self, x, y):
         return self.fn(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
-    def modulus(self, k: int) -> float:
-        if self.modulus_fn is not None:
-            return float(self.modulus_fn(k))
-        return _sampled_modulus(self.fn, k)
-
-    @classmethod
-    def from_callable(cls, name, fn, symmetric=False, modulus=None) -> "ScoreFunction":
-        """Wrap a user callable; without a modulus the estimate is heuristic."""
-        return cls(name, fn, symmetric=symmetric, modulus_fn=modulus,
-                   heuristic_modulus=modulus is None)
-
-
-def _sampled_modulus(fn, k: int, samples: int = 512) -> float:
-    """Estimated 1/k-oscillation of fn from max finite differences on a grid."""
-    t = np.linspace(0.0, 1.0, samples)
-    x, y = np.meshgrid(t, t, indexing="ij")
-    vals = fn(x, y)
-    h = t[1] - t[0]
-    dx = np.abs(np.diff(vals, axis=0)).max() / h
-    dy = np.abs(np.diff(vals, axis=1)).max() / h
-    return 1.5 * (dx + dy) / k
-
 
 SCORE_FUNCTIONS = {
-    "xy": ScoreFunction("xy", lambda x, y: x * y, symmetric=True,
-                        modulus_fn=lambda k: 2.0 / k),
-    "centered": ScoreFunction("centered", lambda x, y: (x - 0.5) * (y - 0.5),
-                              symmetric=True, modulus_fn=lambda k: 2.0 / k),
-    "footrule": ScoreFunction("footrule", lambda x, y: -np.abs(x - y),
-                              symmetric=True, modulus_fn=lambda k: 2.0 / k),
-    "sq": ScoreFunction("sq", lambda x, y: -((x - y) ** 2), symmetric=True,
-                        modulus_fn=lambda k: 4.0 / k),
+    "xy": ScoreFunction("xy", lambda x, y: x * y),
+    "centered": ScoreFunction("centered", lambda x, y: (x - 0.5) * (y - 0.5)),
+    "footrule": ScoreFunction("footrule", lambda x, y: -np.abs(x - y)),
+    "sq": ScoreFunction("sq", lambda x, y: -((x - y) ** 2)),
 }
 
 

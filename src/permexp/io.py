@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, ContextManager, Sequence, Union
 
 import numpy as np
 
@@ -78,27 +79,19 @@ def load_permutation_csv(path: PathLike) -> Permutation:
 
 
 def save_permutation_csv(pi: Permutation, path_or_stream) -> None:
-    close, fh = _open_for_write(path_or_stream)
-    try:
+    with _writing(path_or_stream) as fh:
         fh.write("i,pi\n")
         fh.write("".join([f"{i},{v}\n"
                           for i, v in enumerate(pi.values.tolist(), start=1)]))
-    finally:
-        if close:
-            fh.close()
 
 
 def save_draws_csv(draws: Sequence[Permutation], path_or_stream) -> None:
     """Write draws in the compact ``draw,i,pi`` multi-draw format."""
-    close, fh = _open_for_write(path_or_stream)
-    try:
+    with _writing(path_or_stream) as fh:
         fh.write("draw,i,pi\n")
         for d, pi in enumerate(draws, start=1):
             fh.write("".join([f"{d},{i},{v}\n"
                               for i, v in enumerate(pi.values.tolist(), start=1)]))
-    finally:
-        if close:
-            fh.close()
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,10 +125,11 @@ def load_lottery_csv(path: PathLike) -> LotteryData:
     return LotteryData(days, order)
 
 
-def _open_for_write(path_or_stream) -> tuple[bool, IO]:
+def _writing(path_or_stream) -> ContextManager[IO]:
+    """A caller's stream, left open on exit, or a path opened and closed."""
     if hasattr(path_or_stream, "write"):
-        return False, path_or_stream
-    return True, open(path_or_stream, "w", newline="")
+        return nullcontext(path_or_stream)
+    return open(path_or_stream, "w", newline="")
 
 
 def _fmt(x: float) -> str:
@@ -147,16 +141,12 @@ def write_grid_csv(values: np.ndarray, path_or_stream) -> None:
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("grid must be square")
-    close, fh = _open_for_write(path_or_stream)
-    try:
+    with _writing(path_or_stream) as fh:
         fh.write(f"{arr.shape[0]}\n")
         # %-formatting renders floats as _fmt does, in one call per row
         line = ",".join(["%.10g"] * arr.shape[1]) + "\n"
         for row in arr:
             fh.write(line % tuple(row.tolist()))
-    finally:
-        if close:
-            fh.close()
 
 
 def _round_floats(obj):

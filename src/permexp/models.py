@@ -86,11 +86,6 @@ class LinearModel:
     def __post_init__(self):
         _check_parameters(self.theta, self.n)
 
-    def __reduce__(self):
-        # copies and pickles rebuild from the fields; the cached memoryview
-        # of the score table cannot be pickled
-        return (LinearModel, (self.f, self.theta, self.n))
-
     @functools.cached_property
     def score_table(self) -> np.ndarray:
         """Read-only n x n table of f(i/n, v/n), row i-1, column v-1."""
@@ -100,11 +95,6 @@ class LinearModel:
 
     def log_weight(self, pi: Permutation) -> float:
         return self.theta * linear_statistic(pi, self.f)
-
-    @functools.cached_property
-    def _score_cells(self) -> memoryview:
-        """score_table as a memoryview: cells read as Python floats."""
-        return memoryview(self.score_table)
 
     def swap_evaluator(self, values: np.ndarray) -> SwapEvaluator:
         """``(log_ratio, swap)`` for a chain on ``values``.
@@ -117,7 +107,7 @@ class LinearModel:
         theta = self.theta
         cells = memoryview(values)
         if n <= SCORE_TABLE_MAX_N:
-            s = self._score_cells
+            s = memoryview(self.score_table)  # cells read as Python floats
 
             def log_ratio(i: int, j: int) -> float:
                 vi = cells[i] - 1

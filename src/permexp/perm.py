@@ -82,13 +82,13 @@ class Permutation:
     def inverse(self) -> "Permutation":
         inv = np.empty(self.n, dtype=np.int64)
         inv[self.values - 1] = np.arange(1, self.n + 1)
-        return Permutation(inv)
+        return Permutation._trusted(inv)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Right composition: (self o other)(i) = self(other(i))."""
         if other.n != self.n:
             raise ValueError("size mismatch in composition")
-        return Permutation(self.values[other.values - 1])
+        return Permutation._trusted(self.values[other.values - 1])
 
     def empirical_points(self) -> np.ndarray:
         """The n points (i/n, pi(i)/n), one per vertical and horizontal band."""

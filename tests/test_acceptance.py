@@ -134,11 +134,13 @@ def test_05_grid_halving_stability():
     f = get_score("xy")
     for theta in (2.0, 20.0):
         for k in (50, 100):
-            bound = abs(theta) * (f.modulus(k) + f.modulus(2 * k))
+            # |df/dx|, |df/dy| <= 1 for xy, so f moves by at most 2/k
+            # (the L1 diameter) within a 1/k cell
+            bound = abs(theta) * (2.0 / k + 2.0 / (2 * k))
             gap = abs(w_k(f, theta, k) - w_k(f, theta, 2 * k))
             assert gap <= bound, (theta, k, gap, bound)
     _report(5, "log-normalizer change under grid halving stays below the "
-               "modulus bound")
+               "Lipschitz bound")
 
 
 def test_06_sampler_exactness():

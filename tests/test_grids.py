@@ -5,7 +5,6 @@ import pytest
 
 from permexp.grids import (
     CopulaGrid,
-    ScoreFunction,
     from_permutation,
     get_score,
     grid_mean,
@@ -140,32 +139,11 @@ class TestScoreFunction:
     def test_builtin_values(self):
         xy = get_score("xy")
         assert xy(0.5, 0.5) == 0.25
-        assert xy.symmetric
         cen = get_score("centered")
         assert cen(0.25, 0.75) == pytest.approx(-0.0625)
         assert get_score("footrule")(0.2, 0.7) == pytest.approx(-0.5)
         assert get_score("sq")(0.2, 0.7) == pytest.approx(-0.25)
 
-    def test_builtin_moduli(self):
-        assert get_score("xy").modulus(100) == 0.02
-        assert get_score("centered").modulus(100) == 0.02
-        assert get_score("footrule").modulus(50) == 0.04
-        assert get_score("sq").modulus(100) == 0.04
-        assert not get_score("xy").heuristic_modulus
-
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             get_score("hamming")
-
-    def test_heuristic_modulus_flagged_and_sane(self):
-        f = ScoreFunction.from_callable("user", lambda x, y: np.sin(3 * x) * y)
-        assert f.heuristic_modulus
-        est = f.modulus(100)
-        # true 1/k-oscillation is at most (3 + 1)/k = 0.04
-        assert 0.01 <= est <= 0.12
-
-    def test_explicit_modulus_not_heuristic(self):
-        f = ScoreFunction.from_callable("lin", lambda x, y: x + y,
-                                        modulus=lambda k: 2.0 / k)
-        assert not f.heuristic_modulus
-        assert f.modulus(10) == 0.2

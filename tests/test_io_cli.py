@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from permexp.cli import main
-from permexp.estimators import ml_exact
+from permexp.estimators import ml_exact, pl_estimate
 from permexp.grids import get_score
 from permexp.io import (
     format_json_report,
@@ -198,16 +198,32 @@ class TestCliFit:
     def test_missing_file(self, capsys):
         assert main(["fit", "--method", "pl", "--data", "/nonexistent.csv"]) == 1
 
-    def test_multi_required_for_several_files(self, tau_csv):
-        assert main(["fit", "--method", "pl", "--data", tau_csv,
-                     "--data", tau_csv]) == 1
+    def test_unknown_flag_exits_1(self, tau_csv, capsys):
+        # exit 2 is reserved for a fit with no root
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--method", "pl", "--data", tau_csv, "--multi"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --multi" in capsys.readouterr().err
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("permexp ")
 
     def test_multi_single_file_matches_plain(self, tau_csv, capsys):
+        # one --data file is a pooled fit with m = 1
         main(["fit", "--method", "pl", "--data", tau_csv])
-        single = json.loads(capsys.readouterr().out)
-        main(["fit", "--method", "pl", "--data", tau_csv, "--multi"])
         pooled = json.loads(capsys.readouterr().out)
+        plain = pl_estimate(load_permutation_csv(tau_csv), get_score("xy"))
+        single = json.loads(format_json_report(plain.to_json_dict()))
         assert single["theta_hat"] == pooled["theta_hat"]
+
+    def test_kendall_pooling_rejected(self, tau_csv, capsys):
+        for method in ("ld", "ml"):
+            assert main(["fit", "--model", "kendall", "--method", method,
+                         "--data", tau_csv, "--data", tau_csv]) == 1
+            assert "linear model only" in capsys.readouterr().err
 
     def test_multi_pools_two_files(self, tmp_path, capsys):
         from permexp.mcmc import sample
@@ -223,7 +239,7 @@ class TestCliFit:
             save_permutation_csv(d, path)
             paths.append(str(path))
         code = main(["fit", "--method", "pl", "--data", paths[0],
-                     "--data", paths[1], "--multi"])
+                     "--data", paths[1]])
         assert code == 0
         pooled = json.loads(capsys.readouterr().out)
         from permexp.estimators import multi_estimate

@@ -256,7 +256,9 @@ class TestWk:
         f = get_score("xy")
         for theta in (2.0, 20.0):
             for k in (50, 100):
-                bound = abs(theta) * (f.modulus(k) + f.modulus(2 * k))
+                # |df/dx|, |df/dy| <= 1 for xy, so f moves by at most 2/k
+                # (the L1 diameter) within a 1/k cell
+                bound = abs(theta) * (2.0 / k + 2.0 / (2 * k))
                 assert abs(w_k(f, theta, k) - w_k(f, theta, 2 * k)) <= bound
 
     def test_curve_shape_for_centered_score(self):
@@ -272,7 +274,8 @@ class TestWk:
 class TestWkPrime:
     def test_centered_zero_at_zero(self):
         f = get_score("centered")
-        assert abs(w_k_prime(f, 0.0, 100)) <= f.modulus(100)
+        # |df/dx|, |df/dy| <= 1/2 for centered: at most 2/k within a 1/k cell
+        assert abs(w_k_prime(f, 0.0, 100)) <= 2.0 / 100
 
     def test_finite_difference(self):
         f = get_score("xy")

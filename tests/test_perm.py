@@ -35,7 +35,12 @@ class TestPermutation:
     def test_compose_with_inverse(self):
         rng = np.random.default_rng(2)
         pi = random_permutation(rng, 15)
+        sigma = random_permutation(rng, 15)
         assert pi.compose(pi.inverse()) == Permutation.identity(15)
+        # results skip __init__'s checks; they must still pass them
+        for result in (pi.inverse(), pi.compose(sigma)):
+            assert not result.values.flags.writeable
+            assert result == Permutation(result.values)
 
     def test_call_is_one_based(self):
         pi = Permutation([3, 1, 2])
