@@ -13,14 +13,8 @@ from .estimators import (
     EstimateResult,
     NoRootError,
     UniformityTest,
-    kendall_ld_estimate,
-    ld_estimate,
-    ld_score,
-    ml_exact,
     multi_estimate,
     multi_sample_scores,
-    pl_estimate,
-    pl_score,
     threshold_test,
     uniformity_test,
 )

@@ -19,16 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import (
-    AllPairsDegenerateError,
-    NoRootError,
-    kendall_ld_estimate,
-    ld_estimate,
-    ml_exact,
-    multi_estimate,
-    pl_estimate,
-    uniformity_test,
-)
+from .estimators import AllPairsDegenerateError, NoRootError, multi_estimate, uniformity_test
 from .grids import SCORE_FUNCTIONS, get_score, grid_mean
 from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
@@ -69,13 +60,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="estimate theta from permutation CSV files")
     fit.add_argument("--model", choices=["linear", "kendall"], default="linear")
-    _add_score_argument(fit)
+    # the linear model's flags are None when not given, so that a Kendall
+    # fit can reject them; cmd_fit fills in their defaults for a linear fit
+    fit.add_argument("--f", dest="score", choices=list(SCORE_FUNCTIONS),
+                     help="linear model's score function (default xy)")
     fit.add_argument("--data", action="append", required=True,
-                     help="permutation CSV; repeat it for a pooled fit")
+                     help="permutation CSV; repeat it to pool i.i.d. samples "
+                          "(either model)")
     fit.add_argument("--method", choices=["pl", "ld", "ml"], required=True)
-    fit.add_argument("--k", type=int, default=100, help="grid order for method ld")
-    fit.add_argument("--iters", type=int, default=None, help="IPFP sweep cap")
-    fit.add_argument("--tol", type=float, default=1e-12, help="IPFP residual tolerance")
+    fit.add_argument("--k", type=int, help="grid order of a linear ld fit (default 100)")
+    fit.add_argument("--iters", type=int, help="IPFP sweep cap of a linear ld fit")
+    fit.add_argument("--tol", type=float,
+                     help="IPFP residual tolerance of a linear ld fit (default 1e-12)")
     fit.add_argument("--root-tol", type=float, default=1e-8)
     fit.set_defaults(func=cmd_fit)
 
@@ -132,26 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_fit(args) -> int:
-    if args.model == "kendall" and args.method == "pl":
-        print("error: pseudo-likelihood applies to the linear model only",
-              file=sys.stderr)
-        return EXIT_ERROR
-    if args.model == "kendall" and len(args.data) > 1:
-        print("error: pooling several --data files supports the linear model only",
-              file=sys.stderr)
-        return EXIT_ERROR
+    linear_only = {"--f": args.score, "--k": args.k, "--iters": args.iters, "--tol": args.tol}
+    if args.model == "kendall":
+        given = [flag for flag, value in linear_only.items() if value is not None]
+        if given:
+            raise ValueError(f"the Kendall model takes no {', '.join(given)}")
+        f, linear_kw = None, {}
+    else:
+        f = get_score(args.score or "xy")
+        linear_kw = {"k": 100 if args.k is None else args.k,
+                     "tol": 1e-12 if args.tol is None else args.tol,
+                     "max_iter": args.iters}
     perms = [load_permutation_csv(p) for p in args.data]
-    f = get_score(args.score)
     try:
-        if args.model == "kendall":
-            pi = perms[0]
-            if args.method == "ld":
-                result = kendall_ld_estimate(pi, root_tol=args.root_tol)
-            else:
-                result = ml_exact(pi, KendallModel(0.0, pi.n), root_tol=args.root_tol)
-        else:
-            result = multi_estimate(perms, f, args.method, root_tol=args.root_tol,
-                                    k=args.k, tol=args.tol, max_iter=args.iters)
+        result = multi_estimate(perms, f, args.method, root_tol=args.root_tol, **linear_kw)
     except NoRootError as err:
         print(format_json_report({
             "error": "no_root", "sign": err.sign,
@@ -261,9 +251,9 @@ def cmd_lottery(args) -> int:
     }
     exit_code = EXIT_OK
     try:
-        report["pl"] = pl_estimate(tau, f, root_tol=args.root_tol).to_json_dict()
-        report["ld"] = ld_estimate(tau, f, args.k, root_tol=args.root_tol,
-                                   tol=args.tol, max_iter=args.iters).to_json_dict()
+        report["pl"] = multi_estimate([tau], f, "pl", root_tol=args.root_tol).to_json_dict()
+        report["ld"] = multi_estimate([tau], f, "ld", root_tol=args.root_tol, k=args.k,
+                                      tol=args.tol, max_iter=args.iters).to_json_dict()
     except NoRootError as err:
         report["error"] = "no_root"
         report["sign"] = err.sign

@@ -1,5 +1,10 @@
 """Temperature estimators, root finding, and the uniformity test.
 
+One entry point fits theta: :func:`multi_estimate` solves the estimating
+equation of a method (PL, LD or ML) summed over i.i.d. samples, for the
+linear family and for Kendall's tau alike; a single sample is a pooled
+fit with m = 1.  :func:`multi_sample_scores` evaluates the same equation.
+
 All estimating equations here are strictly monotone in theta, so roots
 are located by geometric bracket expansion from [-1, 1] (capped at
 [-64, 64]) followed by Brent's method on the sign-change bracket; the
@@ -22,8 +27,6 @@ from .grids import ScoreFunction
 from .ipfp import w_k_prime
 from .models import (
     BRUTE_FORCE_LIMIT,
-    KendallModel,
-    Model,
     enumerate_statistics,
     kendall_limit_C_prime,
     kendall_logZ_prime,
@@ -37,14 +40,7 @@ __all__ = [
     "UniformityTest",
     "find_monotone_root",
     "pairwise_swap_scores",
-    "pl_score",
     "pl_score_derivative",
-    "pl_estimate",
-    "ld_score",
-    "ld_estimate",
-    "ld_root_for_statistic",
-    "ml_exact",
-    "kendall_ld_estimate",
     "uniformity_test",
     "threshold_test",
     "multi_sample_scores",
@@ -165,23 +161,8 @@ def pairwise_swap_scores(pi: Permutation, f: ScoreFunction) -> np.ndarray:
     return y[iu]
 
 
-def _pl_equation(ys: np.ndarray) -> Callable[[float], float]:
-    buf = np.empty_like(ys)
-
-    def score(theta):
-        np.multiply(ys, -theta, out=buf)
-        expit(buf, out=buf)
-        return float(ys @ buf)
-    return score
-
-
-def pl_score(pi: Permutation, f: ScoreFunction, theta: float) -> float:
-    """Pseudo-likelihood score: sum over pairs of y / (1 + e^{theta y})."""
-    return _pl_equation(pairwise_swap_scores(pi, f))(theta)
-
-
 def pl_score_derivative(pi: Permutation, f: ScoreFunction, theta: float) -> float:
-    """d/dtheta of pl_score: -sum y^2 sigma(theta y) sigma(-theta y) < 0."""
+    """d/dtheta of the single-sample PL score: -sum y^2 sigma(theta y) sigma(-theta y) < 0."""
     y = pairwise_swap_scores(pi, f)
     return float(-np.sum(y * y * expit(theta * y) * expit(-theta * y)))
 
@@ -195,107 +176,56 @@ def _check_same_n(perms: Sequence[Permutation]) -> int:
     return n
 
 
-def _ld_equation(stat_sum: float, m: int, f: ScoreFunction, k: int,
-                 **ipfp_kw) -> Callable[[float], float]:
-    return lambda theta: stat_sum - m * w_k_prime(f, theta, k, **ipfp_kw)
-
-
-def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction, method: str,
+def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction | None, method: str,
                   k: int | None = None, **ipfp_kw) -> Callable[[float], float]:
     """The estimating equation of ``method`` summed over i.i.d. samples.
 
+    ``f`` is the linear model's score, or None for the Kendall family.
     The per-sample work (pair scores, statistics, the S_n enumeration)
     is done once here; the returned closure maps theta to the summed
     equation.  With one sample it is the single-sample equation exactly.
     """
+    if method not in ("pl", "ld", "ml"):
+        raise ValueError(f"unknown method {method!r}")
     n = _check_same_n(perms)
     m = len(perms)
+    if f is None:
+        given = [name for name, value in {"k": k, **ipfp_kw}.items() if value is not None]
+        if given:
+            raise ValueError(f"the Kendall model takes no {', '.join(given)}")
+        if method == "pl":
+            raise ValueError("pseudo-likelihood applies to the linear model only")
+        rate_sum = sum(inversions(p) / (n * n) for p in perms)
+        if method == "ld":
+            return lambda theta: rate_sum - m * kendall_limit_C_prime(theta)
+        return lambda theta: rate_sum - m * kendall_logZ_prime(n, theta)
     if method == "pl":
         ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
         if not np.any(ys):
             raise AllPairsDegenerateError("all pairwise scores vanish")
-        return _pl_equation(ys)
+        buf = np.empty_like(ys)
+
+        def score(theta):
+            np.multiply(ys, -theta, out=buf)
+            expit(buf, out=buf)
+            return float(ys @ buf)
+        return score
     if method == "ld":
         if k is None:
             raise ValueError("method 'ld' needs a grid order k")
-        return _ld_equation(sum(linear_statistic(p, f) / n for p in perms), m, f, k,
-                            **ipfp_kw)
-    if method == "ml":
-        if n > BRUTE_FORCE_LIMIT:
-            raise ValueError(f"exact ML for linear models needs n <= {BRUTE_FORCE_LIMIT}")
-        _, stats = enumerate_statistics(f, n)
-        s_sum = sum(linear_statistic(p, f) for p in perms)
+        stat_sum = sum(linear_statistic(p, f) / n for p in perms)
+        return lambda theta: stat_sum - m * w_k_prime(f, theta, k, **ipfp_kw)
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"exact ML for linear models needs n <= {BRUTE_FORCE_LIMIT}")
+    _, stats = enumerate_statistics(f, n)
+    s_sum = sum(linear_statistic(p, f) for p in perms)
 
-        def score(theta):
-            w = theta * stats
-            w -= w.max()
-            e = np.exp(w)
-            return (s_sum - m * float(np.sum(stats * e) / np.sum(e))) / n
-        return score
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _solve(score: Callable[[float], float], label: str, root_tol: float,
-           k: int | None = None) -> EstimateResult:
-    root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
-    return EstimateResult(root, label, bracket, evals, resid, k=k)
-
-
-def pl_estimate(pi: Permutation, f: ScoreFunction, root_tol: float = 1e-8) -> EstimateResult:
-    """Pseudo-likelihood estimate of theta from a single permutation."""
-    return _solve(_pooled_score([pi], f, "pl"), "PL", root_tol)
-
-
-def ld_score(pi: Permutation, f: ScoreFunction, theta: float, k: int,
-             tol: float = 1e-12, max_iter: int | None = None) -> float:
-    """Limiting-normalizer estimating equation at grid order k.
-
-    Mean statistic of pi minus the grid approximation of the limiting
-    derivative of the log normalizer.
-    """
-    return _pooled_score([pi], f, "ld", k, tol=tol, max_iter=max_iter)(theta)
-
-
-def ld_root_for_statistic(stat: float, f: ScoreFunction, k: int,
-                          root_tol: float = 1e-8, tol: float = 1e-12,
-                          max_iter: int | None = None) -> tuple[float, tuple, int, float]:
-    """Solve stat = w_k'(theta) for theta (the LD inverse problem)."""
-    return find_monotone_root(_ld_equation(stat, 1, f, k, tol=tol, max_iter=max_iter),
-                              root_tol=root_tol)
-
-
-def ld_estimate(pi: Permutation, f: ScoreFunction, k: int, root_tol: float = 1e-8,
-                tol: float = 1e-12, max_iter: int | None = None) -> EstimateResult:
-    """Estimate theta by matching the statistic to the limiting derivative."""
-    return _solve(_pooled_score([pi], f, "ld", k, tol=tol, max_iter=max_iter), "LD",
-                  root_tol, k=k)
-
-
-def ml_exact(pi: Permutation, model: Model, root_tol: float = 1e-8) -> EstimateResult:
-    """Exact maximum-likelihood estimate.
-
-    Linear models use full enumeration of S_n (n <= 9) for the
-    normalizer derivative; the Kendall family uses the closed-form
-    q-factorial derivative and works at any n.  The supplied model's
-    theta is ignored; only its family matters.
-    """
-    if isinstance(model, KendallModel):
-        n = pi.n
-        rate = inversions(pi) / (n * n)
-        return _solve(lambda theta: rate - kendall_logZ_prime(n, theta), "Kendall-ML",
-                      root_tol)
-    return _solve(_pooled_score([pi], model.f, "ml"), "ML", root_tol)
-
-
-def kendall_ld_estimate(pi: Permutation, root_tol: float = 1e-8) -> EstimateResult:
-    """Kendall-family estimate matching Inv/n^2 to the limiting derivative.
-
-    The limiting derivative is strictly increasing with range (0, 1/2),
-    so extremal inversion rates (identity or reverse) have no root.
-    """
-    n = pi.n
-    rate = inversions(pi) / (n * n)
-    return _solve(lambda theta: rate - kendall_limit_C_prime(theta), "Kendall-LD", root_tol)
+    def score(theta):
+        w = theta * stats
+        w -= w.max()
+        e = np.exp(w)
+        return (s_sum - m * float(np.sum(stats * e) / np.sum(e))) / n
+    return score
 
 
 @dataclass(frozen=True)
@@ -344,16 +274,45 @@ def threshold_test(theta_hat: float, theta0: float, theta1: float) -> bool:
     return theta_hat > 0.5 * (theta0 + theta1)
 
 
-def multi_sample_scores(perms: Sequence[Permutation], f: ScoreFunction,
+def multi_sample_scores(perms: Sequence[Permutation], f: ScoreFunction | None,
                         theta: float, method: str, k: int | None = None,
                         **ipfp_kw) -> float:
-    """Summed estimating equation over i.i.d. samples."""
+    """Summed estimating equation over i.i.d. samples; see :func:`multi_estimate`.
+
+    With one sample and method ``"pl"`` this is the pseudo-likelihood
+    score, the sum over pairs of y / (1 + e^{theta y}).
+    """
     return float(_pooled_score(perms, f, method, k, **ipfp_kw)(theta))
 
 
-def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction, method: str,
+def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction | None, method: str,
                    root_tol: float = 1e-8, k: int | None = None,
                    **ipfp_kw) -> EstimateResult:
-    """Pooled estimate from i.i.d. samples; m = 1 is the single-sample fit."""
+    """Estimate theta from i.i.d. samples; m = 1 is the single-sample fit.
+
+    ``f`` is the score of a linear model, or None for the Kendall family.
+    Each method solves one monotone equation, summed over the samples:
+
+    * ``"pl"`` (linear only): the pseudo-likelihood score over all
+      pairwise swaps; raises AllPairsDegenerateError when every pair
+      score vanishes.
+    * ``"ld"``: the mean statistic matched to the limiting derivative of
+      the log normalizer.  Linear models need a grid order ``k`` and pass
+      ``ipfp_kw`` (``tol``, ``max_iter``) to :func:`w_k_prime`.  For the
+      Kendall family the statistic is Inv/n^2 and the derivative
+      :func:`kendall_limit_C_prime`, whose range is (0, 1/2), so the
+      identity and the reverse permutation have no root.
+    * ``"ml"``: exact maximum likelihood.  Linear models enumerate S_n,
+      which needs n <= 9; the Kendall family uses the closed-form
+      q-factorial derivative and works at any n.
+
+    ``k``, ``tol`` and ``max_iter`` apply to the linear model only.  No
+    model temperature enters any equation.  The result is labelled PL,
+    LD, ML, Kendall-LD or Kendall-ML; only linear LD reports ``k``.
+    """
     score = _pooled_score(perms, f, method, k, **ipfp_kw)
-    return _solve(score, method.upper(), root_tol, k=k if method == "ld" else None)
+    root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
+    if f is None:
+        return EstimateResult(root, f"Kendall-{method.upper()}", bracket, evals, resid)
+    return EstimateResult(root, method.upper(), bracket, evals, resid,
+                          k=k if method == "ld" else None)

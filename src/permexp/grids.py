@@ -38,11 +38,29 @@ class ScoreFunction:
         return self.fn(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
+# module-level functions, not lambdas, so that a score (and a model that
+# holds one) can be pickled
+def _xy(x, y):
+    return x * y
+
+
+def _centered(x, y):
+    return (x - 0.5) * (y - 0.5)
+
+
+def _footrule(x, y):
+    return -np.abs(x - y)
+
+
+def _sq(x, y):
+    return -((x - y) ** 2)
+
+
 SCORE_FUNCTIONS = {
-    "xy": ScoreFunction("xy", lambda x, y: x * y),
-    "centered": ScoreFunction("centered", lambda x, y: (x - 0.5) * (y - 0.5)),
-    "footrule": ScoreFunction("footrule", lambda x, y: -np.abs(x - y)),
-    "sq": ScoreFunction("sq", lambda x, y: -((x - y) ** 2)),
+    "xy": ScoreFunction("xy", _xy),
+    "centered": ScoreFunction("centered", _centered),
+    "footrule": ScoreFunction("footrule", _footrule),
+    "sq": ScoreFunction("sq", _sq),
 }
 
 

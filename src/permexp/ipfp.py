@@ -101,8 +101,6 @@ def ipfp_scale(b0: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> Ip
         raise ValueError("kernel must be a square matrix")
     if not np.all(np.isfinite(b0)) or np.any(b0 <= 0):
         raise ValueError("kernel entries must be strictly positive and finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     return _sinkhorn(np.log(b0), tol, max_iter)
 
 
@@ -137,6 +135,12 @@ def _sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
     u * (K v) reuse the next sweep's K v, column sums are v * (K^T u).
     """
     k = log_b0.shape[0]
+    if k < 1:
+        raise ValueError("grid order must be >= 1")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     target = 1.0 / k
     alpha = -log_b0.max(axis=1)
     beta = np.zeros(k)

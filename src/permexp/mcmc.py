@@ -170,6 +170,8 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
+    if burn is not None and burn < 0:
+        raise ValueError("burn must be >= 0")
     if sampler not in ("swap", "auxiliary"):
         raise ValueError(f"unknown sampler {sampler!r}")
     if sampler == "auxiliary" and not supports_auxiliary(model):

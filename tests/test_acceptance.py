@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from permexp.estimators import ld_estimate, pl_estimate, threshold_test, uniformity_test
+from permexp.estimators import multi_estimate, threshold_test, uniformity_test
 from permexp.grids import get_score, grid_points, kl_to_uniform
 from permexp.io import load_lottery_csv
 from permexp.ipfp import ipfp_scale, limit_matrix, recover_potentials, variational_value, w_k
@@ -199,10 +199,10 @@ def test_07_draft_lottery_reproduction():
     r = spearman_r(data.pi(), Permutation.identity(366))
     assert abs(r - (-0.226)) <= 0.001
 
-    pl = pl_estimate(tau, f)
+    pl = multi_estimate([tau], f, "pl")
     assert abs(pl.theta_hat - 2.92) <= 0.01
 
-    ld = ld_estimate(tau, f, k=1000, root_tol=1e-5, max_iter=200)
+    ld = multi_estimate([tau], f, "ld", k=1000, root_tol=1e-5, max_iter=200)
     assert abs(ld.theta_hat - 2.96) <= 0.05
 
     elapsed = time.time() - start
@@ -226,7 +226,7 @@ def test_08_root_n_consistency():
         for _ in range(replicates):
             draw = sample(LinearModel(f, theta, n), 1, burn=80, thin=1,
                           sampler="auxiliary", seed=next(seed))[0]
-            root = pl_estimate(draw, f, root_tol=1e-6).theta_hat
+            root = multi_estimate([draw], f, "pl", root_tol=1e-6).theta_hat
             roots.append(root)
             errs.append((root - theta) ** 2)
         scaled_rmse[n] = math.sqrt(np.mean(errs) * n)
@@ -263,7 +263,7 @@ def test_09_threshold_test_consistency():
     rejections_null = 0
     for _ in range(100):
         tau = Permutation(rng.permutation(n) + 1)
-        est = ld_estimate(tau, fsq, k=k, root_tol=root_tol)
+        est = multi_estimate([tau], fsq, "ld", k=k, root_tol=root_tol)
         rejections_null += threshold_test(est.theta_hat, 0.0, theta1)
     size = rejections_null / 100.0
     assert size <= 0.05, size
@@ -272,7 +272,7 @@ def test_09_threshold_test_consistency():
     for rep in range(100):
         draw = sample(LinearModel(fxy, 2 * theta1, n), 1, burn=80, thin=1,
                       sampler="auxiliary", seed=5000 + rep)[0]
-        est = ld_estimate(draw, fsq, k=k, root_tol=root_tol)
+        est = multi_estimate([draw], fsq, "ld", k=k, root_tol=root_tol)
         rejections_alt += threshold_test(est.theta_hat, 0.0, theta1)
     power = rejections_alt / 100.0
     assert power >= 0.95, power

@@ -19,16 +19,9 @@ from permexp.estimators import (
     AllPairsDegenerateError,
     NoRootError,
     find_monotone_root,
-    kendall_ld_estimate,
-    ld_estimate,
-    ld_root_for_statistic,
-    ld_score,
-    ml_exact,
     multi_estimate,
     multi_sample_scores,
     pairwise_swap_scores,
-    pl_estimate,
-    pl_score,
     pl_score_derivative,
     threshold_test,
     uniformity_test,
@@ -112,8 +105,9 @@ class TestRootFinder:
         f = get_score("xy")
         tau = random_permutation(rng, 150)
         tol = 1e-8
-        theta = pl_estimate(tau, f, root_tol=tol).theta_hat
-        assert pl_score(tau, f, theta - tol) >= 0 >= pl_score(tau, f, theta + tol)
+        theta = multi_estimate([tau], f, "pl", root_tol=tol).theta_hat
+        assert (multi_sample_scores([tau], f, theta - tol, "pl") >= 0
+                >= multi_sample_scores([tau], f, theta + tol, "pl"))
 
     def test_lottery_fits_take_few_evaluations(self, lottery_path, capsys):
         from permexp.cli import main
@@ -130,7 +124,7 @@ class TestPlScore:
         pi = random_permutation(rng, 30)
         f = get_score("xy")
         y = pairwise_swap_scores(pi, f)
-        assert pl_score(pi, f, 0.0) == pytest.approx(0.5 * y.sum())
+        assert multi_sample_scores([pi], f, 0.0, "pl") == pytest.approx(0.5 * y.sum())
 
     def test_identity_all_positive(self):
         f = get_score("xy")
@@ -138,7 +132,7 @@ class TestPlScore:
         y = pairwise_swap_scores(pi, f)
         assert np.all(y > 0)
         for theta in (-5.0, 0.0, 5.0, 60.0):
-            assert pl_score(pi, f, theta) > 0
+            assert multi_sample_scores([pi], f, theta, "pl") > 0
 
     def test_additive_shift_invariance(self):
         rng = np.random.default_rng(1)
@@ -157,7 +151,8 @@ class TestPlScore:
         ya = pairwise_swap_scores(pi, f)
         yb = pairwise_swap_scores(pi, g)
         assert np.abs(ya - yb).max() <= 1e-10
-        assert pl_score(pi, g, 1.3) == pytest.approx(pl_score(pi, f, 1.3), abs=1e-9)
+        assert multi_sample_scores([pi], g, 1.3, "pl") == pytest.approx(
+            multi_sample_scores([pi], f, 1.3, "pl"), abs=1e-9)
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -165,7 +160,8 @@ class TestPlScore:
         pi = random_permutation(rng, 40)
         h = 1e-6
         for theta in (-2.0, 0.0, 1.4):
-            fd = (pl_score(pi, f, theta + h) - pl_score(pi, f, theta - h)) / (2 * h)
+            fd = (multi_sample_scores([pi], f, theta + h, "pl")
+                  - multi_sample_scores([pi], f, theta - h, "pl")) / (2 * h)
             exact = pl_score_derivative(pi, f, theta)
             assert exact < 0
             assert exact == pytest.approx(fd, abs=1e-6 * max(1.0, abs(exact)))
@@ -173,19 +169,19 @@ class TestPlScore:
 
 class TestPlEstimate:
     def test_lottery_value(self, lottery):
-        res = pl_estimate(lottery.tau(), get_score("xy"))
+        res = multi_estimate([lottery.tau()], get_score("xy"), "pl")
         assert res.method == "PL"
         assert abs(res.theta_hat - 2.92) <= 0.01
 
     def test_identity_has_no_root(self):
         with pytest.raises(NoRootError) as exc:
-            pl_estimate(Permutation.identity(15), get_score("xy"))
+            multi_estimate([Permutation.identity(15)], get_score("xy"), "pl")
         assert exc.value.sign == "positive"
 
     def test_degenerate_pairs(self):
         flat = ScoreFunction("flat", lambda x, y: np.ones_like(x))
         with pytest.raises(AllPairsDegenerateError):
-            pl_estimate(Permutation.identity(6), flat)
+            multi_estimate([Permutation.identity(6)], flat, "pl")
 
     def test_null_sampling_median_near_zero(self):
         rng = np.random.default_rng(3)
@@ -194,7 +190,7 @@ class TestPlEstimate:
         for _ in range(50):
             tau = random_permutation(rng, 200)
             try:
-                roots.append(pl_estimate(tau, f).theta_hat)
+                roots.append(multi_estimate([tau], f, "pl").theta_hat)
             except NoRootError:
                 pass
         assert len(roots) >= 45
@@ -205,13 +201,13 @@ class TestPlEstimate:
         f = get_score("xy")
         tau = random_permutation(rng, 80)
         tol = 1e-8
-        res = pl_estimate(tau, f, root_tol=tol)
+        res = multi_estimate([tau], f, "pl", root_tol=tol)
         slope = abs(pl_score_derivative(tau, f, res.theta_hat))
         assert abs(res.score_at_root) <= max(slope, 1.0) * tol
 
     def test_serialization_fields(self):
         rng = np.random.default_rng(5)
-        res = pl_estimate(random_permutation(rng, 60), get_score("xy"))
+        res = multi_estimate([random_permutation(rng, 60)], get_score("xy"), "pl")
         d = res.to_json_dict()
         assert set(d) == {"theta_hat", "method", "bracket_lo", "bracket_hi",
                           "evaluations", "score_at_root"}
@@ -222,31 +218,31 @@ class TestLdEstimate:
     def test_inverse_identity(self):
         f = get_score("xy")
         stat = w_k_prime(f, 3.0, 100)
-        root, *_ = ld_root_for_statistic(stat, f, 100, root_tol=1e-8)
+        root, *_ = find_monotone_root(lambda t: stat - w_k_prime(f, t, 100), root_tol=1e-8)
         assert root == pytest.approx(3.0, abs=1e-6)
 
     def test_centered_statistic_zero_theta(self):
         # a nearly balanced permutation under the centered score sits near 0
         f = get_score("centered")
-        root, *_ = ld_root_for_statistic(0.0, f, 100, root_tol=1e-8)
+        root, *_ = find_monotone_root(lambda t: 0.0 - w_k_prime(f, t, 100), root_tol=1e-8)
         assert abs(root) <= 0.05
 
     def test_lottery_value(self, lottery):
-        res = ld_estimate(lottery.tau(), get_score("xy"), k=1000,
-                          root_tol=1e-5, max_iter=200)
+        res = multi_estimate([lottery.tau()], get_score("xy"), "ld", k=1000,
+                             root_tol=1e-5, max_iter=200)
         assert res.method == "LD" and res.k == 1000
         assert abs(res.theta_hat - 2.96) <= 0.05
 
     def test_ld_score_sign_change(self, lottery):
         f = get_score("xy")
         tau = lottery.tau()
-        assert ld_score(tau, f, 0.0, 100) > 0
-        assert ld_score(tau, f, 6.0, 100) < 0
+        assert multi_sample_scores([tau], f, 0.0, "ld", k=100) > 0
+        assert multi_sample_scores([tau], f, 6.0, "ld", k=100) < 0
 
     def test_no_root_on_extremes(self):
         f = get_score("xy")
         with pytest.raises(NoRootError):
-            ld_estimate(Permutation.identity(50), f, k=50)
+            multi_estimate([Permutation.identity(50)], f, "ld", k=50)
 
 
 class TestMlExact:
@@ -254,13 +250,13 @@ class TestMlExact:
         # Inv = n(n-1)/4 exactly solves the score at theta = 0
         pi = Permutation([1, 4, 3, 2])
         assert inversions(pi) == 3
-        res = ml_exact(pi, KendallModel(0.0, 4))
+        res = multi_estimate([pi], None, "ml")
         assert res.method == "Kendall-ML"
         assert res.theta_hat == pytest.approx(0.0, abs=1e-12)
 
     def test_kendall_no_root_at_identity(self):
         with pytest.raises(NoRootError):
-            ml_exact(Permutation.identity(8), KendallModel(0.0, 8))
+            multi_estimate([Permutation.identity(8)], None, "ml")
 
     def test_kendall_monte_carlo(self):
         model = KendallModel(1.5, 8)
@@ -268,7 +264,7 @@ class TestMlExact:
         roots = []
         for d in draws:
             try:
-                roots.append(ml_exact(d, model).theta_hat)
+                roots.append(multi_estimate([d], None, "ml").theta_hat)
             except NoRootError:
                 pass
         assert abs(np.median(roots) - 1.5) <= 1.0
@@ -283,7 +279,8 @@ class TestMlExact:
 
         f = get_score("xy")
         stat = 0.30
-        ld_root, *_ = ld_root_for_statistic(stat, f, 600, root_tol=1e-6)
+        ld_root, *_ = find_monotone_root(lambda t: stat - w_k_prime(f, t, 600),
+                                         root_tol=1e-6)
         gaps = {}
         for n in (6, 8):
             _, stats = enumerate_statistics(f, n)
@@ -301,7 +298,7 @@ class TestMlExact:
     def test_linear_size_guard(self):
         f = get_score("xy")
         with pytest.raises(ValueError):
-            ml_exact(Permutation.identity(10), LinearModel(f, 0.0, 10))
+            multi_estimate([Permutation.identity(10)], f, "ml")
 
 
 class TestKendallLd:
@@ -311,20 +308,20 @@ class TestKendallLd:
 
     def test_identity_no_root(self):
         with pytest.raises(NoRootError) as exc:
-            kendall_ld_estimate(Permutation.identity(30))
+            multi_estimate([Permutation.identity(30)], None, "ld")
         assert exc.value.sign == "negative"
 
     def test_reverse_no_root_beyond_cap(self):
         # inversion rate (1-1/n)/2 needs theta ~ 2n; at n=100 that sits
         # outside the capped bracket, a legitimate no-root outcome
         with pytest.raises(NoRootError) as exc:
-            kendall_ld_estimate(Permutation.reverse(100))
+            multi_estimate([Permutation.reverse(100)], None, "ld")
         assert exc.value.sign == "positive"
 
     def test_monte_carlo_at_truth(self):
         model = KendallModel(2.0, 500)
         draws = sample(model, 1, burn=400_000, thin=1, sampler="swap", seed=5)
-        res = kendall_ld_estimate(draws[0])
+        res = multi_estimate(draws, None, "ld")
         assert res.method == "Kendall-LD"
         assert abs(res.theta_hat - 2.0) <= 0.5
 
@@ -334,8 +331,8 @@ class TestKendallLd:
         draws = sample(model, 12, burn=300_000, thin=30_000, sampler="swap", seed=17)
         diffs = []
         for d in draws:
-            ld = kendall_ld_estimate(d).theta_hat
-            ml = ml_exact(d, model).theta_hat
+            ld = multi_estimate([d], None, "ld").theta_hat
+            ml = multi_estimate([d], None, "ml").theta_hat
             diffs.append(abs(ld - ml))
         assert np.median(diffs) <= 0.3
 
@@ -393,31 +390,33 @@ class TestMultiSample:
         rng = np.random.default_rng(8)
         f = get_score("xy")
         pi = random_permutation(rng, 40)
+        y = pairwise_swap_scores(pi, f)
         assert multi_sample_scores([pi], f, 1.2, "pl") == pytest.approx(
-            pl_score(pi, f, 1.2)
+            float(np.sum(y / (1.0 + np.exp(1.2 * y))))
         )
 
     def test_copies_scale_linearly(self):
         rng = np.random.default_rng(9)
         f = get_score("xy")
         pi = random_permutation(rng, 30)
-        single = pl_score(pi, f, 0.7)
+        single = multi_sample_scores([pi], f, 0.7, "pl")
         assert multi_sample_scores([pi] * 4, f, 0.7, "pl") == pytest.approx(4 * single)
 
-    @pytest.mark.parametrize("method", ["pl", "ld", "ml"])
-    def test_single_sample_estimate_matches(self, method):
-        f = get_score("xy")
+    @pytest.mark.parametrize("f_name, method", [
+        ("xy", "pl"), ("xy", "ld"), ("xy", "ml"), (None, "ld"), (None, "ml"),
+    ])
+    def test_copies_give_single_sample_root(self, f_name, method):
+        # m copies of one sample sum to m times its equation: the same root
+        f = None if f_name is None else get_score(f_name)
         n = 7 if method == "ml" else 60
-        draws = sample(LinearModel(f, 2.0, n), 1, burn=60, thin=1,
-                       sampler="auxiliary", seed=21)
-        pi = draws[0]
-        single = {
-            "pl": lambda: pl_estimate(pi, f),
-            "ld": lambda: ld_estimate(pi, f, 60),
-            "ml": lambda: ml_exact(pi, LinearModel(f, 0.0, n)),
-        }[method]()
-        # field for field: theta_hat, bracket, evaluations, score_at_root
-        assert multi_estimate(draws, f, method, k=60) == single
+        pi = sample(LinearModel(get_score("xy"), 2.0, n), 1, burn=60, thin=1,
+                    sampler="auxiliary", seed=21)[0]
+        k = 60 if f is not None and method == "ld" else None
+        root_tol = 1e-8
+        single = multi_estimate([pi], f, method, root_tol=root_tol, k=k)
+        pooled = multi_estimate([pi] * 3, f, method, root_tol=root_tol, k=k)
+        assert pooled.method == single.method
+        assert abs(pooled.theta_hat - single.theta_hat) <= root_tol
 
     def test_pooled_ml_enumerates_once(self, monkeypatch):
         import permexp.estimators as est
@@ -442,7 +441,7 @@ class TestMultiSample:
         for rep in range(30):
             draws = sample(LinearModel(f, 2.0, n), m, burn=60, thin=3,
                            sampler="auxiliary", seed=100 + rep)
-            singles.append(pl_estimate(draws[0], f).theta_hat)
+            singles.append(multi_estimate(draws[:1], f, "pl").theta_hat)
             pooled.append(multi_estimate(draws, f, "pl").theta_hat)
         assert np.std(pooled) < 0.5 * np.std(singles)
 
@@ -452,7 +451,8 @@ class TestMultiSample:
         perms = [random_permutation(rng, 50) for _ in range(3)]
         res = multi_estimate(perms, f, "ld", k=60, root_tol=1e-6)
         mean_stat = np.mean([linear_statistic(p, f) / 50 for p in perms])
-        root, *_ = ld_root_for_statistic(float(mean_stat), f, 60, root_tol=1e-6)
+        root, *_ = find_monotone_root(lambda t: float(mean_stat) - w_k_prime(f, t, 60),
+                                      root_tol=1e-6)
         assert res.theta_hat == pytest.approx(root, abs=1e-5)
 
     def test_size_mismatch(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from permexp.cli import main
-from permexp.estimators import ml_exact, pl_estimate
+from permexp.estimators import multi_estimate
 from permexp.grids import get_score
 from permexp.io import (
     format_json_report,
@@ -15,7 +15,8 @@ from permexp.io import (
     save_permutation_csv,
     write_grid_csv,
 )
-from permexp.models import LinearModel
+from permexp.mcmc import sample
+from permexp.models import KendallModel, LinearModel
 from permexp.perm import Permutation
 
 from conftest import random_permutation
@@ -191,7 +192,7 @@ class TestCliFit:
         code = main(["fit", "--method", "ml", "--data", str(path)])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        want = ml_exact(pi, LinearModel(f, 0.0, pi.n))
+        want = multi_estimate([pi], f, "ml")
         assert out == json.loads(format_json_report(want.to_json_dict()))
         assert out["method"] == "ML" and "k" not in out
 
@@ -215,21 +216,47 @@ class TestCliFit:
         # one --data file is a pooled fit with m = 1
         main(["fit", "--method", "pl", "--data", tau_csv])
         pooled = json.loads(capsys.readouterr().out)
-        plain = pl_estimate(load_permutation_csv(tau_csv), get_score("xy"))
+        plain = multi_estimate([load_permutation_csv(tau_csv)], get_score("xy"), "pl")
         single = json.loads(format_json_report(plain.to_json_dict()))
         assert single["theta_hat"] == pooled["theta_hat"]
 
-    def test_kendall_pooling_rejected(self, tau_csv, capsys):
+    def test_kendall_pools_files(self, tmp_path, capsys):
+        draws = sample(KendallModel(1.0, 60), 2, burn=20_000, thin=5_000,
+                       sampler="swap", seed=3)
+        paths = []
+        for i, d in enumerate(draws):
+            path = tmp_path / f"k{i}.csv"
+            save_permutation_csv(d, path)
+            paths.append(str(path))
         for method in ("ld", "ml"):
             assert main(["fit", "--model", "kendall", "--method", method,
-                         "--data", tau_csv, "--data", tau_csv]) == 1
-            assert "linear model only" in capsys.readouterr().err
+                         "--data", paths[0], "--data", paths[1]]) == 0
+            pooled = json.loads(capsys.readouterr().out)
+            want = multi_estimate(draws, None, method)
+            assert pooled == json.loads(format_json_report(want.to_json_dict()))
+
+    def test_kendall_file_copies_match_one_file(self, tau_csv, capsys):
+        root_tol = 1e-8
+        for method in ("ld", "ml"):
+            argv = ["fit", "--model", "kendall", "--method", method,
+                    "--root-tol", str(root_tol)]
+            assert main(argv + ["--data", tau_csv]) == 0
+            single = json.loads(capsys.readouterr().out)
+            assert main(argv + ["--data", tau_csv] * 3) == 0
+            pooled = json.loads(capsys.readouterr().out)
+            assert abs(pooled["theta_hat"] - single["theta_hat"]) <= root_tol
+
+    @pytest.mark.parametrize("flags", [["--f", "xy"], ["--k", "100"], ["--iters", "1"],
+                                       ["--tol", "0.5"]])
+    def test_kendall_rejects_linear_flags(self, tau_csv, capsys, flags):
+        code = main(["fit", "--model", "kendall", "--method", "ld",
+                     "--data", tau_csv] + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the Kendall model takes no {flags[0]}\n"
 
     def test_multi_pools_two_files(self, tmp_path, capsys):
-        from permexp.mcmc import sample
-        from permexp.models import LinearModel
-        from permexp.grids import get_score
-
         f = get_score("xy")
         draws = sample(LinearModel(f, 2.0, 80), 2, burn=60, thin=5,
                        sampler="auxiliary", seed=33)
@@ -242,9 +269,33 @@ class TestCliFit:
                      "--data", paths[1]])
         assert code == 0
         pooled = json.loads(capsys.readouterr().out)
-        from permexp.estimators import multi_estimate
         want = multi_estimate(draws, f, "pl")
         assert pooled["theta_hat"] == pytest.approx(want.theta_hat, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--method", "ld", "--data", "TAU", "--k", "0"], "grid order must be >= 1"),
+    (["fit", "--method", "ld", "--data", "TAU", "--k", "-3"], "grid order must be >= 1"),
+    (["fit", "--method", "ld", "--data", "TAU", "--iters", "0"], "max_iter must be >= 1"),
+    (["fit", "--method", "ld", "--data", "TAU", "--tol", "nan"], "tol must be positive"),
+    (["logz", "--theta-min", "-1", "--theta-max", "1", "--steps", "2", "--k", "0"],
+     "grid order must be >= 1"),
+    (["logz", "--theta-min", "-1", "--theta-max", "1", "--steps", "2", "--tol", "-1"],
+     "tol must be positive"),
+    (["density", "--theta", "1", "--k", "0"], "grid order must be >= 1"),
+    (["density", "--theta", "1", "--k", "-2"], "grid order must be >= 1"),
+    (["lottery", "--data", "LOTTERY", "--k", "0"], "grid order must be >= 1"),
+    (["sample", "--theta", "1", "--n", "5", "--draws", "3", "--burn", "-5", "--thin", "1"],
+     "burn must be >= 0"),
+])
+def test_invalid_work_size_exits_1(argv, message, tmp_path, lottery, lottery_path, capsys):
+    tau = tmp_path / "tau.csv"
+    save_permutation_csv(lottery.tau(), tau)
+    paths = {"TAU": str(tau), "LOTTERY": str(lottery_path)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 class TestCliLogz:

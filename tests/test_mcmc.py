@@ -236,6 +236,12 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(KendallModel(1.0, 5), 1, sampler="auxiliary")
 
+    @pytest.mark.parametrize("sampler", ["swap", "auxiliary"])
+    def test_negative_burn_rejected(self, sampler):
+        model = LinearModel(get_score("xy"), 1.0, 5)
+        with pytest.raises(ValueError, match="burn must be >= 0"):
+            sample(model, 3, burn=-5, thin=1, sampler=sampler)
+
     def test_uniform_inversion_mean(self):
         # theta = 0: E Inv = n(n-1)/4 = 95 at n = 20
         model = LinearModel(get_score("xy"), 0.0, 20)

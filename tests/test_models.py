@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -297,3 +298,11 @@ class TestSwapLogRatios:
         twin = copy.deepcopy(model)
         assert twin == model
         assert _ratio(twin, vals, 1, 4) == ratio
+
+    @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
+    def test_model_pickles_with_cached_table(self, name):
+        model = LinearModel(get_score(name), 1.5, 6)
+        table = model.score_table
+        twin = pickle.loads(pickle.dumps(model))
+        assert twin == model
+        assert np.array_equal(twin.score_table, table)
