@@ -19,7 +19,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import AllPairsDegenerateError, NoRootError, multi_estimate, uniformity_test
+from .estimators import (
+    AllPairsDegenerateError,
+    NoRootError,
+    _reject_given,
+    multi_estimate,
+    uniformity_test,
+)
 from .grids import SCORE_FUNCTIONS, get_score, grid_mean
 from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
@@ -60,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="estimate theta from permutation CSV files")
     fit.add_argument("--model", choices=["linear", "kendall"], default="linear")
-    # the linear model's flags are None when not given, so that a Kendall
-    # fit can reject them; cmd_fit fills in their defaults for a linear fit
+    # the linear model's flags are None when not given, so that a fit that
+    # takes none of them can reject them; cmd_fit fills in their defaults
+    # for a linear ld fit
     fit.add_argument("--f", dest="score", choices=list(SCORE_FUNCTIONS),
                      help="linear model's score function (default xy)")
     fit.add_argument("--data", action="append", required=True,
@@ -128,20 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_fit(args) -> int:
-    linear_only = {"--f": args.score, "--k": args.k, "--iters": args.iters, "--tol": args.tol}
+    ld_only = {"--k": args.k, "--iters": args.iters, "--tol": args.tol}
+    f, ld_kw = None, {}
     if args.model == "kendall":
-        given = [flag for flag, value in linear_only.items() if value is not None]
-        if given:
-            raise ValueError(f"the Kendall model takes no {', '.join(given)}")
-        f, linear_kw = None, {}
+        _reject_given("the Kendall model", {"--f": args.score, **ld_only})
     else:
         f = get_score(args.score or "xy")
-        linear_kw = {"k": 100 if args.k is None else args.k,
-                     "tol": 1e-12 if args.tol is None else args.tol,
-                     "max_iter": args.iters}
+        if args.method == "ld":
+            ld_kw = {"k": 100 if args.k is None else args.k,
+                 "tol": 1e-12 if args.tol is None else args.tol,
+                 "max_iter": args.iters}
+        else:
+            _reject_given(f"method {args.method}", ld_only)
     perms = [load_permutation_csv(p) for p in args.data]
     try:
-        result = multi_estimate(perms, f, args.method, root_tol=args.root_tol, **linear_kw)
+        result = multi_estimate(perms, f, args.method, root_tol=args.root_tol, **ld_kw)
     except NoRootError as err:
         print(format_json_report({
             "error": "no_root", "sign": err.sign,

@@ -5,6 +5,13 @@ equation of a method (PL, LD or ML) summed over i.i.d. samples, for the
 linear family and for Kendall's tau alike; a single sample is a pooled
 fit with m = 1.  :func:`multi_sample_scores` evaluates the same equation.
 
+A fit builds everything that does not depend on theta once and then
+evaluates only what does, about ten times per root: the PL pair scores
+are stored (built in fixed-size row blocks, with no n x n array) and
+each evaluation is one in-place exp pass over them; the LD score grid
+f(r/k, s/k) is built once, and each evaluation is one IPFP run on
+theta times it.
+
 All estimating equations here are strictly monotone in theta, so roots
 are located by geometric bracket expansion from [-1, 1] (capped at
 [-64, 64]) followed by Brent's method on the sign-change bracket; the
@@ -23,8 +30,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
 
-from .grids import ScoreFunction
-from .ipfp import w_k_prime
+from .grids import ScoreFunction, grid_points
+from .ipfp import _exp_limit
 from .models import (
     BRUTE_FORCE_LIMIT,
     enumerate_statistics,
@@ -144,21 +151,37 @@ def find_monotone_root(score: Callable[[float], float],
     return root, (lo, hi), len(seen), seen[root]
 
 
+# Rows of pair scores built per block: the block's temporaries hold
+# PAIR_BLOCK * n floats each, so the build adds little to its C(n,2) output.
+PAIR_BLOCK = 128
+
+
 def pairwise_swap_scores(pi: Permutation, f: ScoreFunction) -> np.ndarray:
     """All C(n,2) pairwise scores y(i,j) = f(i,pi(i)) + f(j,pi(j)) - f(i,pi(j)) - f(j,pi(i)).
 
     Arguments are scaled to the unit square.  y is unchanged by adding
     any phi(x) + psi(y) to f, which makes everything downstream
-    invariant under that reparameterization.
+    invariant under that reparameterization.  The pairs come in i < j
+    row-major order, written ``PAIR_BLOCK`` rows at a time, so no n x n
+    array is ever built.
     """
     n = pi.n
     x = np.arange(1, n + 1) / n
     u = pi.values / n
-    g = np.asarray(f(x[:, None], u[None, :]), dtype=np.float64)
-    d = np.diag(g)
-    y = d[:, None] + d[None, :] - g - g.T
-    iu = np.triu_indices(n, 1)
-    return y[iu]
+    d = np.asarray(f(x, u), dtype=np.float64)
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    for a in range(0, n - 1, PAIR_BLOCK):
+        # the block's rows i against columns j > a; each row keeps its j > i
+        i = np.arange(a, min(a + PAIR_BLOCK, n - 1))[:, None]
+        j = np.arange(a + 1, n)[None, :]
+        y = d[i] + d[j]
+        y -= f(x[i], u[j])
+        y -= f(x[j], u[i])
+        part = y[j > i]
+        out[start:start + part.size] = part
+        start += part.size
+    return out
 
 
 def pl_score_derivative(pi: Permutation, f: ScoreFunction, theta: float) -> float:
@@ -176,29 +199,39 @@ def _check_same_n(perms: Sequence[Permutation]) -> int:
     return n
 
 
+def _reject_given(owner: str, settings: dict) -> None:
+    """Raise ValueError naming every setting in ``settings`` that is not None."""
+    given = [name for name, value in settings.items() if value is not None]
+    if given:
+        raise ValueError(f"{owner} takes no {', '.join(given)}")
+
+
 def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction | None, method: str,
-                  k: int | None = None, **ipfp_kw) -> Callable[[float], float]:
+                  k: int | None = None, tol: float | None = None,
+                  max_iter: int | None = None) -> Callable[[float], float]:
     """The estimating equation of ``method`` summed over i.i.d. samples.
 
     ``f`` is the linear model's score, or None for the Kendall family.
-    The per-sample work (pair scores, statistics, the S_n enumeration)
-    is done once here; the returned closure maps theta to the summed
-    equation.  With one sample it is the single-sample equation exactly.
+    Everything that does not depend on theta (pair scores, statistics,
+    the S_n enumeration, the LD score grid) is built once here; the
+    returned closure maps theta to the summed equation.  With one sample
+    it is the single-sample equation exactly.
     """
     if method not in ("pl", "ld", "ml"):
         raise ValueError(f"unknown method {method!r}")
     n = _check_same_n(perms)
     m = len(perms)
+    ld_settings = {"k": k, "tol": tol, "max_iter": max_iter}
     if f is None:
-        given = [name for name, value in {"k": k, **ipfp_kw}.items() if value is not None]
-        if given:
-            raise ValueError(f"the Kendall model takes no {', '.join(given)}")
+        _reject_given("the Kendall model", ld_settings)
         if method == "pl":
             raise ValueError("pseudo-likelihood applies to the linear model only")
         rate_sum = sum(inversions(p) / (n * n) for p in perms)
         if method == "ld":
             return lambda theta: rate_sum - m * kendall_limit_C_prime(theta)
         return lambda theta: rate_sum - m * kendall_logZ_prime(n, theta)
+    if method != "ld":
+        _reject_given(f"method {method!r}", ld_settings)
     if method == "pl":
         ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
         if not np.any(ys):
@@ -206,15 +239,29 @@ def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction | None, method:
         buf = np.empty_like(ys)
 
         def score(theta):
-            np.multiply(ys, -theta, out=buf)
-            expit(buf, out=buf)
-            return float(ys @ buf)
+            # sum y / (1 + e^{theta y}); an overflowed e^{theta y} gives the
+            # term its limit, +-0
+            np.multiply(ys, theta, out=buf)
+            with np.errstate(over="ignore"):
+                np.exp(buf, out=buf)
+            np.add(buf, 1.0, out=buf)
+            np.divide(ys, buf, out=buf)
+            return float(buf.sum())
         return score
     if method == "ld":
         if k is None:
             raise ValueError("method 'ld' needs a grid order k")
+        tol = 1e-12 if tol is None else tol
         stat_sum = sum(linear_statistic(p, f) / n for p in perms)
-        return lambda theta: stat_sum - m * w_k_prime(f, theta, k, **ipfp_kw)
+        grid = np.asarray(f(*grid_points(k)), dtype=np.float64)
+
+        def score(theta):
+            # stat_sum - m * w_k_prime(f, theta, k, tol, max_iter), bit for bit
+            if not math.isfinite(theta):
+                raise ValueError("theta must be finite")
+            limit = _exp_limit(theta * grid, theta, tol, max_iter).grid.w
+            return stat_sum - m * float(np.sum(grid * limit))
+        return score
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"exact ML for linear models needs n <= {BRUTE_FORCE_LIMIT}")
     _, stats = enumerate_statistics(f, n)
@@ -276,18 +323,18 @@ def threshold_test(theta_hat: float, theta0: float, theta1: float) -> bool:
 
 def multi_sample_scores(perms: Sequence[Permutation], f: ScoreFunction | None,
                         theta: float, method: str, k: int | None = None,
-                        **ipfp_kw) -> float:
+                        tol: float | None = None, max_iter: int | None = None) -> float:
     """Summed estimating equation over i.i.d. samples; see :func:`multi_estimate`.
 
     With one sample and method ``"pl"`` this is the pseudo-likelihood
     score, the sum over pairs of y / (1 + e^{theta y}).
     """
-    return float(_pooled_score(perms, f, method, k, **ipfp_kw)(theta))
+    return float(_pooled_score(perms, f, method, k, tol, max_iter)(theta))
 
 
 def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction | None, method: str,
                    root_tol: float = 1e-8, k: int | None = None,
-                   **ipfp_kw) -> EstimateResult:
+                   tol: float | None = None, max_iter: int | None = None) -> EstimateResult:
     """Estimate theta from i.i.d. samples; m = 1 is the single-sample fit.
 
     ``f`` is the score of a linear model, or None for the Kendall family.
@@ -297,20 +344,29 @@ def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction | None, method
       pairwise swaps; raises AllPairsDegenerateError when every pair
       score vanishes.
     * ``"ld"``: the mean statistic matched to the limiting derivative of
-      the log normalizer.  Linear models need a grid order ``k`` and pass
-      ``ipfp_kw`` (``tol``, ``max_iter``) to :func:`w_k_prime`.  For the
-      Kendall family the statistic is Inv/n^2 and the derivative
+      the log normalizer.  Linear models need a grid order ``k``; ``tol``
+      (default 1e-12) and ``max_iter`` go to the IPFP as in
+      :func:`w_k_prime`, whose value the equation reproduces bit for
+      bit.  For the Kendall family the statistic is Inv/n^2 and the derivative
       :func:`kendall_limit_C_prime`, whose range is (0, 1/2), so the
       identity and the reverse permutation have no root.
     * ``"ml"``: exact maximum likelihood.  Linear models enumerate S_n,
       which needs n <= 9; the Kendall family uses the closed-form
       q-factorial derivative and works at any n.
 
-    ``k``, ``tol`` and ``max_iter`` apply to the linear model only.  No
-    model temperature enters any equation.  The result is labelled PL,
-    LD, ML, Kendall-LD or Kendall-ML; only linear LD reports ``k``.
+    ``k``, ``tol`` and ``max_iter`` apply to linear LD only; any other
+    fit given one raises ValueError.  No model temperature enters any
+    equation.  The result is labelled PL, LD, ML, Kendall-LD or
+    Kendall-ML; only linear LD reports ``k``.
+
+    The work splits into a per-fit part and a per-theta part.  Once per
+    fit: the pair scores (PL), the statistics, the S_n enumeration (ML)
+    and the LD score grid f(r/k, s/k).  Once per theta, for each of the
+    root finder's evaluations: one pass over the stored pair scores
+    (PL), one IPFP run on theta times the stored grid (LD), or one sum
+    over the enumeration (ML).
     """
-    score = _pooled_score(perms, f, method, k, **ipfp_kw)
+    score = _pooled_score(perms, f, method, k, tol, max_iter)
     root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
     if f is None:
         return EstimateResult(root, f"Kendall-{method.upper()}", bracket, evals, resid)

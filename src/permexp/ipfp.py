@@ -198,9 +198,20 @@ def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    expo = theta * np.asarray(f(*grid_points(k)), dtype=np.float64)
+    return _exp_limit(theta * np.asarray(f(*grid_points(k)), dtype=np.float64),
+                      theta, tol, max_iter)
+
+
+def _exp_limit(expo: np.ndarray, theta: float, tol: float,
+               max_iter: int | None) -> IpfpResult:
+    """IPFP limit of exp(expo), where expo = theta * F on a k x k score grid F.
+
+    The entry :func:`limit_matrix` shares with the LD estimating equation,
+    which builds F once per fit instead of once per theta.  ``theta`` must
+    be finite; it only sizes the default sweep cap.
+    """
     if max_iter is None:
-        max_iter = default_max_iter(k, theta)
+        max_iter = default_max_iter(expo.shape[0], theta)
     return _sinkhorn(expo, tol, max_iter)
 
 

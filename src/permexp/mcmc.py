@@ -172,6 +172,8 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
         raise ValueError("n_samples must be >= 0")
     if burn is not None and burn < 0:
         raise ValueError("burn must be >= 0")
+    if thin is not None and thin < 1:
+        raise ValueError("thin must be >= 1")
     if sampler not in ("swap", "auxiliary"):
         raise ValueError(f"unknown sampler {sampler!r}")
     if sampler == "auxiliary" and not supports_auxiliary(model):
@@ -181,10 +183,10 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
     state = ChainState.uniform_start(model.n, rng)
     if sampler == "swap":
         burn = 10 * model.n * model.n if burn is None else burn
-        thin = max(1, model.n * model.n) if thin is None else max(1, thin)
+        thin = max(1, model.n * model.n) if thin is None else thin
         return _run_swap(state, model, rng, n_samples, burn, thin)
     burn = 10 if burn is None else burn
-    thin = 1 if thin is None else max(1, thin)
+    thin = 1 if thin is None else thin
     draws = []
     for _ in range(burn):
         auxiliary_gibbs_sweep(state, model, rng)

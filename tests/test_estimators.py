@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -15,7 +17,10 @@ from permexp.models import (
     enumerate_statistics,
     kendall_limit_C_prime,
 )
+from scipy.special import expit
+
 from permexp.estimators import (
+    PAIR_BLOCK,
     AllPairsDegenerateError,
     NoRootError,
     find_monotone_root,
@@ -29,6 +34,30 @@ from permexp.estimators import (
 from permexp.perm import Permutation, inversions, linear_statistic
 
 from conftest import random_permutation
+
+
+def shifted_score(f, n, rng):
+    """f plus phi(x) + psi(y) on the 1/n lattice: the same pair scores as f."""
+    phi = rng.normal(size=n)
+    psi = rng.normal(size=n)
+
+    def shifted(x, y):
+        xi = np.clip((np.asarray(x) * n - 1e-9).astype(int), 0, n - 1)
+        yi = np.clip((np.asarray(y) * n - 1e-9).astype(int), 0, n - 1)
+        return f(x, y) + phi[xi] + psi[yi]
+
+    return ScoreFunction("shifted", shifted)
+
+
+def dense_pair_scores(pi, f):
+    """The pair scores from the full n x n matrix g[i, j] = f(x_i, u_j)."""
+    n = pi.n
+    x = np.arange(1, n + 1) / n
+    u = pi.values / n
+    g = np.asarray(f(x[:, None], u[None, :]), dtype=np.float64)
+    d = np.diag(g)
+    y = d[:, None] + d[None, :] - g - g.T
+    return y[np.triu_indices(n, 1)]
 
 
 class TestRootFinder:
@@ -138,21 +167,48 @@ class TestPlScore:
         rng = np.random.default_rng(1)
         n = 24
         f = get_score("xy")
-        phi = rng.normal(size=n)
-        psi = rng.normal(size=n)
-
-        def shifted(x, y):
-            xi = np.clip((np.asarray(x) * n - 1e-9).astype(int), 0, n - 1)
-            yi = np.clip((np.asarray(y) * n - 1e-9).astype(int), 0, n - 1)
-            return f(x, y) + phi[xi] + psi[yi]
-
-        g = ScoreFunction("shifted", shifted)
+        g = shifted_score(f, n, rng)
         pi = random_permutation(rng, n)
         ya = pairwise_swap_scores(pi, f)
         yb = pairwise_swap_scores(pi, g)
         assert np.abs(ya - yb).max() <= 1e-10
         assert multi_sample_scores([pi], g, 1.3, "pl") == pytest.approx(
             multi_sample_scores([pi], f, 1.3, "pl"), abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1,
+                                   2 * PAIR_BLOCK + 1, 300])
+    @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq", "shifted"])
+    def test_blocked_build_matches_dense_formula(self, n, name):
+        rng = np.random.default_rng(n)
+        f = shifted_score(get_score("xy"), n, rng) if name == "shifted" else get_score(name)
+        pi = random_permutation(rng, n)
+        y = pairwise_swap_scores(pi, f)
+        assert y.shape == (n * (n - 1) // 2,)
+        assert np.array_equal(y, dense_pair_scores(pi, f))
+
+    def test_build_peak_memory(self):
+        # the C(n,2) output is 16 MB at n = 2000; the dense build peaked at 112 MB
+        pi = random_permutation(np.random.default_rng(6), 2000)
+        f = get_score("footrule")
+        tracemalloc.start()
+        try:
+            pairwise_swap_scores(pi, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+
+    @pytest.mark.parametrize("theta", [-1e4, -64.0, -3.0, 0.0, 3.0, 64.0, 1e4])
+    def test_exp_kernel_matches_expit(self, theta):
+        rng = np.random.default_rng(7)
+        f = get_score("xy")
+        perms = [random_permutation(rng, 60) for _ in range(2)]
+        ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = multi_sample_scores(perms, f, theta, "pl")
+        want = float(ys @ expit(-theta * ys))
+        assert abs(got - want) <= 1e-12 * np.abs(ys).sum()
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -243,6 +299,24 @@ class TestLdEstimate:
         f = get_score("xy")
         with pytest.raises(NoRootError):
             multi_estimate([Permutation.identity(50)], f, "ld", k=50)
+
+    @pytest.mark.parametrize("name", ["xy", "footrule"])
+    @pytest.mark.parametrize("theta", [-20.0, 0.0, 2.9, 50.0])
+    def test_equation_is_statistic_minus_w_k_prime(self, name, theta):
+        # the score grid built once per fit gives w_k_prime's value exactly
+        f = get_score(name)
+        rng = np.random.default_rng(10)
+        perms = [random_permutation(rng, 40) for _ in range(2)]
+        stat = sum(linear_statistic(p, f) / 40 for p in perms)
+        got = multi_sample_scores(perms, f, theta, "ld", k=30)
+        assert got == stat - 2 * w_k_prime(f, theta, 30)
+
+    @pytest.mark.parametrize("method", ["pl", "ml"])
+    @pytest.mark.parametrize("name, value", [("k", 100), ("tol", 1e-12), ("max_iter", 5)])
+    def test_other_methods_reject_ld_settings(self, method, name, value):
+        pi = random_permutation(np.random.default_rng(13), 6)
+        with pytest.raises(ValueError, match=f"method '{method}' takes no {name}$"):
+            multi_estimate([pi], get_score("xy"), method, **{name: value})
 
 
 class TestMlExact:

@@ -256,6 +256,17 @@ class TestCliFit:
         assert captured.out == ""
         assert captured.err == f"error: the Kendall model takes no {flags[0]}\n"
 
+    @pytest.mark.parametrize("method", ["pl", "ml"])
+    def test_linear_non_ld_rejects_ld_flags(self, tmp_path, capsys, method):
+        path = tmp_path / "pi.csv"
+        save_permutation_csv(Permutation([2, 4, 1, 3, 5]), path)
+        code = main(["fit", "--method", method, "--k", "0", "--iters", "0", "--tol", "-1",
+                     "--data", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: method {method} takes no --k, --iters, --tol\n"
+
     def test_multi_pools_two_files(self, tmp_path, capsys):
         f = get_score("xy")
         draws = sample(LinearModel(f, 2.0, 80), 2, burn=60, thin=5,
@@ -287,6 +298,10 @@ class TestCliFit:
     (["lottery", "--data", "LOTTERY", "--k", "0"], "grid order must be >= 1"),
     (["sample", "--theta", "1", "--n", "5", "--draws", "3", "--burn", "-5", "--thin", "1"],
      "burn must be >= 0"),
+    (["sample", "--theta", "1", "--n", "5", "--draws", "3", "--burn", "5", "--thin", "0"],
+     "thin must be >= 1"),
+    (["sample", "--theta", "1", "--n", "5", "--draws", "3", "--burn", "5", "--thin", "-3"],
+     "thin must be >= 1"),
 ])
 def test_invalid_work_size_exits_1(argv, message, tmp_path, lottery, lottery_path, capsys):
     tau = tmp_path / "tau.csv"

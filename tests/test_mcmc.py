@@ -242,6 +242,13 @@ class TestSample:
         with pytest.raises(ValueError, match="burn must be >= 0"):
             sample(model, 3, burn=-5, thin=1, sampler=sampler)
 
+    @pytest.mark.parametrize("sampler", ["swap", "auxiliary"])
+    @pytest.mark.parametrize("thin", [0, -3])
+    def test_nonpositive_thin_rejected(self, sampler, thin):
+        model = LinearModel(get_score("xy"), 1.0, 5)
+        with pytest.raises(ValueError, match="thin must be >= 1"):
+            sample(model, 3, burn=5, thin=thin, sampler=sampler)
+
     def test_uniform_inversion_mean(self):
         # theta = 0: E Inv = n(n-1)/4 = 95 at n = 20
         model = LinearModel(get_score("xy"), 0.0, 20)
