@@ -14,21 +14,20 @@ theta times it.
 
 All estimating equations here are strictly monotone in theta, so roots
 are located by geometric bracket expansion from [-1, 1] (capped at
-[-64, 64]) followed by Brent's method on the sign-change bracket; the
-true root lies within ``root_tol`` of the returned theta.  A score with
-constant sign over the capped bracket has no root; that is a legitimate
-outcome for extremal permutations and raises :class:`NoRootError` rather
-than failing silently.
+[-64, 64]) followed by Brent's method (Brent 1973, ch. 4) on the
+sign-change bracket; the true root lies within ``root_tol`` of the
+returned theta.  A score with constant sign over the capped bracket has
+no root; that is a legitimate outcome for extremal permutations and
+raises :class:`NoRootError` rather than failing silently.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from .grids import ScoreFunction, grid_points
 from .ipfp import _exp_limit
@@ -47,7 +46,6 @@ __all__ = [
     "UniformityTest",
     "find_monotone_root",
     "pairwise_swap_scores",
-    "pl_score_derivative",
     "uniformity_test",
     "threshold_test",
     "multi_sample_scores",
@@ -101,8 +99,61 @@ class EstimateResult:
 def _memo_score(t: float, score: Callable[[float], float],
                 seen: dict[float, float]) -> float:
     if t not in seen:
-        seen[t] = score(t)
+        value = score(t)
+        if math.isnan(value):
+            raise ValueError(f"score is NaN at theta={t!r}")
+        seen[t] = value
     return seen[t]
+
+
+# Brent's relative tolerance and iteration cap: the defaults of scipy's brentq
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
+BRENT_MAX_ITER = 100
+
+
+def _brent(f: Callable[[float], float], xpre: float, xcur: float,
+           fpre: float, fcur: float, xtol: float) -> float | None:
+    """Root of f between xpre and xcur, whose values fpre and fcur differ in sign.
+
+    Brent's method (Brent 1973, ch. 4) step for step as in scipy's
+    ``brentq.c``, so it returns the same root bit for bit.  The root is
+    a point where f was evaluated, within xtol + BRENT_RTOL |root| of a
+    sign change; None when BRENT_MAX_ITER iterations do not reach that.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant through the two points
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return None
 
 
 def find_monotone_root(score: Callable[[float], float],
@@ -111,12 +162,13 @@ def find_monotone_root(score: Callable[[float], float],
 
     The bracket starts at [-1, 1] and each end doubles outward until the
     score changes sign, up to ``BRACKET_CAP``.  The true root lies within
-    ``root_tol`` (plus brentq's relative tolerance, 4 eps |root|) of the
+    ``root_tol`` (plus Brent's relative tolerance, 4 eps |root|) of the
     returned value.  Returns (root, sign-change bracket, evaluations,
     score at root), where evaluations counts distinct calls of ``score``.
     Raises NoRootError when no sign change exists within
-    [-BRACKET_CAP, BRACKET_CAP], and ValueError when Brent's method does
-    not reach ``root_tol`` within its iteration cap.
+    [-BRACKET_CAP, BRACKET_CAP], and ValueError when the score is NaN or
+    Brent's method does not reach ``root_tol`` within BRENT_MAX_ITER
+    iterations.
     """
     if not root_tol > 0:
         raise ValueError("root_tol must be positive")
@@ -140,14 +192,10 @@ def find_monotone_root(score: Callable[[float], float],
     if s_hi == 0:
         return hi, (hi, hi), len(seen), 0.0
 
-    # score rides in args: brentq's function wrapper is a reference cycle,
-    # so a closure over score would keep its arrays alive until the next gc.
-    # brentq returns a point it evaluated, so seen[root] exists.
-    root, info = brentq(_memo_score, lo, hi, args=(score, seen), xtol=root_tol,
-                        full_output=True, disp=False)
-    if not info.converged:
+    root = _brent(lambda t: _memo_score(t, score, seen), lo, hi, s_lo, s_hi, root_tol)
+    if root is None:
         raise ValueError(f"root finder did not converge to root_tol={root_tol:g} "
-                         f"in {info.iterations} iterations")
+                         f"in {BRENT_MAX_ITER} iterations")
     return root, (lo, hi), len(seen), seen[root]
 
 
@@ -182,12 +230,6 @@ def pairwise_swap_scores(pi: Permutation, f: ScoreFunction) -> np.ndarray:
         out[start:start + part.size] = part
         start += part.size
     return out
-
-
-def pl_score_derivative(pi: Permutation, f: ScoreFunction, theta: float) -> float:
-    """d/dtheta of the single-sample PL score: -sum y^2 sigma(theta y) sigma(-theta y) < 0."""
-    y = pairwise_swap_scores(pi, f)
-    return float(-np.sum(y * y * expit(theta * y) * expit(-theta * y)))
 
 
 def _check_same_n(perms: Sequence[Permutation]) -> int:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
 from .perm import Permutation, bin_counts
 
@@ -135,7 +134,9 @@ def kl_to_uniform(grid: CopulaGrid) -> float:
     and zero exactly at the uniform grid.
     """
     w = grid.w
-    return float(np.sum(xlogy(w, w)) + 2.0 * np.log(grid.k))
+    log_w = np.zeros_like(w)
+    np.log(w, out=log_w, where=w > 0)
+    return float(np.sum(w * log_w) + 2.0 * np.log(grid.k))
 
 
 def grid_mean(grid: CopulaGrid, f) -> float:

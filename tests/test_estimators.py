@@ -17,17 +17,18 @@ from permexp.models import (
     enumerate_statistics,
     kendall_limit_C_prime,
 )
+from scipy.optimize import brentq
 from scipy.special import expit
 
 from permexp.estimators import (
     PAIR_BLOCK,
     AllPairsDegenerateError,
+    _pooled_score,
     NoRootError,
     find_monotone_root,
     multi_estimate,
     multi_sample_scores,
     pairwise_swap_scores,
-    pl_score_derivative,
     threshold_test,
     uniformity_test,
 )
@@ -47,6 +48,41 @@ def shifted_score(f, n, rng):
         return f(x, y) + phi[xi] + psi[yi]
 
     return ScoreFunction("shifted", shifted)
+
+
+def pl_score_derivative(pi, f, theta):
+    """d/dtheta of the single-sample PL score: -sum y^2 sigma(theta y) sigma(-theta y) < 0."""
+    y = pairwise_swap_scores(pi, f)
+    return float(-np.sum(y * y * expit(theta * y) * expit(-theta * y)))
+
+
+def copula_permutation(rng, n, rho):
+    """Ranks of a Gaussian-copula sample with correlation rho, as pi(1..n)."""
+    x = rng.standard_normal(n)
+    y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
+    y_ranks = np.argsort(np.argsort(y)) + 1
+    return Permutation(y_ranks[np.argsort(x)])
+
+
+def assert_root_matches_brentq(score, root_tol):
+    """find_monotone_root gives scipy's brentq root on its bracket, with as many evaluations."""
+    root, (lo, hi), evals, resid = find_monotone_root(score, root_tol=root_tol)
+    seen = {}
+
+    def memo(t):
+        if t not in seen:
+            seen[t] = score(t)
+        return seen[t]
+
+    # the expansion evaluated -1, -2, ..., lo and 1, 2, ..., hi
+    for end in (lo, hi):
+        t = math.copysign(1.0, end)
+        while abs(t) <= abs(end):
+            memo(t)
+            t *= 2.0
+    assert root == brentq(memo, lo, hi, xtol=root_tol)
+    assert evals == len(seen)
+    assert resid == seen[root]
 
 
 def dense_pair_scores(pi, f):
@@ -123,6 +159,10 @@ class TestRootFinder:
         with pytest.raises(ValueError, match="root_tol"):
             find_monotone_root(lambda t: 1.0 if t <= 0 else -1.0, root_tol=1e-300)
 
+    def test_nan_score_raises_value_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            find_monotone_root(lambda t: 3.0 - t if t < 2.0 else math.nan)
+
     @pytest.mark.parametrize("root_tol", [0.0, -1e-8])
     def test_root_tol_must_be_positive(self, root_tol):
         with pytest.raises(ValueError, match="root_tol must be positive"):
@@ -145,6 +185,43 @@ class TestRootFinder:
         report = json.loads(capsys.readouterr().out)
         assert report["pl"]["evaluations"] <= 12
         assert report["ld"]["evaluations"] <= 12
+
+
+class TestRootFinderMatchesScipy:
+    @pytest.mark.parametrize("score, root_tol", [
+        (lambda t: 3.0 - t, 1e-8),
+        (lambda t: 5.3 - t - 0.3 * math.sin(t), 1e-12),
+        (lambda t: math.exp(-t / 3.0) - 0.01, 1e-8),
+        (lambda t: -(t - 0.3) ** 3, 1e-3),
+        (lambda t: -math.atan(t - 40.0), 1e-10),
+    ])
+    def test_analytic_scores(self, score, root_tol):
+        assert_root_matches_brentq(score, root_tol)
+
+    def test_seeded_score_family(self):
+        # coarse tolerances make the steps that stop short of delta matter
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            r, a, b = rng.uniform(-50, 50), 10 ** rng.uniform(-2, 2), rng.uniform(0, 1)
+            assert_root_matches_brentq(
+                lambda t: -math.atan(a * (t - r)) - b * (t - r) ** 3,
+                10 ** rng.uniform(-12, -1))
+
+    @pytest.mark.parametrize("method, k", [("pl", None), ("ld", 1000)])
+    def test_lottery_fits(self, lottery, method, k):
+        score = _pooled_score([lottery.tau()], get_score("xy"), method, k=k)
+        assert_root_matches_brentq(score, 1e-6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_copula_fits(self, seed):
+        rng = np.random.default_rng([seed, 11])
+        perm = copula_permutation(rng, 500, -0.75 + 1.5 * seed / 9)
+        f = get_score("xy")
+        for score in (_pooled_score([perm], f, "pl"),
+                      _pooled_score([perm], f, "ld", k=100),
+                      _pooled_score([perm], None, "ld"),
+                      _pooled_score([perm], None, "ml")):
+            assert_root_matches_brentq(score, 1e-8)
 
 
 class TestPlScore:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from permexp.grids import (
     CopulaGrid,
@@ -67,6 +68,15 @@ class TestKlToUniform:
         w[0, 0] += 1e-3
         w[0, 1] -= 1e-3
         assert kl_to_uniform(CopulaGrid(w)) > 0
+
+    def test_matches_scipy_xlogy_with_zero_cells(self):
+        rng = np.random.default_rng(4)
+        k = 30
+        w = rng.random((k, k)) * (rng.random((k, k)) < 0.6)
+        w[0] = 0.0
+        w /= w.sum()
+        want = float(np.sum(xlogy(w, w)) + 2.0 * math.log(k))
+        assert kl_to_uniform(CopulaGrid(w)) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestGridMean:

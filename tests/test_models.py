@@ -3,13 +3,17 @@ import itertools
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from permexp.grids import ScoreFunction, get_score
 from permexp.models import (
+    _all_permutations,
+    _log_weights,
     KendallModel,
     LinearModel,
     _inversion_table_evaluator,
@@ -47,6 +51,13 @@ class TestBruteLogZ:
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
             brute_logZ(KendallModel(1.0, 10))
+
+    @pytest.mark.parametrize("theta", [-300.0, -2.5, 0.4, 7.0, 900.0])
+    def test_matches_scipy_logsumexp(self, theta):
+        f = get_score("footrule")
+        for model in (LinearModel(f, theta, 6), KendallModel(theta, 6)):
+            want = float(logsumexp(_log_weights(model, _all_permutations(6))))
+            assert brute_logZ(model) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_pmf_sums_to_one(self):
         perms, probs = enumerate_pmf(LinearModel(get_score("footrule"), 2.0, 5))
@@ -150,6 +161,27 @@ class TestKendallLimitC:
         h = 1e-4 * max(1.0, abs(theta))
         fd = (kendall_limit_C(theta + h) - kendall_limit_C(theta - h)) / (2.0 * h)
         assert kendall_limit_C_prime(theta) == pytest.approx(fd, abs=1e-8)
+
+
+def mpmath_limits(theta):
+    """(C, C') at theta by mpmath quadrature of their defining integrals."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(theta)
+        # split where |theta| x passes 0.1, 1, 10, ...: the integrands vary
+        # on the scale 1/|theta|
+        pts = [0] + [c / abs(t) for c in (0.1, 1, 10, 100, 1000) if c < abs(t)] + [1]
+        c = mpmath.quad(lambda x: mpmath.log(mpmath.expm1(t * x) / (t * x)), pts)
+        c_prime = mpmath.quad(lambda x: x / -mpmath.expm1(-t * x) - 1 / t, pts)
+        return float(c), float(c_prime)
+
+
+class TestKendallLimitOracle:
+    @pytest.mark.parametrize("theta", [s * v for v in (1e-3, 0.05, 1.0, 3.0, 20.0, 64.0,
+                                                       190.0, 1e3, 1e4) for s in (1, -1)])
+    def test_matches_mpmath(self, theta):
+        c, c_prime = mpmath_limits(theta)
+        assert abs(kendall_limit_C_prime(theta) - c_prime) <= 1e-12
+        assert abs(kendall_limit_C(theta) - c) <= 1e-12 * max(1.0, abs(c))
 
 
 class TestKendallLimitDensity:

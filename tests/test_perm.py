@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from permexp.perm import (
     BinMatrix,
@@ -207,6 +208,15 @@ class TestFisherYates:
             freq = float(np.mean(m11 == a))
             se = math.sqrt(p * (1 - p) / draws)
             assert abs(freq - p) <= 5 * se
+
+
+    @pytest.mark.parametrize("n, k", [(7, 3), (366, 10), (1000, 7), (5000, 40)])
+    def test_matches_scipy_gammaln(self, n, k):
+        m = bin_counts(random_permutation(np.random.default_rng(n), n), k)
+        bands = band_counts(n, k)
+        want = float(2.0 * np.sum(gammaln(bands + 1.0)) - gammaln(n + 1.0)
+                     - np.sum(gammaln(m.counts + 1.0)))
+        assert fisher_yates_logpmf(m) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestCdfDistance:
