@@ -22,11 +22,9 @@ from .grids import (
     SCORE_FUNCTIONS,
     CopulaGrid,
     ScoreFunction,
-    from_permutation,
     get_score,
     grid_mean,
     kl_to_uniform,
-    uniform_grid,
 )
 from .ipfp import (
     IpfpNonConvergence,

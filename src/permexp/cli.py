@@ -180,7 +180,7 @@ def cmd_logz(args) -> int:
             res = err.result
             status = "maxiter"
         w = variational_value(res, f, theta)
-        wp = grid_mean(res.grid, f)
+        wp = grid_mean(res.grid.w, f)
         rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")
     with _writing(sys.stdout if args.out == "-" else args.out) as fh:
         fh.write("".join(rows))
@@ -198,7 +198,7 @@ def cmd_density(args) -> int:
         except IpfpNonConvergence as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_ERROR
-        grid = res.grid.step_density()
+        grid = args.k * args.k * res.grid.w
     write_grid_csv(grid, sys.stdout if args.out == "-" else args.out)
     return EXIT_OK
 

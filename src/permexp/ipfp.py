@@ -68,10 +68,6 @@ class PotentialGrid:
     a_hat: np.ndarray
     b_hat: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.a_hat.size
-
 
 class IpfpNonConvergence(RuntimeError):
     """Raised when the sweep budget is exhausted; carries the last state."""
@@ -177,6 +173,7 @@ def _sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
     np.add(log_b0, alpha[:, None], out=kern)
     kern += beta
     np.exp(kern, out=kern)
+    kern.setflags(write=False)
     result = IpfpResult(CopulaGrid(kern), iterations, residual, alpha, beta,
                         residual <= tol)
     if not result.converged:
@@ -217,7 +214,7 @@ def _exp_limit(expo: np.ndarray, theta: float, tol: float,
 
 def variational_value(result: IpfpResult, f: ScoreFunction, theta: float) -> float:
     """theta * <F, A> - D(A || uniform) for the scaled grid A."""
-    return theta * grid_mean(result.grid, f) - kl_to_uniform(result.grid)
+    return theta * grid_mean(result.grid.w, f) - kl_to_uniform(result.grid.w)
 
 
 def recover_potentials(result: IpfpResult) -> PotentialGrid:
@@ -269,4 +266,4 @@ def w_k_prime(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
               max_iter: int | None = None) -> float:
     """Derivative of w_k in theta: the grid mean of f under the limit matrix."""
     result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter)
-    return grid_mean(result.grid, f)
+    return grid_mean(result.grid.w, f)

@@ -120,7 +120,7 @@ def test_04_ipfp_correctness():
     scan = np.linspace(1e-9, 0.5 - 1e-9, 2_000_001)
     best = float(scan[np.argmax(objective(scan))])
     assert abs(res2.grid.w[0, 0] - best) <= 1e-8 + 5e-7  # scan resolution
-    got = theta2 * float(np.sum(fgrid * res2.grid.w)) - kl_to_uniform(res2.grid)
+    got = theta2 * float(np.sum(fgrid * res2.grid.w)) - kl_to_uniform(res2.grid.w)
     assert abs(got - objective(best)) <= 1e-8
 
     elapsed = time.time() - start

@@ -80,7 +80,7 @@ class TestIpfpScale:
         assert res.grid.w[1, 1] == pytest.approx(a_star, abs=1e-8)
         assert res.grid.w[0, 1] == pytest.approx(0.5 - a_star, abs=1e-8)
         want = float(objective(a_star))
-        got = theta * np.sum(fgrid * res.grid.w) - kl_to_uniform(res.grid)
+        got = theta * np.sum(fgrid * res.grid.w) - kl_to_uniform(res.grid.w)
         assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -172,7 +172,7 @@ class TestLimitMatrix:
     def test_qualitative_density_shape(self):
         # positive temperature: symmetric about both diagonals, peaked on x=y
         res = limit_matrix(get_score("xy"), 20.0, 50)
-        d = res.grid.step_density()
+        d = 50 * 50 * res.grid.w
         assert np.abs(d - d.T).max() <= 1e-8            # about x = y
         assert np.abs(d - d[::-1, ::-1].T).max() <= 1e-8  # about x + y = 1
         assert d.diagonal().min() >= d[0, -1]
@@ -312,3 +312,28 @@ class TestKlOptimality:
         res = minimize(dual, np.zeros(2 * k), jac=True, method="BFGS",
                        options={"gtol": 1e-12})
         assert w_k(f, theta, k) == pytest.approx(res.fun, abs=1e-6)
+
+
+def _assert_probability_grid(res, k):
+    w = res.grid.w
+    assert res.grid.k == k and w.shape == (k, k)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0)
+    assert abs(w.sum() - 1.0) <= 1e-12
+    assert not w.flags.writeable
+
+
+def test_results_hold_the_kernel_grid_read_only():
+    # no constructor checks the kernel's output; this does, on every entry
+    for name in ("xy", "footrule"):
+        f = get_score(name)
+        for k in (1, 10, 100):
+            for theta in (-500.0, -3.0, 0.0, 2.96, 500.0):
+                if (name, k, theta) == ("footrule", 100, 500.0):
+                    continue  # about 80k sweeps
+                _assert_probability_grid(limit_matrix(f, theta, k), k)
+    rng = np.random.default_rng(5)
+    _assert_probability_grid(ipfp_scale(rng.random((7, 7)) + 0.1), 7)
+    with pytest.raises(IpfpNonConvergence) as exc:
+        limit_matrix(get_score("xy"), 50.0, 20, max_iter=1)
+    assert exc.value.result.iterations == 1
+    _assert_probability_grid(exc.value.result, 20)
