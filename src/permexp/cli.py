@@ -55,7 +55,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_score_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--f", dest="score", default="xy", choices=list(SCORE_FUNCTIONS))
+    # None when not given, so that the Kendall model can reject it
+    parser.add_argument("--f", dest="score", choices=list(SCORE_FUNCTIONS),
+                        help="linear model's score function (default xy)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the linear model's flags are None when not given, so that a fit that
     # takes none of them can reject them; cmd_fit fills in their defaults
     # for a linear ld fit
-    fit.add_argument("--f", dest="score", choices=list(SCORE_FUNCTIONS),
-                     help="linear model's score function (default xy)")
+    _add_score_argument(fit)
     fit.add_argument("--data", action="append", required=True,
                      help="permutation CSV; repeat it to pool i.i.d. samples "
                           "(either model)")
@@ -98,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_score_argument(dens)
     dens.add_argument("--theta", type=float, required=True)
     dens.add_argument("--k", type=int, required=True)
-    dens.add_argument("--iters", type=int, default=None)
-    dens.add_argument("--tol", type=float, default=1e-12)
+    dens.add_argument("--iters", type=int, help="IPFP sweep cap of a linear density")
+    dens.add_argument("--tol", type=float,
+                      help="IPFP residual tolerance of a linear density (default 1e-12)")
     dens.add_argument("--out", default="-")
     dens.set_defaults(func=cmd_density)
 
@@ -166,7 +168,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_logz(args) -> int:
-    f = get_score(args.score)
+    f = get_score(args.score or "xy")
     lo, hi = args.theta_min, args.theta_max
     if args.steps < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         print("error: need steps >= 2 and finite theta-min < theta-max", file=sys.stderr)
@@ -189,12 +191,14 @@ def cmd_logz(args) -> int:
 
 def cmd_density(args) -> int:
     if args.model == "kendall":
+        _reject_given("the Kendall model",
+                      {"--f": args.score, "--iters": args.iters, "--tol": args.tol})
         grid = kendall_limit_density(args.theta, args.k)
     else:
-        f = get_score(args.score)
+        f = get_score(args.score or "xy")
+        tol = 1e-12 if args.tol is None else args.tol
         try:
-            res = limit_matrix(f, args.theta, args.k, tol=args.tol,
-                               max_iter=args.iters)
+            res = limit_matrix(f, args.theta, args.k, tol=tol, max_iter=args.iters)
         except IpfpNonConvergence as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_ERROR
@@ -215,11 +219,11 @@ def cmd_sample(args) -> int:
                       file=sys.stderr)
                 return EXIT_ERROR
             hist_out = f"{args.out}_hist.csv"
-    f = get_score(args.score)
     if args.model == "kendall":
+        _reject_given("the Kendall model", {"--f": args.score})
         model = KendallModel(args.theta, args.n)
     else:
-        model = LinearModel(f, args.theta, args.n)
+        model = LinearModel(get_score(args.score or "xy"), args.theta, args.n)
     sampler = "auxiliary" if args.sampler == "aux" else "swap"
     try:
         draws = sample(model, args.draws, burn=args.burn, thin=args.thin,

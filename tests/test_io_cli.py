@@ -313,6 +313,21 @@ def test_invalid_work_size_exits_1(argv, message, tmp_path, lottery, lottery_pat
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--theta", "2", "--k", "20", "--f", "xy"],
+    ["density", "--theta", "2", "--k", "20", "--iters", "1"],
+    ["density", "--theta", "2", "--k", "20", "--tol", "0.5"],
+    ["sample", "--theta", "2", "--n", "8", "--f", "footrule"],
+], ids=["density-f", "density-iters", "density-tol", "sample-f"])
+def test_kendall_rejects_linear_flags(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--model", "kendall", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the Kendall model takes no {argv[-2]}\n"
+    assert not out.exists()
+
+
 class TestCliLogz:
     def test_curve(self, tmp_path):
         out = tmp_path / "curve.csv"
