@@ -309,15 +309,22 @@ def kendall_logZ(n: int, theta: float) -> float:
 
 
 def _inv_expm1_ratio(x):
-    """psi(x) = 1/(1 - e^{-x}) - 1/x, continuous with psi(0) = 1/2."""
+    """psi(x) = 1/(1 - e^{-x}) - 1/x, continuous with psi(0) = 1/2.
+
+    Below |x| = 0.1 the two terms cancel, so psi comes from its Bernoulli
+    series 1/2 + sum B_2m x^(2m-1) / (2m)!; the first omitted term is
+    under 1e-20 relative there.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.full_like(x, 0.5)
-    small = np.abs(x) < 1e-5
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.1
     xs = x[~small]
     with np.errstate(over="ignore"):
         out[~small] = 1.0 / (-np.expm1(-xs)) - 1.0 / xs
     xt = x[small]
-    out[small] = 0.5 + xt / 12.0 - xt ** 3 / 720.0
+    x2 = xt * xt
+    out[small] = 0.5 + xt * (1.0 / 12.0 + x2 * (-1.0 / 720.0 + x2 * (
+        1.0 / 30240.0 + x2 * (-1.0 / 1209600.0 + x2 / 47900160.0))))
     return out
 
 

@@ -16,6 +16,7 @@ from permexp.models import (
     _log_weights,
     KendallModel,
     LinearModel,
+    _inv_expm1_ratio,
     _inversion_table_evaluator,
     brute_logZ,
     enumerate_pmf,
@@ -129,6 +130,18 @@ class TestKendallLogZ:
             mid = 0.5 * (t1 + t2)
             c = lambda t: kendall_logZ(n, t) - math.log(math.factorial(n))
             assert c(mid) <= 0.5 * (c(t1) + c(t2)) + 1e-12
+
+
+class TestInvExpm1Ratio:
+    def test_matches_mpmath(self):
+        # psi(x) = 1/(1 - e^-x) - 1/x, whose two terms cancel as x -> 0
+        x = np.logspace(-8, 0, 1601)
+        x = np.concatenate([-x[::-1], x])
+        with mpmath.workdps(40):
+            want = np.array([float(1 / -mpmath.expm1(-mpmath.mpf(v)) - 1 / mpmath.mpf(v))
+                             for v in x.tolist()])
+        assert np.abs(_inv_expm1_ratio(x) / want - 1.0).max() <= 1e-14
+        assert _inv_expm1_ratio(np.zeros(1))[0] == 0.5
 
 
 class TestKendallLimitC:
