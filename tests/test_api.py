@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -9,6 +11,10 @@ from pathlib import Path
 import pytest
 
 import permexp
+import permexp.cli
+from permexp.io import save_permutation_csv
+
+from conftest import REPO_ROOT
 
 MODULES = [info.name for info in pkgutil.iter_modules(permexp.__path__)]
 
@@ -32,3 +38,48 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert json.loads(out) == []
+
+
+def _public_bindings():
+    """Every attribute of each permexp module, and each class's own __init__."""
+    seen = {}
+    for name in MODULES:
+        module = importlib.import_module(f"permexp.{name}")
+        for attr, obj in vars(module).items():
+            seen[(name, attr)] = obj
+            if inspect.isclass(obj):
+                seen[(name, attr, "__init__")] = vars(obj).get("__init__")
+    return seen
+
+
+def test_traced_cli_reads_ipfp_results(tmp_path, lottery, capsys):
+    # the benchmark's --trace 1 mode reads res.grid.k of every IPFP result,
+    # IpfpNonConvergence.result included, and counts fits at the estimators
+    path = REPO_ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    data = tmp_path / "tau.csv"
+    save_permutation_csv(lottery.tau(), data)
+    before = _public_bindings()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            permexp.cli.main(["logz", "--theta-min", "0", "--theta-max", "10",
+                              "--steps", "2", "--k", "10", "--iters", "1"]),
+            permexp.cli.main(["density", "--theta", "2", "--k", "10",
+                              "--out", str(tmp_path / "d.csv")]),
+            permexp.cli.main(["fit", "--method", "ld", "--k", "20", "--data", str(data)]),
+        ]
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert codes == [0, 0, 0]
+    assert out.count(",maxiter") == 1 and out.count(",ok") == 1
+    c = tracer.counters
+    assert c["ipfp.kernel_calls"] > 0 and c["ipfp.sweeps"] > 0
+    assert c["estimators.fits"] == 1
+    after = _public_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
