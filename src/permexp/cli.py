@@ -26,8 +26,8 @@ from .estimators import (
     multi_estimate,
     uniformity_test,
 )
-from .grids import SCORE_FUNCTIONS, get_score, grid_mean
-from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
+from .grids import SCORE_FUNCTIONS, get_score, grid_points, kl_to_uniform
+from .ipfp import IpfpNonConvergence, limit_matrix
 from .io import (
     _fmt,
     _writing,
@@ -174,15 +174,19 @@ def cmd_logz(args) -> int:
         print("error: need steps >= 2 and finite theta-min < theta-max", file=sys.stderr)
         return EXIT_ERROR
     rows = ["theta,w_k,w_k_prime,status\n"]
+    # one score grid F gives every row's kernel theta * F, w' = <F, A> and
+    # w = theta * w' - D(A || uniform)
+    score = np.asarray(f(*grid_points(args.k)), dtype=np.float64)
     for theta in np.linspace(lo, hi, args.steps).tolist():
         status = "ok"
         try:
-            res = limit_matrix(f, theta, args.k, tol=args.tol, max_iter=args.iters)
+            res = limit_matrix(f, theta, args.k, tol=args.tol, max_iter=args.iters,
+                               score_grid=score)
         except IpfpNonConvergence as err:
             res = err.result
             status = "maxiter"
-        w = variational_value(res, f, theta)
-        wp = grid_mean(res.grid.w, f)
+        wp = float(np.sum(score * res.grid.w))
+        w = theta * wp - kl_to_uniform(res.grid.w)
         rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")
     with _writing(sys.stdout if args.out == "-" else args.out) as fh:
         fh.write("".join(rows))
@@ -212,6 +216,9 @@ def cmd_sample(args) -> int:
     if args.hist is not None:
         if args.draws < 1:
             print("error: --hist needs at least one draw", file=sys.stderr)
+            return EXIT_ERROR
+        if not 1 <= args.hist <= args.n:
+            print(f"error: --hist K={args.hist} outside 1..{args.n}", file=sys.stderr)
             return EXIT_ERROR
         if hist_out is None:
             if args.out == "-":

@@ -13,6 +13,7 @@ Formats:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -136,17 +137,170 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+# Grid values are formatted in blocks of about this many, each written as
+# soon as it is made, so memory stays flat in the grid size.
+_BLOCK_VALUES = 1 << 15
+# Exact powers of ten: 10**22 is the largest that a double holds exactly.
+_POW10 = np.array([float(10**j) for j in range(23)])
+_IPOW10 = np.array([10**j for j in range(14)], dtype=np.int64)
+# Twice the rounding error of one product s < 1e10 (|error| <= 2**-53 * s).
+_HALF_TOL = 2.0**-52 * 1e10
+# suffixes[2 * (E + _EXP_BIAS) + row_end] ends a value with exponent E;
+# code 0 (E = -_EXP_BIAS, below every double) is fixed notation.
+_EXP_BIAS = 330
+
+
+def _words(chars: np.ndarray, dtype) -> np.ndarray:
+    """Rows of ASCII codes (0 for no character) as one word per row."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(dtype).ravel()
+
+
+def _packed(strings: list, dtype) -> np.ndarray:
+    width = np.dtype(dtype).itemsize
+    raw = b"".join(s.encode("ascii").ljust(width, b"\0") for s in strings)
+    return np.frombuffer(raw, dtype=dtype)
+
+
+@functools.cache
+def _ascii_tables():
+    """Lookup tables of ASCII words; a NUL byte stands for no character.
+
+    ``groups[g]``, ``groups[10000 + g]`` and ``groups[20000 + g]`` hold the
+    4-digit group g with all its digits, with leading zeros dropped (0
+    keeps "0") and with trailing zeros dropped (0 gives nothing).
+    ``heads[g + 100 * negative]`` is the sign and the top integer group
+    g < 100 (0 gives nothing), ``points[d]`` is "." and the first fraction
+    digit d, and ``suffixes`` (uint64) the exponent mark and separator.
+    """
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    nonzero = digits != 0
+    lead = np.logical_or.accumulate(nonzero, axis=1)
+    lead[:, 3] = True
+    trail = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    ascii_digits = digits + ord("0")
+    groups = np.concatenate([_words(ascii_digits, np.uint32),
+                             _words(ascii_digits * lead, np.uint32),
+                             _words(ascii_digits * trail, np.uint32)])
+    heads = _packed([sign + (str(g) if g else "") for sign in ("", "-")
+                     for g in range(100)], np.uint32)
+    points = _packed([f".{d}" for d in range(10)], np.uint32)
+    suffixes = _packed([("" if code == 0 else f"e{code - _EXP_BIAS:+03d}") + sep
+                        for code in range(2 * _EXP_BIAS) for sep in ",\n"], np.uint64)
+    return groups, heads, points, suffixes
+
+
+def _scale(a: np.ndarray, p: np.ndarray):
+    """a * 10**p by steps of exact powers of ten, and a bound on the roundings.
+
+    Each step errs by at most 2**-53 relative: a product that stays
+    subnormal is exact, and the quotients (p < 0) stay above 1e9.
+    """
+    up = p >= 0
+    ap = np.abs(p)
+    q = ap // 22
+    s = a.copy()
+    for j in range(int(q.max(initial=0))):
+        more = q > j
+        np.multiply(s, 1e22, out=s, where=more & up)
+        np.divide(s, 1e22, out=s, where=more & ~up)
+    step = _POW10[ap - 22 * q]
+    np.multiply(s, step, out=s, where=up)
+    np.divide(s, step, out=s, where=~up)
+    return s, q + 1
+
+
+def _near_half(s: np.ndarray, roundings: np.ndarray) -> np.ndarray:
+    """Where rounding error in s may have moved it across a half-integer."""
+    frac = s - np.floor(s)
+    frac -= 0.5
+    return np.abs(frac, out=frac) <= roundings * _HALF_TOL
+
+
+def _format_values(x: np.ndarray, row_end: np.ndarray) -> str:
+    """``'%.10g' % v`` for each float64 v of x, each followed by "," or, where
+    row_end is set, by a newline.
+
+    For finite nonzero v with decimal exponent e, the 10-digit mantissa is
+    m = rint(|v| * 10**(9 - e)).  The product is rounded at most once per
+    power-of-ten step, so m is the correctly rounded mantissa unless the
+    product lies within that error of a half-integer; those values, and
+    inf and nan, are formatted one by one instead.  The digits of m are
+    read four at a time from tables into fixed-width slots, and the NUL
+    bytes of empty slot positions are removed at the end.
+    """
+    groups, heads, points, suffixes = _ascii_tables()
+    n = x.size
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    zero = a == 0
+    a[~finite | zero] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s, roundings = _scale(a, 9 - e)
+    m = np.rint(s)
+    one_by_one = ~finite | _near_half(s, roundings)
+    # log10 may put e one off next to a power of ten; so may rounding up to 1e10
+    off = np.flatnonzero((m >= 1e10) | (m < 1e9))
+    if off.size:
+        e[off] += np.where(m[off] >= 1e10, 1, -1)
+        s_off, roundings_off = _scale(a[off], 9 - e[off])
+        m[off] = np.rint(s_off)
+        one_by_one[off] |= _near_half(s_off, roundings_off)
+    m[zero] = 0
+    e[zero] = 0
+    fixed = (e >= -4) & (e < 10)
+    # the value is ip.fp: an integer part below 1e10 and 13 fraction digits
+    shift = np.where(fixed, 9 - e, 9)
+    ip = np.floor(m / _POW10[shift])
+    m -= ip * _POW10[shift]
+    fp = m.astype(np.int64) * _IPOW10[13 - shift]
+    ip = ip.astype(np.int64)
+
+    out = np.empty((n, 10), dtype=np.uint32)
+    top = ip // 100_000_000
+    out[:, 0] = heads[top + 100 * np.signbit(x)]
+    low = ip - top * 100_000_000
+    mid = low // 10_000
+    low -= mid * 10_000
+    out[:, 1] = groups[mid + 10_000 * (ip < 100_000_000)] * (ip >= 10_000)
+    out[:, 2] = groups[low + 10_000 * (ip < 10_000)]
+    first = fp // 10**12
+    out[:, 3] = points[first] * (fp != 0)
+    fp -= first * 10**12
+    out[:, 7] = 0
+    for col, unit in ((4, 10**8), (5, 10**4), (6, 1)):
+        g = fp // unit
+        fp -= g * unit
+        # full digits while a nonzero digit follows, else trailing zeros dropped
+        out[:, col] = groups[g + 20_000 * (fp == 0)]
+    suffix = out.view(np.uint64)[:, 4]
+    suffix[:] = suffixes[2 * np.where(fixed, 0, e + _EXP_BIAS) + row_end]
+
+    raw = out.view(np.uint8)
+    for i in np.flatnonzero(one_by_one).tolist():
+        text = ("%.10g" % x[i]).encode("ascii")
+        raw[i, :32] = 0
+        raw[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        suffix[i] = suffixes[int(row_end[i])]
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_grid_csv(values: np.ndarray, path_or_stream) -> None:
-    """Emit a square grid: first line k, then k comma-separated rows."""
+    """Emit a square grid: first line k, then k comma-separated rows.
+
+    Every value is written as ``'%.10g' % v`` writes it, byte for byte.
+    """
     arr = np.asarray(values)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("grid must be square")
+    arr = arr.astype(np.float64, copy=False)
+    k = arr.shape[0]
+    rows = max(1, _BLOCK_VALUES // max(k, 1))
+    row_end = np.tile(np.arange(k) == k - 1, rows)
     with _writing(path_or_stream) as fh:
-        fh.write(f"{arr.shape[0]}\n")
-        # %-formatting renders floats as _fmt does, in one call per row
-        line = ",".join(["%.10g"] * arr.shape[1]) + "\n"
-        for row in arr:
-            fh.write(line % tuple(row.tolist()))
+        fh.write(f"{k}\n")
+        for start in range(0, k, rows):
+            block = arr[start:start + rows].ravel()
+            fh.write(_format_values(block, row_end[:block.size]))
 
 
 def _round_floats(obj):

@@ -187,16 +187,20 @@ def default_max_iter(k: int, theta: float) -> int:
 
 
 def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
-                 max_iter: int | None = None) -> IpfpResult:
+                 max_iter: int | None = None,
+                 score_grid: np.ndarray | None = None) -> IpfpResult:
     """IPFP limit of the kernel exp(theta * f(r/k, s/k)).
 
     log A = theta*F + row_log_scales[r] + col_log_scales[s] holds for
-    the returned result.
+    the returned result.  ``score_grid`` is F = f(*grid_points(k)) as
+    float64, for a caller that solves several theta on one grid and builds
+    F once; by default it is built here.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    return _exp_limit(theta * np.asarray(f(*grid_points(k)), dtype=np.float64),
-                      theta, tol, max_iter)
+    if score_grid is None:
+        score_grid = np.asarray(f(*grid_points(k)), dtype=np.float64)
+    return _exp_limit(theta * score_grid, theta, tol, max_iter)
 
 
 def _exp_limit(expo: np.ndarray, theta: float, tol: float,

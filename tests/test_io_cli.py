@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from permexp.cli import main
 from permexp.estimators import multi_estimate
-from permexp.grids import get_score
+from permexp.grids import get_score, grid_mean
 from permexp.io import (
     format_json_report,
     load_lottery_csv,
@@ -15,6 +16,7 @@ from permexp.io import (
     save_permutation_csv,
     write_grid_csv,
 )
+from permexp.ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from permexp.mcmc import sample
 from permexp.models import KendallModel, LinearModel
 from permexp.perm import Permutation
@@ -99,6 +101,92 @@ class TestGridCsv:
             ",".join(f"{x:.10g}" for x in row) + "\n" for row in grid.tolist()
         )
         assert buf.getvalue() == want
+
+
+def _per_value_csv(grid: np.ndarray) -> str:
+    return f"{grid.shape[0]}\n" + "".join(
+        ",".join(f"{x:.10g}" for x in row) + "\n" for row in grid.tolist())
+
+
+def _assert_per_value(grid: np.ndarray) -> str:
+    """write_grid_csv's text for grid, checked against per-value formatting."""
+    buf = io.StringIO()
+    write_grid_csv(grid, buf)
+    got, want = buf.getvalue(), _per_value_csv(grid)
+    # compared as a bool, so that a failure names the first differing value
+    # instead of diffing megabytes of text
+    same = got == want
+    assert same, next(((g, w) for g, w in zip(got.replace("\n", ",").split(","),
+                                              want.replace("\n", ",").split(","))
+                       if g != w), "line breaks differ")
+    return got
+
+
+def _with_neighbours(x: np.ndarray) -> np.ndarray:
+    """x and the doubles one ulp below and above each value."""
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+@functools.cache
+def _writer_cases():
+    rng = np.random.default_rng(2026)
+    bits = rng.integers(0, 2**64, 257 * 257, dtype=np.uint64, endpoint=False).view(np.float64)
+    log_uniform = (rng.choice([-1.0, 1.0], 257 * 257)
+                   * 10.0 ** rng.uniform(-20, 35, 257 * 257))
+    # (m + 1/2) * 10**(e - 9): the double nearest a tie of the 10th digit
+    # (the tie itself where it is a double, as for 12345678905)
+    mantissas = rng.integers(10**9, 10**10, 3000)
+    exponents = rng.integers(-320, 300, 3000)
+    halves = np.array([float(f"{m}5e{e - 10}") for m, e in zip(mantissas, exponents)]
+                      + [12345678905.0, 0.00012345678905])
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    subnormal = rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64)
+    special = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                               2.2250738585072014e-308, 1.7976931348623157e308],
+                              subnormal, -subnormal])
+    return {
+        "random-bits": bits[np.isfinite(bits)],
+        "log-uniform": log_uniform,
+        "half-way": _with_neighbours(halves),
+        "powers-of-ten": _with_neighbours(powers),
+        "zeros-inf-nan-subnormal": special,
+        # 1.0 +- 1ulp, 9.9999999995 (rounds up to 10) and 0.0001 / 1e10 edges
+        "notation-edges": _with_neighbours(np.array(
+            [1.0, 9.9999999995, 9999999999.5, 99999.999995, 0.0001, 0.00009999999999995,
+             1e10, 9999999999.0, 123456.7890123, -0.5, 1e-5, 12345678901.0])),
+    }
+
+
+class TestGridCsvProperty:
+    """write_grid_csv against per-value f"{x:.10g}", seeded."""
+
+    @pytest.mark.parametrize("case", ["random-bits", "log-uniform", "half-way", "powers-of-ten",
+                                      "zeros-inf-nan-subnormal", "notation-edges"])
+    def test_grids_of_order_257(self, case):
+        values = _writer_cases()[case]
+        # grids of order 257 hold more values than one formatting block
+        for start in range(0, values.size, 257 * 257):
+            _assert_per_value(np.resize(values[start:start + 257 * 257], (257, 257)))
+
+    def test_order_one_grids(self):
+        for values in _writer_cases().values():
+            for x in values[:40]:
+                buf = io.StringIO()
+                write_grid_csv(np.array([[x]]), buf)
+                assert buf.getvalue() == f"1\n{x:.10g}\n"
+
+    def test_rows_mix_fixed_and_exponent_notation(self):
+        row = np.array([1e-5, 0.0001, 123.5, 1e10, -9999999999.0, 0.0, -0.0, 5e-324])
+        text = _assert_per_value(np.array([np.roll(row, j) for j in range(row.size)]))
+        assert text.split("\n")[1] == (
+            "1e-05,0.0001,123.5,1e+10,-9999999999,0,-0,4.940656458e-324")
+
+    def test_empty_and_integer_grids(self):
+        buf = io.StringIO()
+        write_grid_csv(np.zeros((0, 0)), buf)
+        assert buf.getvalue() == "0\n"
+        counts = np.arange(9).reshape(3, 3) * 123456789013
+        assert _assert_per_value(counts).startswith("3\n0,1.23456789e+11,")
 
 
 class TestDrawsCsv:
@@ -354,6 +442,29 @@ class TestCliLogz:
         assert rows[0][3] == "maxiter" and rows[2][3] == "maxiter"
         assert rows[1][3] == "ok"
 
+    @pytest.mark.parametrize("f, lo, hi, iters", [("footrule", -40.0, 40.0, None),
+                                                  ("xy", -500.0, 500.0, 5)])
+    def test_rows_match_per_row_reference(self, tmp_path, f, lo, hi, iters):
+        # the reference builds the score grid anew for each of theta * F,
+        # variational_value and grid_mean
+        out = tmp_path / "curve.csv"
+        argv = ["logz", "--f", f, "--theta-min", repr(lo), "--theta-max", repr(hi),
+                "--steps", "5", "--k", "30", "--out", str(out)]
+        assert main(argv + (["--iters", str(iters)] if iters else [])) == 0
+        score = get_score(f)
+        want = ["theta,w_k,w_k_prime,status"]
+        for theta in np.linspace(lo, hi, 5).tolist():
+            status = "ok"
+            try:
+                res = limit_matrix(score, theta, 30, max_iter=iters)
+            except IpfpNonConvergence as err:
+                res, status = err.result, "maxiter"
+            want.append(f"{theta:.10g},{variational_value(res, score, theta):.10g},"
+                        f"{grid_mean(res.grid.w, score):.10g},{status}")
+        assert out.read_text().splitlines() == want
+        statuses = [row.rsplit(",", 1)[1] for row in want[1:]]
+        assert statuses == (["maxiter"] * 2 + ["ok"] + ["maxiter"] * 2 if iters else ["ok"] * 5)
+
     @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("-1", "inf"), ("2", "1")])
     def test_bad_range_keeps_existing_out(self, tmp_path, capsys, lo, hi):
         out = tmp_path / "curve.csv"
@@ -390,6 +501,16 @@ class TestCliDensity:
                      "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
         assert out.read_text() == "earlier output\n"
+
+    def test_file_and_stdout_get_the_same_bytes(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["density", "--f", "footrule", "--theta", "-7", "--k", "257"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["--out", "-"]) == 0
+        text = capsys.readouterr().out
+        assert text.encode("ascii") == out.read_bytes()
+        assert text.count("\n") == 258
 
     def test_spearman_density_peaks_on_diagonal(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -461,6 +582,21 @@ class TestCliSample:
                      "--out", str(out)] + args)
         assert code == 1
         assert "error" in capsys.readouterr().err
+        assert out.read_text() == "earlier output\n"
+        assert not (tmp_path / "s.csv_hist.csv").exists()
+
+    @pytest.mark.parametrize("hist", [-4, 0, 6])
+    def test_hist_order_checked_before_the_chain(self, tmp_path, capsys, monkeypatch, hist):
+        def chain_ran(*args, **kwargs):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr("permexp.cli.sample", chain_ran)
+        out = tmp_path / "s.csv"
+        out.write_text("earlier output\n")
+        code = main(["sample", "--theta", "1", "--n", "5", "--burn", "3000000",
+                     "--out", str(out), "--hist", str(hist)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --hist K={hist} outside 1..5\n"
         assert out.read_text() == "earlier output\n"
         assert not (tmp_path / "s.csv_hist.csv").exists()
 
