@@ -25,6 +25,8 @@ from .grids import (
     get_score,
     grid_mean,
     kl_to_uniform,
+    lattice,
+    score_grid,
 )
 from .ipfp import (
     IpfpNonConvergence,

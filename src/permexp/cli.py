@@ -26,7 +26,7 @@ from .estimators import (
     multi_estimate,
     uniformity_test,
 )
-from .grids import SCORE_FUNCTIONS, get_score, grid_points, kl_to_uniform
+from .grids import SCORE_FUNCTIONS, get_score, grid_mean, kl_to_uniform, score_grid
 from .ipfp import IpfpNonConvergence, limit_matrix
 from .io import (
     _fmt,
@@ -176,7 +176,7 @@ def cmd_logz(args) -> int:
     rows = ["theta,w_k,w_k_prime,status\n"]
     # one score grid F gives every row's kernel theta * F, w' = <F, A> and
     # w = theta * w' - D(A || uniform)
-    score = np.asarray(f(*grid_points(args.k)), dtype=np.float64)
+    score = score_grid(f, args.k)
     for theta in np.linspace(lo, hi, args.steps).tolist():
         status = "ok"
         try:
@@ -185,7 +185,7 @@ def cmd_logz(args) -> int:
         except IpfpNonConvergence as err:
             res = err.result
             status = "maxiter"
-        wp = float(np.sum(score * res.grid.w))
+        wp = grid_mean(res.grid.w, score)
         w = theta * wp - kl_to_uniform(res.grid.w)
         rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")
     with _writing(sys.stdout if args.out == "-" else args.out) as fh:

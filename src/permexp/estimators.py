@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import ScoreFunction, grid_points
-from .ipfp import _exp_limit
+from .grids import ScoreFunction, grid_mean, lattice, score_grid
+from .ipfp import limit_matrix
 from .models import (
     BRUTE_FORCE_LIMIT,
     enumerate_statistics,
@@ -214,8 +214,8 @@ def pairwise_swap_scores(pi: Permutation, f: ScoreFunction) -> np.ndarray:
     array is ever built.
     """
     n = pi.n
-    x = np.arange(1, n + 1) / n
-    u = pi.values / n
+    x = lattice(n)
+    u = x[pi.values - 1]
     d = np.asarray(f(x, u), dtype=np.float64)
     out = np.empty(n * (n - 1) // 2)
     start = 0
@@ -295,14 +295,12 @@ def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction | None, method:
             raise ValueError("method 'ld' needs a grid order k")
         tol = 1e-12 if tol is None else tol
         stat_sum = sum(linear_statistic(p, f) / n for p in perms)
-        grid = np.asarray(f(*grid_points(k)), dtype=np.float64)
+        grid = score_grid(f, k)
 
         def score(theta):
             # stat_sum - m * w_k_prime(f, theta, k, tol, max_iter), bit for bit
-            if not math.isfinite(theta):
-                raise ValueError("theta must be finite")
-            limit = _exp_limit(theta * grid, theta, tol, max_iter).grid.w
-            return stat_sum - m * float(np.sum(grid * limit))
+            limit = limit_matrix(f, theta, k, tol, max_iter, score_grid=grid).grid.w
+            return stat_sum - m * grid_mean(limit, grid)
         return score
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"exact ML for linear models needs n <= {BRUTE_FORCE_LIMIT}")
@@ -333,14 +331,7 @@ class UniformityTest:
     chebyshev_bound: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "mean": self.mean,
-            "variance": self.variance,
-            "z": self.z,
-            "p_normal": self.p_normal,
-            "chebyshev_bound": self.chebyshev_bound,
-        }
+        return asdict(self)
 
 
 def uniformity_test(tau: Permutation) -> UniformityTest:

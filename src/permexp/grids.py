@@ -1,11 +1,11 @@
-"""Discrete copula grids and score functions on the unit square.
+"""Discrete copula grids, score functions and the lattice they meet on.
 
 A grid of order k is a k x k float array of cell probabilities summing
 to 1, doubly stochastic at level k when every row and column carries
 mass 1/k; the functions here take that array as it is.  An IPFP result
 holds its grid as a :class:`CopulaGrid`: the kernel's own array, made
 read-only, and its order k.  Score functions are named, vectorized maps
-[0,1]^2 -> R.
+[0,1]^2 -> R, evaluated only at points of :func:`lattice`.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ __all__ = [
     "get_score",
     "kl_to_uniform",
     "grid_mean",
-    "grid_points",
+    "lattice",
+    "score_grid",
 ]
 
 
@@ -71,10 +72,17 @@ def get_score(name: str) -> ScoreFunction:
         ) from None
 
 
-def grid_points(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Meshgrid of the right-endpoint lattice (r/k, s/k), r,s = 1..k."""
-    t = np.arange(1, k + 1) / k
-    return np.meshgrid(t, t, indexing="ij")
+def lattice(k: int) -> np.ndarray:
+    """The right-endpoint lattice r/k, r = 1..k: cells (r/k, s/k), points (i/n, pi(i)/n)."""
+    return np.arange(1, k + 1) / k
+
+
+def score_grid(f, k: int) -> np.ndarray:
+    """Read-only float64 F[r-1, s-1] = f(r/k, s/k); f is called on k x k meshgrids."""
+    t = lattice(k)
+    grid = np.asarray(f(*np.meshgrid(t, t, indexing="ij")), dtype=np.float64)
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +107,6 @@ def kl_to_uniform(w: np.ndarray) -> float:
     return float(np.sum(w * log_w) + 2.0 * np.log(w.shape[0]))
 
 
-def grid_mean(w: np.ndarray, f) -> float:
-    """Mean of f under the cell array w: sum f(r/k, s/k) w[r,s]."""
-    x, y = grid_points(w.shape[0])
-    return float(np.sum(f(x, y) * w))
+def grid_mean(w: np.ndarray, score: np.ndarray) -> float:
+    """<F, w>: the mean of the score grid F = score_grid(f, k) under the cells w."""
+    return float(np.sum(score * w))

@@ -69,14 +69,11 @@ def load_permutation_csv(path: PathLike) -> Permutation:
     n = len(rows)
     idx = np.array([r[0] for r in rows])
     img = np.array([r[1] for r in rows])
-    values = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n + 1, dtype=bool)
-    for i, v in zip(idx, img):
-        if not 1 <= i <= n or seen[i]:
-            raise ValueError(f"{path}: index column is not a bijection of 1..{n}")
-        seen[i] = True
-        values[i - 1] = v
-    return Permutation(values)
+    # the index column sorts to 1..n exactly when it is a bijection of 1..n
+    order = idx.argsort()
+    if not np.array_equal(idx[order], np.arange(1, n + 1)):
+        raise ValueError(f"{path}: index column is not a bijection of 1..{n}")
+    return Permutation(img[order])
 
 
 def save_permutation_csv(pi: Permutation, path_or_stream) -> None:

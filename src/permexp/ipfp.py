@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CopulaGrid, ScoreFunction, grid_mean, grid_points, kl_to_uniform
+from . import grids
+from .grids import CopulaGrid, ScoreFunction, grid_mean, kl_to_uniform
 
 __all__ = [
     "IpfpResult",
@@ -181,44 +182,29 @@ def _sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
     return result
 
 
-def default_max_iter(k: int, theta: float) -> int:
-    """Heuristic sweep cap, generous enough for all tested regimes."""
-    return int(math.ceil(10 * k * (1.0 + abs(theta))))
-
-
 def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
                  max_iter: int | None = None,
                  score_grid: np.ndarray | None = None) -> IpfpResult:
     """IPFP limit of the kernel exp(theta * f(r/k, s/k)).
 
     log A = theta*F + row_log_scales[r] + col_log_scales[s] holds for
-    the returned result.  ``score_grid`` is F = f(*grid_points(k)) as
-    float64, for a caller that solves several theta on one grid and builds
-    F once; by default it is built here.
+    the returned result.  ``score_grid`` is F = grids.score_grid(f, k),
+    for a caller that also needs F or solves several theta on one grid
+    and builds it once; by default it is built here.  The default sweep
+    cap, ceil(10 k (1 + |theta|)), is generous for all tested regimes.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     if score_grid is None:
-        score_grid = np.asarray(f(*grid_points(k)), dtype=np.float64)
-    return _exp_limit(theta * score_grid, theta, tol, max_iter)
-
-
-def _exp_limit(expo: np.ndarray, theta: float, tol: float,
-               max_iter: int | None) -> IpfpResult:
-    """IPFP limit of exp(expo), where expo = theta * F on a k x k score grid F.
-
-    The entry :func:`limit_matrix` shares with the LD estimating equation,
-    which builds F once per fit instead of once per theta.  ``theta`` must
-    be finite; it only sizes the default sweep cap.
-    """
+        score_grid = grids.score_grid(f, k)
     if max_iter is None:
-        max_iter = default_max_iter(expo.shape[0], theta)
-    return _sinkhorn(expo, tol, max_iter)
+        max_iter = int(math.ceil(10 * k * (1.0 + abs(theta))))
+    return _sinkhorn(theta * score_grid, tol, max_iter)
 
 
-def variational_value(result: IpfpResult, f: ScoreFunction, theta: float) -> float:
-    """theta * <F, A> - D(A || uniform) for the scaled grid A."""
-    return theta * grid_mean(result.grid.w, f) - kl_to_uniform(result.grid.w)
+def variational_value(result: IpfpResult, score: np.ndarray, theta: float) -> float:
+    """theta * <F, A> - D(A || uniform) for the scaled grid A and score grid F."""
+    return theta * grid_mean(result.grid.w, score) - kl_to_uniform(result.grid.w)
 
 
 def recover_potentials(result: IpfpResult) -> PotentialGrid:
@@ -251,8 +237,9 @@ def w_k(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
     convergence residual (1e-8 at the default tolerance), so a larger
     gap indicates a broken invariant and raises.
     """
-    result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter)
-    value = variational_value(result, f, theta)
+    score = grids.score_grid(f, k)
+    result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter, score_grid=score)
+    value = variational_value(result, score, theta)
     pots = recover_potentials(result)
     check = -(pots.a_hat.mean() + pots.b_hat.mean())
     gap = abs(value - check)
@@ -269,5 +256,6 @@ def w_k(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
 def w_k_prime(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
               max_iter: int | None = None) -> float:
     """Derivative of w_k in theta: the grid mean of f under the limit matrix."""
-    result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter)
-    return grid_mean(result.grid.w, f)
+    score = grids.score_grid(f, k)
+    result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter, score_grid=score)
+    return grid_mean(result.grid.w, score)

@@ -123,6 +123,10 @@ def auxiliary_gibbs_sweep(state: ChainState, model: Model,
     b_j = max(pi(j) + (n^2/(theta j)) log V_j, 1) <= pi(j), so the
     sequential assignment of targets 1..n over the feasible index pools
     can never run dry; an empty pool signals a bug and raises.
+
+    The exponent (theta/n^2) j pi(j) is theta f(j/n, pi(j)/n) for f = xy
+    on the right-endpoint lattice of ``grids.lattice``; a change of that
+    lattice has to change this closed form with it.
     """
     if not supports_auxiliary(model):
         raise ValueError("auxiliary sweep requires the Linear xy model with theta > 0")

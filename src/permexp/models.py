@@ -18,7 +18,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .grids import ScoreFunction, grid_points
+from .grids import ScoreFunction, lattice, score_grid
 from .perm import Permutation, inversions, linear_statistic
 
 __all__ = [
@@ -87,9 +87,7 @@ class LinearModel:
     @functools.cached_property
     def score_table(self) -> np.ndarray:
         """Read-only n x n table of f(i/n, v/n), row i-1, column v-1."""
-        table = np.asarray(self.f(*grid_points(self.n)), dtype=np.float64)
-        table.setflags(write=False)
-        return table
+        return score_grid(self.f, self.n)
 
     def log_weight(self, pi: Permutation) -> float:
         return self.theta * linear_statistic(pi, self.f)
@@ -113,10 +111,11 @@ class LinearModel:
                 return -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
         else:
             f = self.f
+            t = memoryview(lattice(n))  # points read as Python floats
 
             def log_ratio(i: int, j: int) -> float:
-                xi, xj = (i + 1) / n, (j + 1) / n
-                ui, uj = cells[i] / n, cells[j] / n
+                xi, xj = t[i], t[j]
+                ui, uj = t[cells[i] - 1], t[cells[j] - 1]
                 a, b, c, d = f(np.array((xi, xj, xi, xj)),
                                np.array((ui, uj, uj, ui))).tolist()
                 return -theta * (a + b - c - d)
@@ -403,7 +402,11 @@ def kendall_limit_density(theta: float, k: int) -> np.ndarray:
     """Limit density of the Kendall model sampled at grid midpoints.
 
     Returns the k x k density values (approaching the constant 1 as
-    theta -> 0); divide by k^2 for cell probabilities.
+    theta -> 0); divide by k^2 for cell probabilities.  For theta > 0,
+    a = theta/2, s = |x+y-1|, d = |x-y|, it is a sinh(a) / (e^{-a/2} cosh(ad)
+    - e^{a/2} cosh(as))^2 scaled so that nothing overflows: 2a (1 - e^{-2a})
+    e^{-2as} / D^2 with D = 1 + e^{-2as} - e^{-a(1+s-d)} - e^{-a(1+s+d)},
+    summed as expm1 terms.  Negative theta reflects x -> 1-x, swapping s, d.
     """
     if k < 2:
         raise ValueError("grid order must be >= 2")
@@ -413,7 +416,11 @@ def kendall_limit_density(theta: float, k: int) -> np.ndarray:
         return np.ones((k, k))
     mid = (np.arange(k) + 0.5) / k
     x, y = np.meshgrid(mid, mid, indexing="ij")
-    num = (theta / 2.0) * np.sinh(theta / 2.0)
-    den = (np.exp(-theta / 4.0) * np.cosh(theta * (x - y) / 2.0)
-           - np.exp(theta / 4.0) * np.cosh(theta * (x + y - 1.0) / 2.0))
-    return num / den ** 2
+    s, d = np.abs(x + y - 1.0), np.abs(x - y)
+    if theta < 0:
+        s, d = d, s
+    a = abs(theta) / 2.0
+    den = (np.expm1(-2.0 * a * s) - np.expm1(-a * (1.0 + s - d))
+           - np.expm1(-a * (1.0 + s + d)))
+    # one exp of the numerator's log: no rounding through a subnormal
+    return np.exp(math.log(2.0 * a * -math.expm1(-2.0 * a)) - 2.0 * a * s) / den ** 2

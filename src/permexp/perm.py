@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import lattice
+
 __all__ = [
     "Permutation",
     "BinMatrix",
@@ -92,11 +94,8 @@ class Permutation:
 
     def empirical_points(self) -> np.ndarray:
         """The n points (i/n, pi(i)/n), one per vertical and horizontal band."""
-        n = self.n
-        pts = np.empty((n, 2))
-        pts[:, 0] = np.arange(1, n + 1) / n
-        pts[:, 1] = self.values / n
-        return pts
+        t = lattice(self.n)
+        return np.column_stack((t, t[self.values - 1]))
 
     def as_tuple(self) -> tuple:
         return tuple(int(v) for v in self.values)
@@ -138,9 +137,8 @@ def inversions(pi: Permutation) -> int:
 
 def linear_statistic(pi: Permutation, f) -> float:
     """Sum of f(i/n, pi(i)/n) over i = 1..n for a vectorized score f."""
-    n = pi.n
-    x = np.arange(1, n + 1) / n
-    return float(np.sum(f(x, pi.values / n)))
+    t = lattice(pi.n)
+    return float(np.sum(f(t, t[pi.values - 1])))
 
 
 def spearman_r(pi: Permutation, sigma: Permutation) -> float:

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import expit
 
 from permexp.estimators import multi_estimate, threshold_test, uniformity_test
-from permexp.grids import get_score, grid_points, kl_to_uniform
+from permexp.grids import get_score, kl_to_uniform, score_grid
 from permexp.io import load_lottery_csv
 from permexp.ipfp import ipfp_scale, limit_matrix, recover_potentials, variational_value, w_k
 from permexp.mcmc import ChainState, auxiliary_gibbs_sweep, make_rng, sample
@@ -95,13 +95,12 @@ def test_04_ipfp_correctness():
     res = limit_matrix(f, theta, k, tol=1e-12)
     assert res.converged and res.residual <= 1e-12
 
-    x, y = grid_points(k)
-    logres = np.log(res.grid.w) - theta * np.asarray(f(x, y))
+    logres = np.log(res.grid.w) - theta * score_grid(f, k)
     logres -= res.row_log_scales[:, None] + res.col_log_scales[None, :]
     assert np.abs(logres).max() <= 1e-8
 
     pots = recover_potentials(res)
-    value = variational_value(res, f, theta)
+    value = variational_value(res, score_grid(f, k), theta)
     assert abs(value - (-(pots.a_hat.mean() + pots.b_hat.mean()))) <= 1e-8
     assert abs(w_k(f, theta, k) - value) <= 1e-12
 

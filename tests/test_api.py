@@ -70,16 +70,21 @@ def test_traced_cli_reads_ipfp_results(tmp_path, lottery, capsys):
                               "--steps", "2", "--k", "10", "--iters", "1"]),
             permexp.cli.main(["density", "--theta", "2", "--k", "10",
                               "--out", str(tmp_path / "d.csv")]),
-            permexp.cli.main(["fit", "--method", "ld", "--k", "20", "--data", str(data)]),
         ]
+        limit_out = capsys.readouterr().out
+        calls_before_fit = tracer.counters["ipfp.kernel_calls"]
+        codes.append(permexp.cli.main(["fit", "--method", "ld", "--k", "20",
+                                       "--data", str(data)]))
     finally:
         tracer.uninstall()
-    out = capsys.readouterr().out
+    fit = json.loads(capsys.readouterr().out)
     assert codes == [0, 0, 0]
-    assert out.count(",maxiter") == 1 and out.count(",ok") == 1
+    assert limit_out.count(",maxiter") == 1 and limit_out.count(",ok") == 1
     c = tracer.counters
     assert c["ipfp.kernel_calls"] > 0 and c["ipfp.sweeps"] > 0
     assert c["estimators.fits"] == 1
+    # every LD evaluation is one IPFP run through limit_matrix
+    assert c["ipfp.kernel_calls"] - calls_before_fit == fit["evaluations"]
     after = _public_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from permexp.grids import get_score, grid_mean, kl_to_uniform
+from permexp.estimators import pairwise_swap_scores
+from permexp.grids import (
+    SCORE_FUNCTIONS,
+    get_score,
+    grid_mean,
+    kl_to_uniform,
+    lattice,
+    score_grid,
+)
+from permexp.perm import Permutation, linear_statistic
 
 
 class TestKlToUniform:
@@ -39,17 +48,18 @@ class TestKlToUniform:
 
 class TestGridMean:
     def test_zero_function(self):
-        assert grid_mean(np.full((4, 4), 1 / 16), lambda x, y: np.zeros_like(x)) == 0.0
+        assert grid_mean(np.full((4, 4), 1 / 16),
+                         score_grid(lambda x, y: np.zeros_like(x), 4)) == 0.0
 
     def test_identity_grid_xy_closed_form(self):
         for k in (3, 10, 25):
-            assert grid_mean(np.eye(k) / k, get_score("xy")) == pytest.approx(
+            assert grid_mean(np.eye(k) / k, score_grid(get_score("xy"), k)) == pytest.approx(
                 (k + 1) * (2 * k + 1) / (6 * k * k)
             )
 
     def test_centered_on_uniform_vanishes_with_k(self):
         f = get_score("centered")
-        vals = [grid_mean(np.full((k, k), 1 / k**2), f) for k in (10, 100, 1000)]
+        vals = [grid_mean(np.full((k, k), 1 / k**2), score_grid(f, k)) for k in (10, 100, 1000)]
         for k, v in zip((10, 100, 1000), vals):
             assert v == pytest.approx(1.0 / (4 * k * k), rel=1e-9)
         assert abs(vals[-1]) < 1e-6
@@ -59,13 +69,13 @@ class TestGridMean:
         k = 5
         w1 = rng.dirichlet(np.ones(k * k)).reshape(k, k)
         w2 = rng.dirichlet(np.ones(k * k)).reshape(k, k)
-        f = get_score("xy")
-        g = get_score("footrule")
+        f = score_grid(get_score("xy"), k)
+        g = score_grid(get_score("footrule"), k)
         lam = 0.3
         lhs = grid_mean(lam * w1 + (1 - lam) * w2, f)
         rhs = lam * grid_mean(w1, f) + (1 - lam) * grid_mean(w2, f)
         assert lhs == pytest.approx(rhs)
-        both = lambda x, y: f(x, y) + 2.0 * g(x, y)
+        both = f + 2.0 * g
         assert grid_mean(w1, both) == pytest.approx(
             grid_mean(w1, f) + 2.0 * grid_mean(w1, g)
         )
@@ -83,3 +93,35 @@ class TestScoreFunction:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             get_score("hamming")
+
+
+class TestOneLattice:
+    """The score grid, the statistic and the pair scores read one lattice."""
+
+    @pytest.mark.parametrize("k", [1, 7, 1100])
+    def test_lattice_points(self, k):
+        assert lattice(k).tolist() == [r / k for r in range(1, k + 1)]
+
+    def test_score_grid_is_f_on_the_lattice_and_read_only(self):
+        f = get_score("footrule")
+        grid = score_grid(f, 9)
+        t = lattice(9)
+        assert grid.dtype == np.float64 and not grid.flags.writeable
+        assert np.array_equal(grid, f(t[:, None], t[None, :]))
+
+    @pytest.mark.parametrize("name", sorted(SCORE_FUNCTIONS))
+    @pytest.mark.parametrize("n", [5, 257, 1100])
+    def test_statistic_and_pair_scores_read_the_score_grid(self, n, name):
+        # bit for bit, so that the points of a permutation cannot move
+        # without the cells of the score grid
+        f = get_score(name)
+        pi = Permutation(np.random.default_rng(n).permutation(n) + 1)
+        table = score_grid(f, n)
+        cols = pi.values - 1
+        assert linear_statistic(pi, f) == np.sum(table[np.arange(n), cols])
+        i, j = np.triu_indices(n, 1)
+        want = table[i, cols[i]] + table[j, cols[j]] - table[i, cols[j]] - table[j, cols[i]]
+        assert np.array_equal(pairwise_swap_scores(pi, f), want)
+        pts = pi.empirical_points()
+        assert np.array_equal(pts[:, 0], lattice(n))
+        assert np.array_equal(pts[:, 1], lattice(n)[cols])

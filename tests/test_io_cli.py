@@ -7,7 +7,7 @@ import pytest
 
 from permexp.cli import main
 from permexp.estimators import multi_estimate
-from permexp.grids import get_score, grid_mean
+from permexp.grids import get_score, grid_mean, score_grid
 from permexp.io import (
     format_json_report,
     load_lottery_csv,
@@ -53,6 +53,14 @@ class TestPermutationCsv:
         path = tmp_path / "p.csv"
         path.write_text("i,pi\n1,1\n1,2\n")
         with pytest.raises(ValueError):
+            load_permutation_csv(path)
+
+    @pytest.mark.parametrize("rows", ["0,1\n1,2\n", "1,1\n3,2\n"],
+                             ids=["index-0", "index-n+1"])
+    def test_index_outside_range_rejected(self, tmp_path, rows):
+        path = tmp_path / "p.csv"
+        path.write_text("i,pi\n" + rows)
+        with pytest.raises(ValueError, match="index column is not a bijection of 1..2"):
             load_permutation_csv(path)
 
 
@@ -459,8 +467,9 @@ class TestCliLogz:
                 res = limit_matrix(score, theta, 30, max_iter=iters)
             except IpfpNonConvergence as err:
                 res, status = err.result, "maxiter"
-            want.append(f"{theta:.10g},{variational_value(res, score, theta):.10g},"
-                        f"{grid_mean(res.grid.w, score):.10g},{status}")
+            want.append(f"{theta:.10g},"
+                        f"{variational_value(res, score_grid(score, 30), theta):.10g},"
+                        f"{grid_mean(res.grid.w, score_grid(score, 30)):.10g},{status}")
         assert out.read_text().splitlines() == want
         statuses = [row.rsplit(",", 1)[1] for row in want[1:]]
         assert statuses == (["maxiter"] * 2 + ["ok"] + ["maxiter"] * 2 if iters else ["ok"] * 5)

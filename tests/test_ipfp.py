@@ -9,8 +9,8 @@ from scipy.special import logsumexp
 from permexp.grids import (
     ScoreFunction,
     get_score,
-    grid_points,
     kl_to_uniform,
+    score_grid,
 )
 from permexp.ipfp import (
     IpfpNonConvergence,
@@ -98,8 +98,7 @@ class TestLimitMatrix:
         f = get_score("centered")
         for theta in (-7.0, 3.0, 45.0):
             res = limit_matrix(f, theta, 40)
-            x, y = grid_points(40)
-            logres = np.log(res.grid.w) - theta * np.asarray(f(x, y))
+            logres = np.log(res.grid.w) - theta * score_grid(f, 40)
             logres -= res.row_log_scales[:, None]
             logres -= res.col_log_scales[None, :]
             assert np.abs(logres).max() <= 1e-8
@@ -108,8 +107,7 @@ class TestLimitMatrix:
         # oracle: textbook log-domain Sinkhorn, run for the same sweeps
         f = get_score("xy")
         k, theta = 25, 8.0
-        x, y = grid_points(k)
-        log_b0 = theta * np.asarray(f(x, y))
+        log_b0 = theta * score_grid(f, k)
         res = ipfp_scale(np.exp(log_b0))
         log_a = log_b0.copy()
         for _ in range(res.iterations):
@@ -142,8 +140,7 @@ class TestLimitMatrix:
         assert np.all(np.isfinite(res.grid.w))
         assert np.all(np.isfinite(res.row_log_scales))
         assert np.all(np.isfinite(res.col_log_scales))
-        x, y = grid_points(k)
-        logres = (theta * np.asarray(f(x, y)) + res.row_log_scales[:, None]
+        logres = (theta * score_grid(f, k) + res.row_log_scales[:, None]
                   + res.col_log_scales[None, :])
         normal = res.grid.w >= np.finfo(np.float64).tiny
         assert np.abs(np.log(res.grid.w[normal]) - logres[normal]).max() <= 1e-8
@@ -197,7 +194,7 @@ class TestPotentials:
         res = limit_matrix(f, theta, k)
         pots = recover_potentials(res)
         assert pots.a_hat.sum() == pytest.approx(pots.b_hat.sum(), abs=1e-9)
-        value = variational_value(res, f, theta)
+        value = variational_value(res, score_grid(f, k), theta)
         assert -(pots.a_hat.mean() + pots.b_hat.mean()) == pytest.approx(value, abs=1e-8)
 
     def test_marginal_condition(self):
@@ -206,8 +203,7 @@ class TestPotentials:
         theta, k = 5.0, 40
         res = limit_matrix(f, theta, k)
         pots = recover_potentials(res)
-        x, y = grid_points(k)
-        dens = np.exp(theta * np.asarray(f(x, y))
+        dens = np.exp(theta * score_grid(f, k)
                       + pots.a_hat[:, None] + pots.b_hat[None, :])
         assert np.abs(dens.mean(axis=1) - 1.0).max() <= 1e-9 * k
         assert np.abs(dens.mean(axis=0) - 1.0).max() <= 1e-9 * k
@@ -299,8 +295,7 @@ class TestKlOptimality:
         # - 2 log k, solved here independently of IPFP.
         f = get_score("xy")
         theta = 3.0
-        x, y = grid_points(k)
-        tf = theta * np.asarray(f(x, y)) - 1.0
+        tf = theta * score_grid(f, k) - 1.0
 
         def dual(z):
             a, b = z[:k], z[k:]

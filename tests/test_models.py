@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import warnings
 
 import mpmath
 import numpy as np
@@ -228,6 +229,40 @@ class TestKendallLimitDensity:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             kendall_limit_density(1.0, 1)
+
+    @staticmethod
+    def _mpmath_density(theta, k):
+        """a sinh(a) / (e^{-a/2} cosh(a(x-y)) - e^{a/2} cosh(a(x+y-1)))^2,
+        a = theta/2, at 60 digits on the double midpoints."""
+        mid = (np.arange(k) + 0.5) / k
+        out = np.empty((k, k))
+        with mpmath.workdps(60):
+            a = mpmath.mpf(theta) / 2
+            num = a * mpmath.sinh(a)
+            for r, c in itertools.product(range(k), repeat=2):
+                x, y = mpmath.mpf(mid[r]), mpmath.mpf(mid[c])
+                den = (mpmath.exp(-a / 2) * mpmath.cosh(a * (x - y))
+                       - mpmath.exp(a / 2) * mpmath.cosh(a * (x + y - 1)))
+                out[r, c] = float(num / den ** 2)
+        return out
+
+    @pytest.mark.parametrize("theta", [sign * mag for sign in (1.0, -1.0) for mag in
+                                       (1e-6, 1e-3, 1e-2, 0.1, 1.0, 2.0, 10.0, 100.0,
+                                        800.0, 1500.0, 5000.0, 1e4)])
+    def test_matches_mpmath(self, theta):
+        # every cell whose value is at or above the double range is within
+        # 1e-12 relative of the 60-digit closed form; the rest underflow
+        k = 12
+        want = self._mpmath_density(theta, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kendall_limit_density(theta, k)
+        tiny = np.finfo(np.float64).tiny
+        normal = want >= tiny
+        assert normal.any()
+        rtol = 1e-9 if abs(theta) < 1e-3 else 1e-12
+        assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= rtol
+        assert np.all(got[~normal] < 2 * tiny)
 
 
 class TestGridDiscordance:
