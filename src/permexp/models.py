@@ -41,10 +41,12 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 9
 
 
-# Largest n whose swap log-ratios read four cells of the n x n score table;
-# above it each ratio calls f once on the four points as one array.  The
-# table is n^2 floats, 8 MB at 1024; at n=2000 it would add 32 MB, about 28%
-# of the sample benchmark's peak RSS.
+# Largest n whose swap log-ratios read four cells of the n x n score table.
+# Above it a chain keeps f(x_i, u_pi(i)) per position and evaluates the
+# cross terms of a whole chunk of proposals with one call of f (see
+# _chunk_ratios); a lone ratio calls f once on the four points.  The table
+# is n^2 floats, 8 MB at 1024; at n=2000 it would add 32 MB, about 28% of
+# the sample benchmark's peak RSS.
 SCORE_TABLE_MAX_N = 1024
 
 # Largest n whose Kendall chains read their log-ratios from an (n+1) x
@@ -121,6 +123,47 @@ class LinearModel:
                 return -theta * (a + b - c - d)
 
         return log_ratio, _cell_swapper(cells)
+
+
+def _chunk_ratios(model: Model, values: np.ndarray) -> Callable[..., np.ndarray] | None:
+    """Chunked swap log-ratios for a linear chain above SCORE_TABLE_MAX_N, else None.
+
+    ``ratios(pairs, moved)`` takes a 2 x m array of position pairs, rows i
+    and j, and the positions ``moved`` whose entries changed since its
+    last call.  It returns, for each pair, the value that ``log_ratio`` of
+    ``swap_evaluator`` gives on ``values`` as they are now, bit for bit:
+    the same four values of f, combined in the same order.  It keeps
+    f(x_i, u_pi(i)) for every position and re-reads it only at ``moved``;
+    the two cross terms of all m pairs come from one call of f.  A pair
+    whose entries change after the call needs ``log_ratio`` itself.
+    """
+    n = model.n
+    if not isinstance(model, LinearModel) or n <= SCORE_TABLE_MAX_N:
+        return None
+    f = model.f
+    theta = model.theta
+    t = lattice(n)
+
+    def terms(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # float64 as in log_ratio, which combines f's values as Python floats
+        return np.asarray(f(x, u), dtype=np.float64)
+
+    diag = terms(t, t[values - 1])
+
+    def ratios(pairs: np.ndarray, moved: list[int]) -> np.ndarray:
+        if moved:
+            rows = np.array(moved)
+            diag[rows] = terms(t[rows], t[values[rows] - 1])
+        # rows f(x_i, u_pi(j)) and f(x_j, u_pi(i))
+        cross = terms(t[pairs], t[values[pairs] - 1][::-1])
+        own = diag[pairs]
+        out = own[0] + own[1]
+        out -= cross[0]
+        out -= cross[1]
+        out *= -theta
+        return out
+
+    return ratios
 
 
 @dataclass(frozen=True)

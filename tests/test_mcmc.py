@@ -195,6 +195,18 @@ class TestAuxiliarySweep:
         assert np.array_equal(np.sort(state.values), np.arange(1, 10_001))
         assert state.sweeps == 10
 
+    def test_empty_pool_raises_and_keeps_the_state(self):
+        # only a state that is no bijection can empty a pool: every floor
+        # sits at n, so no position is feasible for target 1
+        model = LinearModel(get_score("xy"), 1e6, 5)
+        rng = make_rng(4)
+        state = ChainState.uniform_start(5, rng)
+        state.values[:] = 5
+        with pytest.raises(RuntimeError, match="feasible pool emptied"):
+            auxiliary_gibbs_sweep(state, model, rng)
+        assert state.values.tolist() == [5] * 5
+        assert state.sweeps == 0
+
     def test_tiny_theta_acts_like_reshuffle(self):
         # theta -> 0+: the feasibility floors collapse to 1, draws are uniform
         model = LinearModel(get_score("xy"), 1e-9, 6)
