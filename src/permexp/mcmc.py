@@ -50,7 +50,7 @@ from itertools import islice
 
 import numpy as np
 
-from .models import LinearModel, Model, _chunk_ratios
+from .models import ChunkRatios, LinearModel, Model, _chunk_ratios
 from .perm import Permutation
 
 __all__ = [
@@ -75,10 +75,6 @@ _BLOCK = 1 << 15
 # where most pairs go stale, and 128 is fastest at n = 2000-3000; all run
 # 3-6x the per-pair loop.
 _CHUNK = 128
-# Shortest run that takes chunked ratios: their set-up, the cache of n
-# values of f, costs 40-90 us, as much as 8-16 per-pair steps at
-# n = 1025-3000 and about 20 at n = 10^4.
-_CHUNKED_MIN_STEPS = 16
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -257,8 +253,7 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         state.steps += total
         return [state.permutation() for _ in range(n_samples)]
     log_ratio, swap = model.swap_evaluator(values)
-    ratios = _chunk_ratios(model, values) if total >= _CHUNKED_MIN_STEPS else None
-    moved: list[int] = []  # positions a chunked chain moved since its last ratios call
+    chunked = _chunk_ratios(model, values)
     draws: list[Permutation] = []
     accepted = 0
     record = burn + thin if n_samples > 0 else total + 1
@@ -271,7 +266,7 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         jj += jj >= ii  # J uniform over the positions other than I
         with np.errstate(divide="ignore"):
             logits = np.log(uu) - np.log1p(-uu)
-        if ratios is None:
+        if chunked is None:
             # memoryviews yield Python ints and floats one at a time: no
             # numpy scalars in the loop and no block-sized lists in memory
             steps = zip(memoryview(ii), memoryview(jj), memoryview(logits))
@@ -281,15 +276,14 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         lo = 0
         while lo < m:
             hi = min(m, record - done)
-            if ratios is None:
+            if chunked is None:
                 for i, j, logit in islice(steps, hi - lo):
                     if logit < log_ratio(i, j):
                         swap(i, j)
                         accepted += 1
             else:
-                swaps, moved = _chunked_steps(ratios, log_ratio, swap, pairs[:, lo:hi],
-                                              logits[lo:hi], moved)
-                accepted += swaps
+                accepted += _chunked_steps(chunked, log_ratio, swap, pairs[:, lo:hi],
+                                           logits[lo:hi])
             lo = hi
             if done + hi == record:
                 draws.append(state.permutation())
@@ -303,20 +297,21 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
     return draws
 
 
-def _chunked_steps(ratios, log_ratio, swap, pairs: np.ndarray, logits: np.ndarray,
-                   moved: list[int]) -> tuple[int, list[int]]:
+def _chunked_steps(chunked: ChunkRatios, log_ratio, swap, pairs: np.ndarray,
+                   logits: np.ndarray) -> int:
     """Run the proposals (rows i and j of ``pairs``) in order, ``_CHUNK`` at a time.
 
-    ``ratios`` (see ``models._chunk_ratios``) gives a chunk's log-ratios
-    against the state at the chunk's start, once told the positions
-    ``moved`` since its last call; a pair with a position that an
-    accepted swap moved earlier in the chunk asks ``log_ratio``.  Returns
-    the swaps accepted and the positions the last chunk moved.
+    ``chunked`` is ``(ratios, refresh)`` from ``models._chunk_ratios``:
+    ``ratios`` gives a chunk's log-ratios against the state at the chunk's
+    start, and ``refresh`` is told the positions each chunk moved.  A pair
+    with a position that an accepted swap moved earlier in the chunk asks
+    ``log_ratio``.  Returns the swaps accepted.
     """
+    ratios, refresh = chunked
     accepted = 0
     for lo in range(0, logits.size, _CHUNK):
         chunk = pairs[:, lo:lo + _CHUNK]
-        ratio_of = memoryview(ratios(chunk, moved))
+        ratio_of = memoryview(ratios(chunk))
         touched: set[int] = set()
         for i, j, logit, ratio in zip(memoryview(chunk[0]), memoryview(chunk[1]),
                                       memoryview(logits[lo:lo + _CHUNK]), ratio_of):
@@ -327,5 +322,6 @@ def _chunked_steps(ratios, log_ratio, swap, pairs: np.ndarray, logits: np.ndarra
                 accepted += 1
                 touched.add(i)
                 touched.add(j)
-        moved = list(touched)
-    return accepted, moved
+        if touched:
+            refresh(list(touched))
+    return accepted

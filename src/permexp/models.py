@@ -66,6 +66,8 @@ INVERSION_TABLE_MAX_N = 256
 
 # log_ratio(i, j) and swap(i, j) over one chain's state; see swap_evaluator.
 SwapEvaluator = tuple[Callable[[int, int], float], Callable[[int, int], None]]
+# ratios(pairs) and refresh(positions) of a wide linear chain; see _chunk_ratios.
+ChunkRatios = tuple[Callable[[np.ndarray], np.ndarray], Callable[[list[int]], None]]
 
 
 def _check_parameters(theta: float, n: int) -> None:
@@ -125,17 +127,18 @@ class LinearModel:
         return log_ratio, _cell_swapper(cells)
 
 
-def _chunk_ratios(model: Model, values: np.ndarray) -> Callable[..., np.ndarray] | None:
+def _chunk_ratios(model: Model, values: np.ndarray) -> ChunkRatios | None:
     """Chunked swap log-ratios for a linear chain above SCORE_TABLE_MAX_N, else None.
 
-    ``ratios(pairs, moved)`` takes a 2 x m array of position pairs, rows i
-    and j, and the positions ``moved`` whose entries changed since its
-    last call.  It returns, for each pair, the value that ``log_ratio`` of
-    ``swap_evaluator`` gives on ``values`` as they are now, bit for bit:
-    the same four values of f, combined in the same order.  It keeps
-    f(x_i, u_pi(i)) for every position and re-reads it only at ``moved``;
-    the two cross terms of all m pairs come from one call of f.  A pair
-    whose entries change after the call needs ``log_ratio`` itself.
+    Returns ``(ratios, refresh)``.  ``ratios(pairs)`` takes a 2 x m array
+    of position pairs, rows i and j, and returns, for each pair, the value
+    that ``log_ratio`` of ``swap_evaluator`` gives on ``values`` as they
+    are now, bit for bit: the same four values of f, combined in the same
+    order.  It keeps f(x_i, u_pi(i)) for every position; the two cross
+    terms of all m pairs come from one call of f.  After entries change,
+    ``refresh(positions)`` must re-read the kept values at those
+    positions before the next ``ratios`` call, and a pair whose entries
+    change after a ``ratios`` call needs ``log_ratio`` itself.
     """
     n = model.n
     if not isinstance(model, LinearModel) or n <= SCORE_TABLE_MAX_N:
@@ -148,12 +151,15 @@ def _chunk_ratios(model: Model, values: np.ndarray) -> Callable[..., np.ndarray]
         # float64 as in log_ratio, which combines f's values as Python floats
         return np.asarray(f(x, u), dtype=np.float64)
 
-    diag = terms(t, t[values - 1])
+    # a buffer of its own: refresh writes into it, and f may return a
+    # read-only array or one it shares
+    diag = np.array(f(t, t[values - 1]), dtype=np.float64)
 
-    def ratios(pairs: np.ndarray, moved: list[int]) -> np.ndarray:
-        if moved:
-            rows = np.array(moved)
-            diag[rows] = terms(t[rows], t[values[rows] - 1])
+    def refresh(positions: list[int]) -> None:
+        rows = np.array(positions)
+        diag[rows] = terms(t[rows], t[values[rows] - 1])
+
+    def ratios(pairs: np.ndarray) -> np.ndarray:
         # rows f(x_i, u_pi(j)) and f(x_j, u_pi(i))
         cross = terms(t[pairs], t[values[pairs] - 1][::-1])
         own = diag[pairs]
@@ -163,7 +169,7 @@ def _chunk_ratios(model: Model, values: np.ndarray) -> Callable[..., np.ndarray]
         out *= -theta
         return out
 
-    return ratios
+    return ratios, refresh
 
 
 @dataclass(frozen=True)

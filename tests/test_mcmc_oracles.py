@@ -132,6 +132,22 @@ class TestWideSwapOracle:
         model = LinearModel(f, theta, n)
         _assert_same(model, n, 3, 700, 600)
 
+    def test_score_arrays_left_alone(self):
+        """f's arrays may be read-only or shared: the chain only reads them."""
+        returned = []
+
+        def read_only_xy(x, y):
+            out = x * y
+            out.flags.writeable = False
+            returned.append((out, out.copy()))
+            return out
+
+        model = LinearModel(ScoreFunction("read-only-xy", read_only_xy), 3.0, 1025)
+        _assert_same(model, 43, 3, 700, 600)
+        assert all(np.array_equal(out, copy) for out, copy in returned)
+        constant = ScoreFunction("constant", lambda x, y: np.broadcast_to(0.5, np.broadcast(x, y).shape))
+        _assert_same(LinearModel(constant, 3.0, 1025), 44, 3, 700, 600)
+
 
 # the per-pair table path, a Kendall chain and the chunked path
 BOOKKEEPING_MODELS = [LinearModel(get_score("xy"), 2.0, 5), KendallModel(-1.0, 7),
