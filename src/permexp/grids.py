@@ -48,7 +48,8 @@ def _centered(x, y):
 
 
 def _footrule(x, y):
-    return -np.abs(x - y)
+    # the operators, unlike np.abs, reuse the x - y array in place
+    return -abs(x - y)
 
 
 def _sq(x, y):
@@ -78,9 +79,15 @@ def lattice(k: int) -> np.ndarray:
 
 
 def score_grid(f, k: int) -> np.ndarray:
-    """Read-only float64 F[r-1, s-1] = f(r/k, s/k); f is called on k x k meshgrids."""
+    """Read-only float64 F[r-1, s-1] = f(r/k, s/k).
+
+    f is called once, on two k x k read-only broadcast views of the
+    lattice (x[r, s] = r/k and its transpose), so F is the only k x k
+    array built here besides f's own temporaries.
+    """
     t = lattice(k)
-    grid = np.asarray(f(*np.meshgrid(t, t, indexing="ij")), dtype=np.float64)
+    x = np.broadcast_to(t[:, None], (t.size, t.size))
+    grid = np.asarray(f(x, x.T), dtype=np.float64)
     grid.setflags(write=False)
     return grid
 
@@ -102,11 +109,15 @@ def kl_to_uniform(w: np.ndarray) -> float:
     sum w log w + 2 log k with the 0 log 0 = 0 convention; nonnegative,
     and zero exactly at the uniform grid.
     """
-    log_w = np.zeros_like(w)
-    np.log(w, out=log_w, where=w > 0)
-    return float(np.sum(w * log_w) + 2.0 * np.log(w.shape[0]))
+    w_log_w = np.zeros_like(w)
+    np.log(w, out=w_log_w, where=w > 0)
+    w_log_w *= w
+    return float(np.sum(w_log_w) + 2.0 * np.log(w.shape[0]))
 
 
 def grid_mean(w: np.ndarray, score: np.ndarray) -> float:
-    """<F, w>: the mean of the score grid F = score_grid(f, k) under the cells w."""
-    return float(np.sum(score * w))
+    """<F, w>: the mean of the score grid F = score_grid(f, k) under the cells w.
+
+    One pass over both arrays, with no k x k product array.
+    """
+    return float(np.einsum("ij,ij->", score, w))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,36 +40,67 @@ PathLike = Union[str, Path]
 LOTTERY_SIZE = 366
 
 
-def _read_rows(path: PathLike, expected_header: list[str]) -> list[list[int]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+# One field of a data line: an optionally signed decimal integer, with
+# spaces or tabs around it.  A line of spaces, tabs and commas alone is blank.
+_FIELD = r"[ \t]*[+-]?[0-9]+[ \t]*"
+_BLANK = r"[ \t,]*"
+
+
+@functools.cache
+def _body_pattern(width: int) -> re.Pattern:
+    """Every line after the header blank or ``width`` comma-separated fields."""
+    line = rf"(?:{_FIELD}(?:,{_FIELD}){{{width - 1}}}|{_BLANK})"
+    return re.compile(rf"(?:{line}\n)*{line}")
+
+
+def _row_error(path: PathLike, body: str, width: int) -> ValueError:
+    """The error of the first line after the header that is not a valid row."""
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if re.fullmatch(_BLANK, line):
+            continue
+        row = line.split(",")
+        if not all(re.fullmatch(_FIELD, c) for c in row):
+            return ValueError(f"{path}:{lineno}: non-integer field in {row!r}")
+        if len(row) != width:
+            return ValueError(f"{path}:{lineno}: expected {width} fields")
+        if not all(-2**63 <= int(c) < 2**63 for c in row):
+            return ValueError(f"{path}:{lineno}: integer beyond int64 in {row!r}")
+    raise AssertionError(f"{path}: no invalid row found")
+
+
+def _read_rows(path: PathLike, expected_header: list[str]) -> np.ndarray:
+    """The rows after the header as an int64 array of shape (rows, fields).
+
+    The file is read in universal-newline mode, so CRLF lines are read
+    as LF lines.  Blank lines are skipped.  The body is checked by one
+    regular expression and converted by one ``np.array`` call; the lines
+    are walked one by one only to word an error.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    if not text:
+        raise ValueError(f"{path}: empty file")
+    first, _, body = text.partition("\n")
+    header = next(csv.reader([first]))
+    if [h.strip() for h in header] != expected_header:
+        raise ValueError(
+            f"{path}: expected header {','.join(expected_header)!r}, got {header!r}"
+        )
+    width = len(expected_header)
+    if _body_pattern(width).fullmatch(body):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {header!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                rows.append([int(c) for c in row])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer field in {row!r}") from None
-            if len(rows[-1]) != len(expected_header):
-                raise ValueError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-    return rows
+            values = np.array(body.replace(",", " ").split(), dtype=np.int64)
+            return values.reshape(-1, width)
+        except OverflowError:
+            pass
+    raise _row_error(path, body, width)
 
 
 def load_permutation_csv(path: PathLike) -> Permutation:
     """Read an ``i,pi`` file; validates that both columns are bijections."""
     rows = _read_rows(path, ["i", "pi"])
     n = len(rows)
-    idx = np.array([r[0] for r in rows])
-    img = np.array([r[1] for r in rows])
+    idx, img = rows.T
     # the index column sorts to 1..n exactly when it is a bijection of 1..n
     order = idx.argsort()
     if not np.array_equal(idx[order], np.arange(1, n + 1)):
@@ -115,8 +147,7 @@ def load_lottery_csv(path: PathLike) -> LotteryData:
     rows = _read_rows(path, ["day_of_year", "draw_order"])
     if len(rows) != LOTTERY_SIZE:
         raise ValueError(f"{path}: expected {LOTTERY_SIZE} rows, got {len(rows)}")
-    days = np.array([r[0] for r in rows], dtype=np.int64)
-    order = np.array([r[1] for r in rows], dtype=np.int64)
+    days, order = rows.T
     # Permutation() validates bijectivity of each column
     Permutation(days)
     Permutation(order)

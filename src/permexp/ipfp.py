@@ -44,10 +44,11 @@ __all__ = [
 class IpfpResult:
     """Outcome of an IPFP run.
 
-    The grid is computed as ``A = exp(log B0 + row_log_scales[r] +
-    col_log_scales[s])``, so that identity holds up to rounding for every
-    cell in float range; ``residual`` is the final max deviation of any
-    row/column sum from 1/k.
+    The grid is computed as ``A = exp(theta * F + row_log_scales[r] +
+    col_log_scales[s])``, theta * F being the log kernel (log b0, with
+    theta = 1, for :func:`ipfp_scale`), so that identity holds up to
+    rounding for every cell in float range; ``residual`` is the final
+    max deviation of any row/column sum from 1/k.
     """
 
     grid: CopulaGrid
@@ -91,14 +92,14 @@ def ipfp_scale(b0: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> Ip
 
     Raises ValueError on nonpositive entries and IpfpNonConvergence
     (carrying the partial result) when ``max_iter`` sweeps are not
-    enough.
+    enough.  The kernel runs on log b0 times 1.0, which is log b0 exactly.
     """
     b0 = np.asarray(b0, dtype=np.float64)
     if b0.ndim != 2 or b0.shape[0] != b0.shape[1]:
         raise ValueError("kernel must be a square matrix")
     if not np.all(np.isfinite(b0)) or np.any(b0 <= 0):
         raise ValueError("kernel entries must be strictly positive and finite")
-    return _sinkhorn(np.log(b0), tol, max_iter)
+    return _sinkhorn(np.log(b0), 1.0, tol, max_iter)
 
 
 # A half-sweep whose marginal sums leave [e^-200, e^200] (0 included)
@@ -110,12 +111,13 @@ def _in_range(sums: np.ndarray) -> bool:
     return _SUM_LO <= sums.min() and sums.max() <= _SUM_HI
 
 
-def _log_normalize(kern, log_b0, other, axis):
-    """Give each line along ``axis`` of exp(log_b0 + other + new) mass 1/k.
+def _log_normalize(kern, score, theta, other, axis):
+    """Give each line along ``axis`` of exp(theta * score + other + new) mass 1/k.
 
     Writes that kernel into ``kern`` and returns the log potential ``new``.
     """
-    np.add(log_b0, np.expand_dims(other, 1 - axis), out=kern)
+    np.multiply(score, theta, out=kern)
+    kern += np.expand_dims(other, 1 - axis)
     top = kern.max(axis=axis, keepdims=True)
     kern -= top
     np.exp(kern, out=kern)
@@ -124,14 +126,16 @@ def _log_normalize(kern, log_b0, other, axis):
     return -(top + np.log(mass)).ravel()
 
 
-def _sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
-    """The scaling kernel on exp(log_b0); see the module docstring.
+def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> IpfpResult:
+    """The scaling kernel on exp(theta * score); see the module docstring.
 
-    The iterate is diag(u) K diag(v) with K = exp(log_b0 + alpha (+) beta);
-    alpha = -rowmax(log_b0) leaves an entry of 1 in every row.  Row sums
-    u * (K v) reuse the next sweep's K v, column sums are v * (K^T u).
+    The iterate is diag(u) K diag(v) with K = exp(theta * score + alpha (+)
+    beta); alpha = -rowmax(theta * score) leaves an entry of 1 in every
+    row.  Row sums u * (K v) reuse the next sweep's K v, column sums are
+    v * (K^T u).  The log kernel theta * score is written into the one
+    k x k working array wherever it is read, and never stored apart.
     """
-    k = log_b0.shape[0]
+    k = score.shape[0]
     if k < 1:
         raise ValueError("grid order must be >= 1")
     if not tol > 0:
@@ -139,9 +143,10 @@ def _sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     target = 1.0 / k
-    alpha = -log_b0.max(axis=1)
+    kern = np.multiply(score, theta)
+    alpha = -kern.max(axis=1)
     beta = np.zeros(k)
-    kern = log_b0 + alpha[:, None]
+    kern += alpha[:, None]
     np.exp(kern, out=kern)
     u = v = np.ones(k)
     kv = kern @ v
@@ -152,14 +157,14 @@ def _sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
             u = target / kv
         else:
             beta += np.log(v)
-            alpha = _log_normalize(kern, log_b0, beta, axis=1)
+            alpha = _log_normalize(kern, score, theta, beta, axis=1)
             u = np.ones(k)
         ktu = u @ kern
         if _in_range(ktu):
             v = target / ktu
         else:
             alpha += np.log(u)
-            beta = _log_normalize(kern, log_b0, alpha, axis=0)
+            beta = _log_normalize(kern, score, theta, alpha, axis=0)
             u = v = np.ones(k)
             ktu = kern.sum(axis=0)
         kv = kern @ v
@@ -171,7 +176,8 @@ def _sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
     # exp of the final potentials keeps cells below K's float range exact
     alpha += np.log(u)
     beta += np.log(v)
-    np.add(log_b0, alpha[:, None], out=kern)
+    np.multiply(score, theta, out=kern)
+    kern += alpha[:, None]
     kern += beta
     np.exp(kern, out=kern)
     kern.setflags(write=False)
@@ -199,7 +205,7 @@ def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
         score_grid = grids.score_grid(f, k)
     if max_iter is None:
         max_iter = int(math.ceil(10 * k * (1.0 + abs(theta))))
-    return _sinkhorn(theta * score_grid, tol, max_iter)
+    return _sinkhorn(score_grid, theta, tol, max_iter)
 
 
 def variational_value(result: IpfpResult, score: np.ndarray, theta: float) -> float:

@@ -115,23 +115,28 @@ class Permutation:
 def inversions(pi: Permutation) -> int:
     """Number of inverted pairs #{i < j : pi(i) > pi(j)}.
 
-    O(n log n) via a Fenwick tree over the value range.
+    Bottom-up merge counting, O(n log^2 n) in numpy: at the level where
+    the runs of ``width`` entries are sorted, each entry of a right run
+    counts the entries of its left run above it with one
+    ``searchsorted`` over all left runs, each offset by its block, and a
+    stable sort then merges every pair of runs.
     """
     n = pi.n
-    tree = [0] * (n + 1)
+    values = pi.values - 1
+    index = np.arange(n)
     total = 0
-    for seen, v in enumerate(map(int, pi.values)):
-        # count already placed values <= v
-        le = 0
-        i = v
-        while i > 0:
-            le += tree[i]
-            i -= i & (-i)
-        total += seen - le
-        i = v
-        while i <= n:
-            tree[i] += 1
-            i += i & (-i)
+    width = 1
+    while width < n:
+        block = index // (2 * width)
+        keys = block * n + values
+        right = index % (2 * width) >= width
+        # a right run's left run is full and holds left keys
+        # block * width .. block * width + width - 1
+        below = np.searchsorted(keys[~right], keys[right])
+        total += int((block[right] * width + width - below).sum())
+        keys.sort(kind="stable")
+        values = keys - block * n
+        width *= 2
     return total
 
 

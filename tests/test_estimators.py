@@ -20,6 +20,7 @@ from permexp.models import (
 from scipy.optimize import brentq
 from scipy.special import expit
 
+import permexp.estimators as estimators
 from permexp.estimators import (
     PAIR_BLOCK,
     AllPairsDegenerateError,
@@ -286,6 +287,49 @@ class TestPlScore:
             got = multi_sample_scores(perms, f, theta, "pl")
         want = float(ys @ expit(-theta * ys))
         assert abs(got - want) <= 1e-12 * np.abs(ys).sum()
+
+    @pytest.mark.parametrize("n, m", [(11, 1), (11, 3), (40, 2)])
+    @pytest.mark.parametrize("offset", ["B-1", "B", "B+1", "2B+1"])
+    def test_blocked_score_matches_fsum(self, monkeypatch, n, m, offset):
+        # the block size B is set so that the pooled pair count is B - 1, B,
+        # B + 1 or 2B + 1 (2B + 2 when the count is even)
+        count = m * n * (n - 1) // 2
+        block = {"B-1": count + 1, "B": count, "B+1": count - 1,
+                 "2B+1": (count - 1) // 2}[offset]
+        monkeypatch.setattr(estimators, "SCORE_BLOCK", block)
+        rng = np.random.default_rng([n, m])
+        f = get_score("footrule")
+        perms = [random_permutation(rng, n) for _ in range(m)]
+        ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
+        score = _pooled_score(perms, f, "pl")
+        for theta in (-1e4, -2.5, 0.0, 0.7, 1e4):
+            with np.errstate(over="ignore"):
+                want = math.fsum(ys / (1.0 + np.exp(theta * ys)))
+            got = score(theta)
+            assert math.isfinite(got)
+            assert abs(got - want) <= 1e-15 * np.abs(ys).sum()
+
+    def test_default_block_size_splits_large_fits(self):
+        rng = np.random.default_rng(3)
+        f = get_score("xy")
+        perms = [random_permutation(rng, 300) for _ in range(3)]
+        ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
+        assert ys.size > 2 * estimators.SCORE_BLOCK
+        score = _pooled_score(perms, f, "pl")
+        for theta in (-1e4, -3.0, 0.4, 1e4):
+            with np.errstate(over="ignore"):
+                want = math.fsum(ys / (1.0 + np.exp(theta * ys)))
+            assert abs(score(theta) - want) <= 1e-15 * np.abs(ys).sum()
+
+    def test_pair_scores_written_into_out(self):
+        rng = np.random.default_rng(4)
+        f = get_score("sq")
+        pi = random_permutation(rng, 30)
+        out = np.full(30 * 29 // 2, np.nan)
+        assert pairwise_swap_scores(pi, f, out=out) is out
+        assert np.array_equal(out, pairwise_swap_scores(pi, f))
+        with pytest.raises(ValueError, match="435 pair scores"):
+            pairwise_swap_scores(pi, f, out=np.empty(434))
 
     def test_derivative_matches_finite_differences(self):
         rng = np.random.default_rng(2)

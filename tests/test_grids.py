@@ -81,6 +81,15 @@ class TestGridMean:
         )
 
 
+    def test_within_rounding_of_an_exact_sum(self):
+        rng = np.random.default_rng(2)
+        k = 300
+        w = rng.dirichlet(np.ones(k * k)).reshape(k, k)
+        f = score_grid(get_score("footrule"), k)
+        exact = math.fsum((f * w).ravel())
+        assert abs(grid_mean(w, f) - exact) <= 1e-14 * abs(exact)
+
+
 class TestScoreFunction:
     def test_builtin_values(self):
         xy = get_score("xy")

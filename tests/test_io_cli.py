@@ -1,3 +1,4 @@
+import csv
 import functools
 import io
 import json
@@ -62,6 +63,72 @@ class TestPermutationCsv:
         path.write_text("i,pi\n" + rows)
         with pytest.raises(ValueError, match="index column is not a bijection of 1..2"):
             load_permutation_csv(path)
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("text", [
+        "i,pi\n2,3\n1,1\n3,2\n",
+        "i,pi\r\n2,3\r\n1,1\r\n3,2\r\n",
+        " i , pi \n\n2, 3\n \t \n1 ,1\n,\n3,\t2",
+        "i,pi\n+2,3\n1,+1\n03,2\n\n\n",
+    ], ids=["lf", "crlf", "blank-lines-and-spaces", "signs-zeros-trailing-blanks"])
+    def test_accepted_layouts(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        assert load_permutation_csv(path) == Permutation([1, 3, 2])
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ("1,1\n2,x\n", 3, "non-integer field in ['2', 'x']"),
+        ("1,1\n\n2,1.0\n", 4, "non-integer field in ['2', '1.0']"),
+        ("1,1\n2,2,2\n", 3, "expected 2 fields"),
+        ("1\n2,2\n", 2, "expected 2 fields"),
+        ('1,"2"\n2,1\n', 2, "non-integer field in ['1', '\"2\"']"),
+        ("1,99999999999999999999\n2,1\n", 2, "integer beyond int64 in"),
+        ("1,-9223372036854775809\n2,1\n", 2, "integer beyond int64 in"),
+    ], ids=["letter", "float-after-blank", "three-fields", "one-field", "quoted",
+            "above-int64", "below-int64"])
+    def test_bad_rows_name_their_line(self, tmp_path, rows, line, message):
+        path = tmp_path / "p.csv"
+        path.write_text("i,pi\n" + rows)
+        with pytest.raises(ValueError) as exc:
+            load_permutation_csv(path)
+        assert str(exc.value).startswith(f"{path}:{line}: ")
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_csv_module_reader(self, tmp_path, seed):
+        # the former reader, csv.reader and int() per field, on files with
+        # blank lines, padding and CRLF endings in random places
+        rng = np.random.default_rng(seed)
+        n = 200
+        lines = ["i,pi"]
+        for i, v in zip(rng.permutation(n) + 1, rng.permutation(n) + 1):
+            pad = [" " * int(rng.integers(0, 2)), "\t" * int(rng.integers(0, 2))]
+            lines.append(f"{pad[0]}{i}{pad[1]},{pad[1]}{v}{pad[0]}")
+            if rng.random() < 0.1:
+                lines.append(["", " ", "\t", ",", " , "][int(rng.integers(0, 5))])
+        ends = rng.choice(["\n", "\r\n"], size=len(lines))
+        path = tmp_path / "p.csv"
+        path.write_bytes("".join(a + e for a, e in zip(lines, ends)).encode())
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["i", "pi"]
+            rows = [[int(c) for c in row] for row in reader
+                    if row and not all(not c.strip() for c in row)]
+        want = Permutation(np.array(rows)[np.argsort([r[0] for r in rows]), 1])
+        assert load_permutation_csv(path) == want
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            load_permutation_csv(path)
+
+    def test_fit_reports_an_int64_overflow_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("i,pi\n1,99999999999999999999\n2,1\n")
+        assert main(["fit", "--method", "pl", "--data", str(path)]) == 1
+        assert f"{path}:2: integer beyond int64" in capsys.readouterr().err
 
 
 class TestLotteryCsv:

@@ -1,0 +1,160 @@
+"""The IPFP kernel and the score grid against their former versions, kept here verbatim.
+
+``_oracle_sinkhorn`` is the scaling kernel as it was when it took the log
+kernel log B0 as an array of its own, and ``_oracle_score_grid`` built F
+by calling f on two k x k meshgrids.  The kernel now writes theta * F
+into its working array wherever log B0 was read, and f gets read-only
+broadcast views; grids, residuals, sweep counts and both log-scale
+vectors must come out bit for bit the same.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from permexp.grids import CopulaGrid, get_score, lattice, score_grid
+from permexp.ipfp import IpfpNonConvergence, IpfpResult, ipfp_scale, limit_matrix
+
+_SUM_LO, _SUM_HI = math.exp(-200.0), math.exp(200.0)
+
+
+def _in_range(sums: np.ndarray) -> bool:
+    return _SUM_LO <= sums.min() and sums.max() <= _SUM_HI
+
+
+def _log_normalize(kern, log_b0, other, axis):
+    """Give each line along ``axis`` of exp(log_b0 + other + new) mass 1/k.
+
+    Writes that kernel into ``kern`` and returns the log potential ``new``.
+    """
+    np.add(log_b0, np.expand_dims(other, 1 - axis), out=kern)
+    top = kern.max(axis=axis, keepdims=True)
+    kern -= top
+    np.exp(kern, out=kern)
+    mass = kern.sum(axis=axis, keepdims=True) * kern.shape[0]
+    kern /= mass
+    return -(top + np.log(mass)).ravel()
+
+
+def _oracle_sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
+    """The scaling kernel on exp(log_b0); see the module docstring.
+
+    The iterate is diag(u) K diag(v) with K = exp(log_b0 + alpha (+) beta);
+    alpha = -rowmax(log_b0) leaves an entry of 1 in every row.  Row sums
+    u * (K v) reuse the next sweep's K v, column sums are v * (K^T u).
+    """
+    k = log_b0.shape[0]
+    if k < 1:
+        raise ValueError("grid order must be >= 1")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    target = 1.0 / k
+    alpha = -log_b0.max(axis=1)
+    beta = np.zeros(k)
+    kern = log_b0 + alpha[:, None]
+    np.exp(kern, out=kern)
+    u = v = np.ones(k)
+    kv = kern @ v
+    iterations = 0
+    residual = math.inf
+    while iterations < max_iter:
+        if _in_range(kv):
+            u = target / kv
+        else:
+            beta += np.log(v)
+            alpha = _log_normalize(kern, log_b0, beta, axis=1)
+            u = np.ones(k)
+        ktu = u @ kern
+        if _in_range(ktu):
+            v = target / ktu
+        else:
+            alpha += np.log(u)
+            beta = _log_normalize(kern, log_b0, alpha, axis=0)
+            u = v = np.ones(k)
+            ktu = kern.sum(axis=0)
+        kv = kern @ v
+        iterations += 1
+        residual = max(float(np.abs(u * kv - target).max()),
+                       float(np.abs(v * ktu - target).max()))
+        if residual <= tol:
+            break
+    # exp of the final potentials keeps cells below K's float range exact
+    alpha += np.log(u)
+    beta += np.log(v)
+    np.add(log_b0, alpha[:, None], out=kern)
+    kern += beta
+    np.exp(kern, out=kern)
+    kern.setflags(write=False)
+    result = IpfpResult(CopulaGrid(kern), iterations, residual, alpha, beta,
+                        residual <= tol)
+    if not result.converged:
+        raise IpfpNonConvergence(result, tol)
+    return result
+
+
+def _oracle_score_grid(f, k: int) -> np.ndarray:
+    """Read-only float64 F[r-1, s-1] = f(r/k, s/k); f is called on k x k meshgrids."""
+    t = lattice(k)
+    grid = np.asarray(f(*np.meshgrid(t, t, indexing="ij")), dtype=np.float64)
+    grid.setflags(write=False)
+    return grid
+
+
+def _outcome(run):
+    """The result of ``run()``, or the partial result it raised with."""
+    try:
+        return run()
+    except IpfpNonConvergence as err:
+        return err.result
+
+
+def _assert_same_run(got: IpfpResult, want: IpfpResult) -> None:
+    assert np.array_equal(got.grid.w, want.grid.w)
+    assert got.residual == want.residual
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert np.array_equal(got.row_log_scales, want.row_log_scales)
+    assert np.array_equal(got.col_log_scales, want.col_log_scales)
+
+
+@pytest.mark.parametrize("k", [1, 2, 100])
+@pytest.mark.parametrize("theta", [-500.0, -3.0, 0.0, 3.0, 50.0, 500.0])
+@pytest.mark.parametrize("name", ["xy", "footrule", "sq"])
+def test_limit_matrix_matches_former_kernel(name, theta, k):
+    f = get_score(name)
+    # 2000 sweeps stop the runs that need more (footrule at 500, k = 100,
+    # takes 79545) at a partial state, which must match as well
+    for max_iter in (2, 2000):
+        want = _outcome(lambda: _oracle_sinkhorn(theta * _oracle_score_grid(f, k), 1e-12,
+                                                 max_iter))
+        got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=max_iter))
+        _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 100])
+def test_ipfp_scale_matches_former_kernel(k):
+    b0 = np.random.default_rng(k).uniform(1e-3, 1e3, size=(k, k))
+    _assert_same_run(ipfp_scale(b0), _oracle_sinkhorn(np.log(b0), 1e-12, 10_000))
+
+
+@pytest.mark.parametrize("k", [1, 2, 100, 500])
+@pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
+def test_score_grid_matches_meshgrid_build(name, k):
+    f = get_score(name)
+    got = score_grid(f, k)
+    assert got.shape == (k, k) and not got.flags.writeable
+    assert np.array_equal(got, _oracle_score_grid(f, k))
+
+
+def test_score_function_gets_read_only_views():
+    seen = []
+
+    def f(x, y):
+        seen.append((x.shape, y.shape, x.flags.writeable, y.flags.writeable))
+        return x - 2.0 * y
+
+    got = score_grid(f, 7)
+    assert seen == [((7, 7), (7, 7), False, False)]
+    assert np.array_equal(got, _oracle_score_grid(f, 7))

@@ -1,0 +1,63 @@
+"""Peak memory of a fit, measured with tracemalloc.
+
+Each fit holds its big array once: the m * C(n,2) pair scores of a PL
+fit, and for LD the score grid F plus one k x k working kernel.  The
+bounds are written as multiples of those arrays; the former code
+peaked at twice each of them.
+"""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from permexp.estimators import PAIR_BLOCK, _pooled_score, multi_estimate
+from permexp.grids import get_score, score_grid
+from permexp.perm import Permutation
+
+# a PL fit adds at most this many PAIR_BLOCK x n float arrays to its
+# pair scores: the block temporaries of the build (measured 3.0 for xy
+# and footrule at n = 1000 and 2000)
+PAIR_BUILD_ARRAYS = 4
+# k x k float arrays, beyond what existed before the call
+SCORE_GRID_ARRAYS = 1.1
+LD_EVALUATION_ARRAYS = 1.1
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, m", [(2000, 1), (1000, 3)])
+@pytest.mark.parametrize("name", ["xy", "footrule"])
+def test_pl_fit_holds_its_pair_scores_once(name, n, m):
+    rng = np.random.default_rng([n, m])
+    perms = [Permutation(rng.permutation(n) + 1) for _ in range(m)]
+    f = get_score(name)
+    pair_bytes = m * (n * (n - 1) // 2) * 8
+    peak = _peak_bytes(lambda: multi_estimate(perms, f, "pl"))
+    # the former fit peaked at 2 * pair_bytes, above this bound
+    assert pair_bytes <= peak <= pair_bytes + PAIR_BUILD_ARRAYS * PAIR_BLOCK * n * 8
+
+
+@pytest.mark.parametrize("name", ["xy", "footrule", "sq"])
+def test_score_grid_builds_one_grid(name):
+    k = 500
+    f = get_score(name)
+    peak = _peak_bytes(lambda: score_grid(f, k))
+    # the former meshgrid build peaked at 3 k^2 floats (4 for footrule)
+    assert peak <= SCORE_GRID_ARRAYS * k * k * 8
+
+
+@pytest.mark.parametrize("theta", [3.0, 400.0])
+def test_ld_evaluation_holds_one_kernel(theta):
+    k = 500
+    pi = Permutation(np.random.default_rng(8).permutation(50) + 1)
+    score = _pooled_score([pi], get_score("xy"), "ld", k=k)  # builds F
+    peak = _peak_bytes(lambda: score(theta))
+    # the former evaluation held theta * F beside the kernel: 2 k^2 floats
+    assert peak <= LD_EVALUATION_ARRAYS * k * k * 8

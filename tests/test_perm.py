@@ -82,6 +82,15 @@ class TestInversions:
             pi = random_permutation(rng, n)
             assert inversions(pi) == inversions_quadratic(pi)
 
+    @pytest.mark.parametrize("n", sorted({1, 2, 3, 1000}
+                                         | {2**j + d for j in range(2, 10) for d in (-1, 0, 1)}))
+    def test_merge_levels_match_quadratic_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for pi in (random_permutation(rng, n), random_permutation(rng, n),
+                   Permutation.identity(n), Permutation(np.arange(n, 0, -1))):
+            assert inversions(pi) == inversions_quadratic(pi)
+        assert inversions(Permutation(np.arange(n, 0, -1))) == n * (n - 1) // 2
+
     @given(st.permutations(list(range(1, 9))))
     def test_matches_oracle_exhaustive_small(self, vals):
         pi = Permutation(vals)
