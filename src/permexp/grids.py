@@ -28,7 +28,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoreFunction:
-    """A named score f(x, y) on the unit square, evaluated on float arrays."""
+    """A named score f(x, y) on the unit square.
+
+    ``fn`` takes float arrays, which broadcast against each other, or
+    Python floats, and must give the same float on two Python floats as it
+    gives elementwise on arrays: a swap chain evaluates it on Python floats
+    and must reproduce the values of ``score_grid``.  Every built-in does;
+    so does any fn built from ``+``, ``-``, ``*``, ``/`` and ``abs``, while
+    ``**`` on a Python float calls libm ``pow``, which can round otherwise.
+    """
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -53,7 +61,12 @@ def _footrule(x, y):
 
 
 def _sq(x, y):
-    return -((x - y) ** 2)
+    # d * d, not d ** 2: a Python float's ** calls pow, which need not
+    # round as the square of an array does
+    d = x - y
+    d *= d
+    d *= -1.0
+    return d
 
 
 SCORE_FUNCTIONS = {
@@ -81,13 +94,17 @@ def lattice(k: int) -> np.ndarray:
 def score_grid(f, k: int) -> np.ndarray:
     """Read-only float64 F[r-1, s-1] = f(r/k, s/k).
 
-    f is called once, on two k x k read-only broadcast views of the
-    lattice (x[r, s] = r/k and its transpose), so F is the only k x k
-    array built here besides f's own temporaries.
+    f is called once, on the read-only lattice as a k x 1 column and a
+    1 x k row, so F is the only k x k array built here besides f's own
+    temporaries.  A result that is not k x k (a column, a row or a
+    constant) is broadcast and copied to one.
     """
     t = lattice(k)
-    x = np.broadcast_to(t[:, None], (t.size, t.size))
-    grid = np.asarray(f(x, x.T), dtype=np.float64)
+    t.setflags(write=False)
+    grid = np.asarray(f(t[:, None], t[None, :]), dtype=np.float64)
+    shape = (t.size, t.size)  # (0, 0) for k < 1, which the callers reject
+    if grid.shape != shape:
+        grid = np.array(np.broadcast_to(grid, shape))
     grid.setflags(write=False)
     return grid
 

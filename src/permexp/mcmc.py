@@ -6,17 +6,15 @@ Two kernels are provided:
   and resample the two entries from their conditional distribution given
   the rest (keep or swap).  The model pmf is stationary and reversible
   for this kernel, for both model families.  One loop, ``_run_swap``,
-  runs every swap step, ``gibbs_swap_step`` and ``sample`` alike.  It
-  asks the model for a ratio evaluator over the chain's state:
-  ``log_ratio(i, j)`` and a ``swap(i, j)`` that also updates any
-  per-chain cache.  Linear models up to SCORE_TABLE_MAX_N read a score
-  table; a Kendall chain at n <= INVERSION_TABLE_MAX_N reads an
+  runs every swap step, ``gibbs_swap_step`` and ``sample`` alike.  A
+  linear chain keeps f(x_i, u_pi(i)) per position as Python floats and
+  computes each proposal's two cross terms with the score's own function
+  on Python floats (``models._linear_terms``); the loop inlines the ratio
+  of ``LinearModel.swap_evaluator``.  A Kendall chain asks the model for
+  its ratio evaluator: ``log_ratio(i, j)`` and a ``swap(i, j)`` that also
+  updates the per-chain cache; at n <= INVERSION_TABLE_MAX_N it reads an
   inversion prefix-count table in O(1) and updates it on each accepted
-  swap, and at larger n counts the entries between the pair.  A linear
-  chain above SCORE_TABLE_MAX_N keeps f(x_i, u_pi(i)) per position and
-  takes the ratios of a chunk of proposals from one vectorised call of
-  f (``models._chunk_ratios``); a pair that a swap earlier in its chunk
-  moved asks ``log_ratio``, which calls f on its four points.  On S_1
+  swap, and at larger n counts the entries between the pair.  On S_1
   there is no pair, and a step keeps the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
@@ -50,7 +48,7 @@ from itertools import islice
 
 import numpy as np
 
-from .models import ChunkRatios, LinearModel, Model, _chunk_ratios
+from .models import LinearModel, Model, _linear_terms
 from .perm import Permutation
 
 __all__ = [
@@ -65,16 +63,6 @@ __all__ = [
 
 # Swap steps per block of randomness; the block size fixes the RNG stream.
 _BLOCK = 1 << 15
-
-# Swap proposals per chunk of a chain whose model gives chunked ratios
-# (models._chunk_ratios).  A chunk's ratios cost one set of numpy calls,
-# about 8 us, and each pair that an accepted swap moved earlier in the chunk
-# costs a per-pair ratio, about 4 us, so the best size grows with n and
-# falls with the acceptance rate.  Measured in steps/s on xy chains (2
-# cores, numpy 2.4.6), 64 to 128 tie within noise at n = 1025 and theta = 0,
-# where most pairs go stale, and 128 is fastest at n = 2000-3000; all run
-# 3-6x the per-pair loop.
-_CHUNK = 128
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -252,8 +240,15 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
         return [state.permutation() for _ in range(n_samples)]
-    log_ratio, swap = model.swap_evaluator(values)
-    chunked = _chunk_ratios(model, values)
+    linear = isinstance(model, LinearModel)
+    if linear:
+        # the ratio of LinearModel.swap_evaluator, inlined: a call per step
+        # costs more than the arithmetic
+        fn, t, own = _linear_terms(model, values)
+        theta = model.theta
+        cells = memoryview(values)
+    else:
+        log_ratio, swap = model.swap_evaluator(values)
     draws: list[Permutation] = []
     accepted = 0
     record = burn + thin if n_samples > 0 else total + 1
@@ -266,62 +261,37 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         jj += jj >= ii  # J uniform over the positions other than I
         with np.errstate(divide="ignore"):
             logits = np.log(uu) - np.log1p(-uu)
-        if chunked is None:
-            # memoryviews yield Python ints and floats one at a time: no
-            # numpy scalars in the loop and no block-sized lists in memory
-            steps = zip(memoryview(ii), memoryview(jj), memoryview(logits))
-        else:
-            pairs = np.stack((ii, jj))
-            ii, jj = pairs  # views of its rows: the drawn arrays are freed
+        # memoryviews yield Python ints and floats one at a time: no numpy
+        # scalars in the loop and no block-sized lists in memory
+        steps = zip(memoryview(ii), memoryview(jj), memoryview(logits))
         lo = 0
         while lo < m:
             hi = min(m, record - done)
-            if chunked is None:
+            if linear:
+                for i, j, logit in islice(steps, hi - lo):
+                    a = cells[i]
+                    b = cells[j]
+                    c = fn(t[i], t[b - 1])
+                    d = fn(t[j], t[a - 1])
+                    if logit < -theta * (own[i] + own[j] - c - d):
+                        cells[i] = b
+                        cells[j] = a
+                        own[i] = c
+                        own[j] = d
+                        accepted += 1
+            else:
                 for i, j, logit in islice(steps, hi - lo):
                     if logit < log_ratio(i, j):
                         swap(i, j)
                         accepted += 1
-            else:
-                accepted += _chunked_steps(chunked, log_ratio, swap, pairs[:, lo:hi],
-                                           logits[lo:hi])
             lo = hi
             if done + hi == record:
                 draws.append(state.permutation())
                 record += thin if len(draws) < n_samples else total + 1
         done += m
-        # drop the iterators over this block, so that drawing the next block
+        # drop the iterator over this block, so that drawing the next block
         # frees its arrays
-        steps = pairs = None
+        steps = None
     state.steps += total
     state.swaps_accepted += accepted
     return draws
-
-
-def _chunked_steps(chunked: ChunkRatios, log_ratio, swap, pairs: np.ndarray,
-                   logits: np.ndarray) -> int:
-    """Run the proposals (rows i and j of ``pairs``) in order, ``_CHUNK`` at a time.
-
-    ``chunked`` is ``(ratios, refresh)`` from ``models._chunk_ratios``:
-    ``ratios`` gives a chunk's log-ratios against the state at the chunk's
-    start, and ``refresh`` is told the positions each chunk moved.  A pair
-    with a position that an accepted swap moved earlier in the chunk asks
-    ``log_ratio``.  Returns the swaps accepted.
-    """
-    ratios, refresh = chunked
-    accepted = 0
-    for lo in range(0, logits.size, _CHUNK):
-        chunk = pairs[:, lo:lo + _CHUNK]
-        ratio_of = memoryview(ratios(chunk))
-        touched: set[int] = set()
-        for i, j, logit, ratio in zip(memoryview(chunk[0]), memoryview(chunk[1]),
-                                      memoryview(logits[lo:lo + _CHUNK]), ratio_of):
-            if i in touched or j in touched:
-                ratio = log_ratio(i, j)
-            if logit < ratio:
-                swap(i, j)
-                accepted += 1
-                touched.add(i)
-                touched.add(j)
-        if touched:
-            refresh(list(touched))
-    return accepted

@@ -41,14 +41,6 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 9
 
 
-# Largest n whose swap log-ratios read four cells of the n x n score table.
-# Above it a chain keeps f(x_i, u_pi(i)) per position and evaluates the
-# cross terms of a whole chunk of proposals with one call of f (see
-# _chunk_ratios); a lone ratio calls f once on the four points.  The table
-# is n^2 floats, 8 MB at 1024; at n=2000 it would add 32 MB, about 28% of
-# the sample benchmark's peak RSS.
-SCORE_TABLE_MAX_N = 1024
-
 # Largest n whose Kendall chains read their log-ratios from an (n+1) x
 # (n+1) int16 prefix-count table, 132 KB at 256.  Each accepted swap
 # updates a slice of about (n/3)^2 cells, so the table's cost grows as n^2
@@ -66,8 +58,6 @@ INVERSION_TABLE_MAX_N = 256
 
 # log_ratio(i, j) and swap(i, j) over one chain's state; see swap_evaluator.
 SwapEvaluator = tuple[Callable[[int, int], float], Callable[[int, int], None]]
-# ratios(pairs) and refresh(positions) of a wide linear chain; see _chunk_ratios.
-ChunkRatios = tuple[Callable[[np.ndarray], np.ndarray], Callable[[list[int]], None]]
 
 
 def _check_parameters(theta: float, n: int) -> None:
@@ -88,11 +78,6 @@ class LinearModel:
     def __post_init__(self):
         _check_parameters(self.theta, self.n)
 
-    @functools.cached_property
-    def score_table(self) -> np.ndarray:
-        """Read-only n x n table of f(i/n, v/n), row i-1, column v-1."""
-        return score_grid(self.f, self.n)
-
     def log_weight(self, pi: Permutation) -> float:
         return self.theta * linear_statistic(pi, self.f)
 
@@ -101,75 +86,43 @@ class LinearModel:
 
         ``log_ratio(i, j)`` is the log weight change from swapping
         positions i and j (0-based) of the 1-based image array ``values``;
-        ``swap(i, j)`` swaps them.  Linear models keep no per-chain state.
+        ``swap(i, j)`` swaps them.  The ratio reads the chain's own terms
+        f(x_i, u_pi(i)) (see ``_linear_terms``) and calls ``f.fn`` on
+        Python floats for the two cross terms; ``swap`` updates both.
         """
-        n = self.n
+        fn, t, own = _linear_terms(self, values)
         theta = self.theta
         cells = memoryview(values)
-        if n <= SCORE_TABLE_MAX_N:
-            s = memoryview(self.score_table)  # cells read as Python floats
 
-            def log_ratio(i: int, j: int) -> float:
-                vi = cells[i] - 1
-                vj = cells[j] - 1
-                return -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
-        else:
-            f = self.f
-            t = memoryview(lattice(n))  # points read as Python floats
+        def log_ratio(i: int, j: int) -> float:
+            return -theta * (own[i] + own[j] - fn(t[i], t[cells[j] - 1])
+                             - fn(t[j], t[cells[i] - 1]))
 
-            def log_ratio(i: int, j: int) -> float:
-                xi, xj = t[i], t[j]
-                ui, uj = t[cells[i] - 1], t[cells[j] - 1]
-                a, b, c, d = f(np.array((xi, xj, xi, xj)),
-                               np.array((ui, uj, uj, ui))).tolist()
-                return -theta * (a + b - c - d)
+        def swap(i: int, j: int) -> None:
+            a = cells[i]
+            b = cells[j]
+            cells[i] = b
+            cells[j] = a
+            own[i] = fn(t[i], t[b - 1])
+            own[j] = fn(t[j], t[a - 1])
 
-        return log_ratio, _cell_swapper(cells)
+        return log_ratio, swap
 
 
-def _chunk_ratios(model: Model, values: np.ndarray) -> ChunkRatios | None:
-    """Chunked swap log-ratios for a linear chain above SCORE_TABLE_MAX_N, else None.
+def _linear_terms(model: LinearModel,
+                  values: np.ndarray) -> tuple[Callable[[float, float], float], list, list]:
+    """``(fn, t, own)`` of a linear chain on ``values``, all on Python floats.
 
-    Returns ``(ratios, refresh)``.  ``ratios(pairs)`` takes a 2 x m array
-    of position pairs, rows i and j, and returns, for each pair, the value
-    that ``log_ratio`` of ``swap_evaluator`` gives on ``values`` as they
-    are now, bit for bit: the same four values of f, combined in the same
-    order.  It keeps f(x_i, u_pi(i)) for every position; the two cross
-    terms of all m pairs come from one call of f.  After entries change,
-    ``refresh(positions)`` must re-read the kept values at those
-    positions before the next ``ratios`` call, and a pair whose entries
-    change after a ``ratios`` call needs ``log_ratio`` itself.
+    ``fn`` is the score's own function, ``t`` the lattice i/n as a list
+    and ``own[i] = fn(t[i], t[values[i] - 1])``, the chain's term at
+    position i; a swap at i must refresh ``own[i]``.  By the contract of
+    ``ScoreFunction`` these are the floats of ``score_grid(f, n)``, so
+    ``own`` comes from one call of f on arrays, which costs a
+    ``gibbs_swap_step`` far less than n calls of fn.
     """
-    n = model.n
-    if not isinstance(model, LinearModel) or n <= SCORE_TABLE_MAX_N:
-        return None
-    f = model.f
-    theta = model.theta
-    t = lattice(n)
-
-    def terms(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # float64 as in log_ratio, which combines f's values as Python floats
-        return np.asarray(f(x, u), dtype=np.float64)
-
-    # a buffer of its own: refresh writes into it, and f may return a
-    # read-only array or one it shares
-    diag = np.array(f(t, t[values - 1]), dtype=np.float64)
-
-    def refresh(positions: list[int]) -> None:
-        rows = np.array(positions)
-        diag[rows] = terms(t[rows], t[values[rows] - 1])
-
-    def ratios(pairs: np.ndarray) -> np.ndarray:
-        # rows f(x_i, u_pi(j)) and f(x_j, u_pi(i))
-        cross = terms(t[pairs], t[values[pairs] - 1][::-1])
-        own = diag[pairs]
-        out = own[0] + own[1]
-        out -= cross[0]
-        out -= cross[1]
-        out *= -theta
-        return out
-
-    return ratios, refresh
+    t = lattice(model.n)
+    own = np.broadcast_to(model.f(t, t[values - 1]), t.shape).tolist()
+    return model.f.fn, t.tolist(), own
 
 
 @dataclass(frozen=True)
@@ -279,7 +232,7 @@ def _all_permutations(n: int) -> np.ndarray:
 def _log_weights(model: Model, perms: np.ndarray) -> np.ndarray:
     n = model.n
     if isinstance(model, LinearModel):
-        stats = model.score_table[np.arange(n), perms - 1].sum(axis=1)
+        stats = score_grid(model.f, n)[np.arange(n), perms - 1].sum(axis=1)
         return model.theta * stats
     inv = np.zeros(perms.shape[0], dtype=np.int64)
     for i in range(n - 1):
@@ -463,13 +416,27 @@ def kendall_limit_density(theta: float, k: int) -> np.ndarray:
         raise ValueError("theta must be finite")
     if abs(theta) < 1e-8:
         return np.ones((k, k))
+    # four k x k arrays, each op in place: s, d, D and one term of D
     mid = (np.arange(k) + 0.5) / k
-    x, y = np.meshgrid(mid, mid, indexing="ij")
-    s, d = np.abs(x + y - 1.0), np.abs(x - y)
+    s = mid[:, None] + mid
+    s -= 1.0
+    np.abs(s, out=s)
+    d = mid[:, None] - mid
+    np.abs(d, out=d)
     if theta < 0:
         s, d = d, s
     a = abs(theta) / 2.0
-    den = (np.expm1(-2.0 * a * s) - np.expm1(-a * (1.0 + s - d))
-           - np.expm1(-a * (1.0 + s + d)))
+    den = s * (-2.0 * a)
+    np.expm1(den, out=den)
+    term = np.empty_like(s)
+    for op in (np.subtract, np.add):  # the terms e^{-a(1 + s -/+ d)} - 1
+        op(np.add(s, 1.0, out=term), d, out=term)
+        term *= -a
+        den -= np.expm1(term, out=term)
     # one exp of the numerator's log: no rounding through a subnormal
-    return np.exp(math.log(2.0 * a * -math.expm1(-2.0 * a)) - 2.0 * a * s) / den ** 2
+    s *= -2.0 * a
+    s += math.log(2.0 * a * -math.expm1(-2.0 * a))
+    np.exp(s, out=s)
+    den *= den
+    s /= den
+    return s

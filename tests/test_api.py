@@ -52,13 +52,18 @@ def _public_bindings():
     return seen
 
 
-def test_traced_cli_reads_ipfp_results(tmp_path, lottery, capsys):
-    # the benchmark's --trace 1 mode reads res.grid.k of every IPFP result,
-    # IpfpNonConvergence.result included, and counts fits at the estimators
+def _load_spans():
     path = REPO_ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_cli_reads_ipfp_results(tmp_path, lottery, capsys):
+    # the benchmark's --trace 1 mode reads res.grid.k of every IPFP result,
+    # IpfpNonConvergence.result included, and counts fits at the estimators
+    spans = _load_spans()
     data = tmp_path / "tau.csv"
     save_permutation_csv(lottery.tau(), data)
     before = _public_bindings()
@@ -85,6 +90,39 @@ def test_traced_cli_reads_ipfp_results(tmp_path, lottery, capsys):
     assert c["estimators.fits"] == 1
     # every LD evaluation is one IPFP run through limit_matrix
     assert c["ipfp.kernel_calls"] - calls_before_fit == fit["evaluations"]
+    after = _public_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_cli_counts_chain_steps(tmp_path):
+    # the benchmark's --trace 1 mode counts swap steps per chain kind and
+    # auxiliary sweeps at the sample and sweep spans; a chain calls no
+    # public function per step, so its spans stay few
+    spans = _load_spans()
+    chains = [  # (label, model arguments, n, burn, thin, draws, sampler)
+        ("wide", ["--model", "linear", "--f", "xy"], 1100, 2000, 500, 2, "swap"),
+        ("kendall", ["--model", "kendall"], 30, 1000, 100, 3, "swap"),
+        ("aux", ["--model", "linear", "--f", "xy"], 50, 3, 2, 4, "aux"),
+    ]
+    before = _public_bindings()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [permexp.cli.main(["sample"] + model + [
+            "--theta", "3", "--n", str(n), "--burn", str(burn), "--thin", str(thin),
+            "--draws", str(draws), "--sampler", sampler, "--seed", "5",
+            "--out", str(tmp_path / f"{label}.csv")])
+            for label, model, n, burn, thin, draws, sampler in chains]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    c = tracer.counters
+    assert c["mcmc.swap_wide_steps"] == 2000 + 2 * 500
+    assert c["mcmc.swap_kendall_steps"] == 1000 + 3 * 100
+    assert c["mcmc.aux_sweeps"] == 3 + 4 * 2
+    assert c["mcmc.swap_xy_steps"] == c["mcmc.swap_footrule_steps"] == 0
+    assert len(tracer.spans) < 100
     after = _public_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)

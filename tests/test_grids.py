@@ -118,6 +118,32 @@ class TestOneLattice:
         assert grid.dtype == np.float64 and not grid.flags.writeable
         assert np.array_equal(grid, f(t[:, None], t[None, :]))
 
+    @pytest.mark.parametrize("result", [
+        lambda x, y: np.zeros_like(x),                             # k x 1
+        lambda x, y: y * 2.0,                                      # 1 x k
+        lambda x, y: np.float64(0.5),                              # 0-d
+        lambda x, y: np.broadcast_to(0.5, np.broadcast(x, y).shape),  # read-only view
+    ], ids=["column", "row", "scalar", "broadcast"])
+    def test_score_grid_broadcasts_other_shapes(self, result):
+        grid = score_grid(result, 6)
+        t = lattice(6)
+        want = np.broadcast_to(result(t[:, None], t[None, :]), (6, 6))
+        assert grid.shape == (6, 6) and grid.dtype == np.float64
+        assert not grid.flags.writeable
+        assert np.array_equal(grid, want)
+
+    @pytest.mark.parametrize("name", sorted(SCORE_FUNCTIONS))
+    def test_python_floats_give_the_grid_values(self, name):
+        # a swap chain calls fn on Python floats and must read the grid's
+        # floats; -((x - y) ** 2) once missed in 286 of these cells, as a
+        # Python float's ** calls pow
+        n = 1100
+        f = get_score(name)
+        grid = score_grid(f, n)
+        t = lattice(n).tolist()
+        rows, cols = np.random.default_rng(11).integers(0, n, size=(2, 200_000)).tolist()
+        assert [f.fn(t[r], t[c]) for r, c in zip(rows, cols)] == grid[rows, cols].tolist()
+
     @pytest.mark.parametrize("name", sorted(SCORE_FUNCTIONS))
     @pytest.mark.parametrize("n", [5, 257, 1100])
     def test_statistic_and_pair_scores_read_the_score_grid(self, n, name):

@@ -156,5 +156,5 @@ def test_score_function_gets_read_only_views():
         return x - 2.0 * y
 
     got = score_grid(f, 7)
-    assert seen == [((7, 7), (7, 7), False, False)]
+    assert seen == [((7, 1), (1, 7), False, False)]
     assert np.array_equal(got, _oracle_score_grid(f, 7))

@@ -69,6 +69,14 @@ class TestSwapKernel:
         assert np.abs(flow - flow.T).max() <= 1e-12
         assert np.abs(probs @ kmat - probs).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
+    def test_detailed_balance_s5_linear(self, name):
+        model = LinearModel(get_score(name), -2.5, 5)
+        states, probs, kmat = exact_swap_kernel(model)
+        flow = probs[:, None] * kmat
+        assert np.abs(flow - flow.T).max() <= 1e-12
+        assert np.abs(probs @ kmat - probs).max() <= 1e-12
+
     def test_detailed_balance_kendall(self):
         model = KendallModel(-1.5, 4)
         states, probs, kmat = exact_swap_kernel(model)
@@ -127,8 +135,9 @@ def _step_snapshots(model, seed):
 class TestGoldenChains:
     """Seeded chains reproduce recorded SHA-256 digests of their states.
 
-    The digests pin the RNG stream and the acceptance rule: the linear
-    and Kendall chains below and above their table cutoffs, single
+    The digests pin the RNG stream and the acceptance rule: linear chains
+    at n = 40 and 1100 (the ids name the score-table paths that recorded
+    them), Kendall chains below and above their table cutoff, single
     gibbs_swap_step calls and auxiliary sweeps all give the draws they
     gave when the digests were recorded.
     """

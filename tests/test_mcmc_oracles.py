@@ -1,11 +1,11 @@
 """The samplers against their former per-step loops, kept here verbatim as oracles.
 
 ``_oracle_run_swap`` is the pair-swap loop that ran every swap step before
-the steps were run in segments between records and, above the score-table
-cutoff, in chunks with vectorised ratios; ``_oracle_sweep`` is the
-auxiliary sweep before its picks were computed up front.  The samplers
-must give the same draws, the same counts and leave the generator at the
-same position.
+the steps were run in segments between records and a linear chain's ratio
+was inlined in the loop; it calls the model's ``log_ratio`` and ``swap``
+once per step.  ``_oracle_sweep`` is the auxiliary sweep before its picks
+were computed up front.  The samplers must give the same draws, the same
+counts and leave the generator at the same position.
 """
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from permexp.mcmc import (
     make_rng,
     sample,
 )
-from permexp.models import SCORE_TABLE_MAX_N, KendallModel, LinearModel
+from permexp.models import KendallModel, LinearModel
 from permexp.perm import Permutation
 
 # the oracle's block size fixes its RNG stream
@@ -122,34 +122,23 @@ def _assert_same(model, seed, n_samples, burn, thin):
 
 
 class TestWideSwapOracle:
-    """Chains above the score-table cutoff take chunked ratios; the oracle, one per pair."""
+    """Wide linear chains run the inlined ratio; the oracle calls log_ratio per pair."""
 
     @pytest.mark.parametrize("n", [1025, 1100, 2000])
     @pytest.mark.parametrize("theta", [-20.0, 0.0, 3.0, 50.0])
     @pytest.mark.parametrize("f", SCORES, ids=[f.name for f in SCORES])
     def test_same_chain(self, f, theta, n):
-        assert n > SCORE_TABLE_MAX_N
         model = LinearModel(f, theta, n)
         _assert_same(model, n, 3, 700, 600)
 
     def test_score_arrays_left_alone(self):
-        """f's arrays may be read-only or shared: the chain only reads them."""
-        returned = []
-
-        def read_only_xy(x, y):
-            out = x * y
-            out.flags.writeable = False
-            returned.append((out, out.copy()))
-            return out
-
-        model = LinearModel(ScoreFunction("read-only-xy", read_only_xy), 3.0, 1025)
-        _assert_same(model, 43, 3, 700, 600)
-        assert all(np.array_equal(out, copy) for out, copy in returned)
+        """A score that returns read-only 0-d arrays runs as a float one."""
         constant = ScoreFunction("constant", lambda x, y: np.broadcast_to(0.5, np.broadcast(x, y).shape))
         _assert_same(LinearModel(constant, 3.0, 1025), 44, 3, 700, 600)
 
 
-# the per-pair table path, a Kendall chain and the chunked path
+# a small linear chain, a Kendall chain and a linear chain above n = 1024;
+# the ids "table" and "chunked" name the n ranges of two former ratio paths
 BOOKKEEPING_MODELS = [LinearModel(get_score("xy"), 2.0, 5), KendallModel(-1.0, 7),
                       LinearModel(get_score("sq"), 0.0, 1030)]
 

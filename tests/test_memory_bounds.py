@@ -3,7 +3,8 @@
 Each fit holds its big array once: the m * C(n,2) pair scores of a PL
 fit, and for LD the score grid F plus one k x k working kernel.  The
 bounds are written as multiples of those arrays; the former code
-peaked at twice each of them.
+peaked at twice each of them.  The Kendall limit density, which builds
+its k x k output from four k x k arrays, is bounded the same way.
 """
 import tracemalloc
 
@@ -12,6 +13,7 @@ import pytest
 
 from permexp.estimators import PAIR_BLOCK, _pooled_score, multi_estimate
 from permexp.grids import get_score, score_grid
+from permexp.models import kendall_limit_density
 from permexp.perm import Permutation
 
 # a PL fit adds at most this many PAIR_BLOCK x n float arrays to its
@@ -21,6 +23,7 @@ PAIR_BUILD_ARRAYS = 4
 # k x k float arrays, beyond what existed before the call
 SCORE_GRID_ARRAYS = 1.1
 LD_EVALUATION_ARRAYS = 1.1
+KENDALL_DENSITY_ARRAYS = 4.1
 
 
 def _peak_bytes(run) -> int:
@@ -44,13 +47,22 @@ def test_pl_fit_holds_its_pair_scores_once(name, n, m):
     assert pair_bytes <= peak <= pair_bytes + PAIR_BUILD_ARRAYS * PAIR_BLOCK * n * 8
 
 
-@pytest.mark.parametrize("name", ["xy", "footrule", "sq"])
+@pytest.mark.parametrize("name", ["xy", "footrule", "sq", "centered"])
 def test_score_grid_builds_one_grid(name):
     k = 500
     f = get_score(name)
     peak = _peak_bytes(lambda: score_grid(f, k))
-    # the former meshgrid build peaked at 3 k^2 floats (4 for footrule)
+    # the former meshgrid build peaked at 3 k^2 floats (4 for footrule and
+    # centered), and the build on k x k views at 2 for centered
     assert peak <= SCORE_GRID_ARRAYS * k * k * 8
+
+
+@pytest.mark.parametrize("theta", [3.0, -7.5, 400.0])
+def test_kendall_density_builds_four_grids(theta):
+    k = 500
+    peak = _peak_bytes(lambda: kendall_limit_density(theta, k))
+    # the former meshgrid build peaked at 7 k^2 floats
+    assert peak <= KENDALL_DENSITY_ARRAYS * k * k * 8
 
 
 @pytest.mark.parametrize("theta", [3.0, 400.0])

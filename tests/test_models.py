@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from permexp.grids import ScoreFunction, get_score
+from permexp.grids import ScoreFunction, get_score, score_grid
+from permexp.mcmc import sample
 from permexp.models import (
     _all_permutations,
     _log_weights,
@@ -231,6 +232,24 @@ class TestKendallLimitDensity:
             kendall_limit_density(1.0, 1)
 
     @staticmethod
+    def _former_density(theta, k):
+        """The density as built from meshgrids before it worked in place."""
+        mid = (np.arange(k) + 0.5) / k
+        x, y = np.meshgrid(mid, mid, indexing="ij")
+        s, d = np.abs(x + y - 1.0), np.abs(x - y)
+        if theta < 0:
+            s, d = d, s
+        a = abs(theta) / 2.0
+        den = (np.expm1(-2.0 * a * s) - np.expm1(-a * (1.0 + s - d))
+               - np.expm1(-a * (1.0 + s + d)))
+        return np.exp(math.log(2.0 * a * -math.expm1(-2.0 * a)) - 2.0 * a * s) / den ** 2
+
+    @pytest.mark.parametrize("theta", [1e-3, 3.0, -7.5, 400.0, 5000.0, -5000.0])
+    @pytest.mark.parametrize("k", [2, 7, 300])
+    def test_matches_former_build(self, theta, k):
+        assert np.array_equal(kendall_limit_density(theta, k), self._former_density(theta, k))
+
+    @staticmethod
     def _mpmath_density(theta, k):
         """a sinh(a) / (e^{-a/2} cosh(a(x-y)) - e^{a/2} cosh(a(x+y-1)))^2,
         a = theta/2, at 60 digits on the double midpoints."""
@@ -339,7 +358,6 @@ class TestSwapLogRatios:
     def test_linear_ratio_matches_weight_difference(self):
         rng = np.random.default_rng(4)
         f = get_score("footrule")
-        # n = 1100 is above SCORE_TABLE_MAX_N: the ratio evaluates f directly
         for n in (9, 1100):
             model = LinearModel(f, 1.7, n)
             for _ in range(50):
@@ -356,20 +374,22 @@ class TestSwapLogRatios:
 
     @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
     def test_f_path_reads_as_score_table(self, name):
-        # above SCORE_TABLE_MAX_N the ratio evaluates f on arrays, as the
-        # table does, so both give the same floats
+        # the ratio calls f on Python floats; by ScoreFunction's contract
+        # they are the floats of the score grid, before and after swaps
         rng = np.random.default_rng(5)
-        n = 1100
         theta = -2.5
-        model = LinearModel(get_score(name), theta, n)
-        s = model.score_table
-        vals = rng.permutation(n) + 1
-        log_ratio, _ = model.swap_evaluator(vals)
-        for _ in range(3000):
-            i, j = rng.choice(n, size=2, replace=False).tolist()
-            vi, vj = vals[i] - 1, vals[j] - 1
-            want = -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
-            assert log_ratio(i, j) == want
+        for n in (9, 1100):
+            model = LinearModel(get_score(name), theta, n)
+            s = score_grid(model.f, n)
+            vals = rng.permutation(n) + 1
+            log_ratio, swap = model.swap_evaluator(vals)
+            for _ in range(3000):
+                i, j = rng.choice(n, size=2, replace=False).tolist()
+                vi, vj = vals[i] - 1, vals[j] - 1
+                want = -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
+                assert log_ratio(i, j) == want
+                if rng.random() < 0.5:
+                    swap(i, j)
 
     def test_model_copies_after_a_ratio(self):
         model = LinearModel(get_score("xy"), 1.5, 6)
@@ -380,9 +400,12 @@ class TestSwapLogRatios:
         assert _ratio(twin, vals, 1, 4) == ratio
 
     @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
-    def test_model_pickles_with_cached_table(self, name):
+    def test_model_pickles_after_a_chain(self, name):
+        # a chain keeps its terms to itself: the model holds its fields only
         model = LinearModel(get_score(name), 1.5, 6)
-        table = model.score_table
-        twin = pickle.loads(pickle.dumps(model))
-        assert twin == model
-        assert np.array_equal(twin.score_table, table)
+        draws = [d.as_tuple() for d in sample(model, 3, burn=40, thin=7, seed=9)]
+        assert vars(model).keys() == {"f", "theta", "n"}
+        for twin in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert twin == model
+            assert vars(twin).keys() == {"f", "theta", "n"}
+            assert [d.as_tuple() for d in sample(twin, 3, burn=40, thin=7, seed=9)] == draws
