@@ -3,9 +3,10 @@
 Library surface: permutation/rank primitives (:mod:`permexp.perm`),
 copula grids and score functions (:mod:`permexp.grids`), IPFP scaling
 and the limiting log-normalizer (:mod:`permexp.ipfp`), model families
-with exact oracles (:mod:`permexp.models`), MCMC samplers
-(:mod:`permexp.mcmc`), temperature estimators and the uniformity test
-(:mod:`permexp.estimators`), and file formats (:mod:`permexp.io`).
+with exact oracles (:mod:`permexp.models`), the exact Kendall sampler
+and MCMC samplers (:mod:`permexp.mcmc`), temperature estimators and the
+uniformity test (:mod:`permexp.estimators`), and file formats
+(:mod:`permexp.io`).
 The ``permexp`` command line fronts the same functionality.
 """
 from .estimators import (

@@ -2,8 +2,8 @@
 
 Subcommands: ``fit`` (estimate theta from permutation files), ``logz``
 (curve of the limiting log-normalizer and its derivative), ``density``
-(limiting density grid), ``sample`` (MCMC draws), ``lottery`` (the full
-1970 draft-lottery analysis).
+(limiting density grid), ``sample`` (exact Kendall draws, MCMC draws of
+a linear model), ``lottery`` (the full 1970 draft-lottery analysis).
 
 Exit codes: 0 success, 2 when a fit legitimately has no root
 (extremal data), 1 on a usage, I/O or validation failure.  All floats
@@ -105,15 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--out", default="-")
     dens.set_defaults(func=cmd_density)
 
-    smp = sub.add_parser("sample", help="draw permutations by MCMC")
+    smp = sub.add_parser("sample", help="draw permutations: exact i.i.d. draws of the "
+                                        "Kendall model, MCMC for a linear model")
     smp.add_argument("--model", choices=["linear", "kendall"], default="linear")
     _add_score_argument(smp)
     smp.add_argument("--theta", type=float, required=True)
     smp.add_argument("--n", type=int, required=True)
     smp.add_argument("--draws", type=int, default=1)
-    smp.add_argument("--burn", type=int, default=None)
-    smp.add_argument("--thin", type=int, default=None)
-    smp.add_argument("--sampler", choices=["swap", "aux"], default="swap")
+    smp.add_argument("--burn", type=int, default=None,
+                     help="burn-in of a linear chain, in swap steps (default 10 n^2) "
+                          "or aux sweeps (default 10); checked, then ignored by Kendall draws")
+    smp.add_argument("--thin", type=int, default=None,
+                     help="steps (default n^2) or sweeps (default 1) between a linear "
+                          "chain's draws; checked, then ignored by Kendall draws")
+    smp.add_argument("--sampler", choices=["swap", "aux"], default="swap",
+                     help="linear chain kernel: pair swaps, or auxiliary sweeps (xy, "
+                          "theta > 0); exact Kendall draws accept swap and ignore it")
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--hist", type=int, default=None, metavar="K",
                      help="also emit the K x K binned frequency grid")

@@ -1,21 +1,21 @@
-"""MCMC samplers for the permutation models.
+"""Samplers for the permutation models.
 
-Two kernels are provided:
+The Kendall model is drawn exactly: its insertion code has independent
+truncated-geometric coordinates (see ``KendallModel``), so one draw is n
+uniforms, one inverse CDF per coordinate and one decode, and distinct
+draws are independent.  The linear models are sampled by MCMC, with two
+kernels:
 
 * a pair-swap Gibbs step: pick an unordered pair of positions uniformly
   and resample the two entries from their conditional distribution given
   the rest (keep or swap).  The model pmf is stationary and reversible
-  for this kernel, for both model families.  One loop, ``_run_swap``,
-  runs every swap step, ``gibbs_swap_step`` and ``sample`` alike.  A
-  linear chain keeps f(x_i, u_pi(i)) per position as Python floats and
-  computes each proposal's two cross terms with the score's own function
-  on Python floats (``models._linear_terms``); the loop inlines the ratio
-  of ``LinearModel.swap_evaluator``.  A Kendall chain asks the model for
-  its ratio evaluator: ``log_ratio(i, j)`` and a ``swap(i, j)`` that also
-  updates the per-chain cache; at n <= INVERSION_TABLE_MAX_N it reads an
-  inversion prefix-count table in O(1) and updates it on each accepted
-  swap, and at larger n counts the entries between the pair.  On S_1
-  there is no pair, and a step keeps the one permutation.
+  for this kernel.  One loop, ``_run_swap``, runs every swap step,
+  ``gibbs_swap_step`` and ``sample`` alike.  A chain keeps
+  f(x_i, u_pi(i)) per position as Python floats and computes each
+  proposal's two cross terms with the score's own function on Python
+  floats (``models._linear_terms``); the loop inlines the ratio of
+  ``LinearModel.swap_evaluator``.  On S_1 there is no pair, and a step
+  keeps the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
@@ -32,13 +32,13 @@ the model arithmetic of one step.  Recorded draws are read-only copies of
 the state, which ``ChainState`` checks once when it is made, so they skip
 ``Permutation``'s checks.
 
-The default burn-ins of ``sample`` are fixed step and sweep counts; no
-check shows that a chain has reached equilibrium after them, and 10
-auxiliary sweeps are far too few at n = 1000.
+The default burn-ins of the linear chains are fixed step and sweep
+counts; no check shows that a chain has reached equilibrium after them,
+and 10 auxiliary sweeps are far too few at n = 1000.
 
 All randomness flows through an explicit counter-based generator
 (numpy Philox); a seed fully determines the output, and independent
-seeds give independent chains.
+seeds give independent draws and chains.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from itertools import islice
 
 import numpy as np
 
-from .models import LinearModel, Model, _linear_terms
+from .models import KendallModel, LinearModel, Model, _linear_terms
 from .perm import Permutation
 
 __all__ = [
@@ -102,14 +102,20 @@ class ChainState:
         return Permutation._trusted(self.values)
 
 
-def gibbs_swap_step(state: ChainState, model: Model, rng: np.random.Generator) -> ChainState:
-    """One conditional pair-swap; mutates and returns ``state``.
+def gibbs_swap_step(state: ChainState, model: LinearModel,
+                    rng: np.random.Generator) -> ChainState:
+    """One conditional pair-swap of a linear chain; mutates and returns ``state``.
 
     The pair (I, J) is uniform over all n-choose-2 position pairs; the
     swapped configuration is adopted with its conditional probability
     sigma(log Q(swapped) - log Q(current)), so at theta = 0 the swap
-    happens with probability exactly 1/2.
+    happens with probability exactly 1/2.  The Kendall model has no
+    chain: ``sample`` draws it exactly, and a Kendall model raises
+    ValueError here.
     """
+    if not isinstance(model, LinearModel):
+        raise ValueError("the pair-swap step takes a linear model; "
+                         "sample draws the Kendall model exactly")
     _run_swap(state, model, rng, 0, 1, 1)
     return state
 
@@ -186,13 +192,15 @@ def _sweep_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sample(model: Model, n_samples: int, burn: int | None = None,
            thin: int | None = None, sampler: str = "swap",
            seed: int = 0) -> list[Permutation]:
-    """Draw permutations from the model by MCMC.
+    """Draw permutations from the model.
 
-    ``burn``/``thin`` count pair-swap steps for the swap sampler and
-    full sweeps for the auxiliary sampler; defaults are 10*n^2 swap
-    steps (or 10 sweeps) of burn-in and n^2-step (or 1-sweep) thinning.
-    Deterministic given ``seed``; distinct seeds give independent
-    chains.
+    A Kendall model is drawn exactly: the draws are i.i.d., and ``burn``,
+    ``thin`` and ``sampler="swap"`` are validated but have no effect.  A
+    linear model is sampled by MCMC: ``burn``/``thin`` count pair-swap
+    steps for the swap sampler and full sweeps for the auxiliary
+    sampler; defaults are 10*n^2 swap steps (or 10 sweeps) of burn-in
+    and n^2-step (or 1-sweep) thinning.  Deterministic given ``seed``;
+    distinct seeds give independent draws.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -206,6 +214,8 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
         raise ValueError("auxiliary sampler requires the Linear xy model with theta > 0; "
                          "use sampler='swap'")
     rng = make_rng(seed)
+    if isinstance(model, KendallModel):
+        return [_kendall_draw(model, rng) for _ in range(n_samples)]
     state = ChainState.uniform_start(model.n, rng)
     if sampler == "swap":
         burn = 10 * model.n * model.n if burn is None else burn
@@ -223,7 +233,43 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
     return draws
 
 
-def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
+def _kendall_draw(model: KendallModel, rng: np.random.Generator) -> Permutation:
+    """One exact draw of the Kendall model from ``rng.random(n)``.
+
+    With c = theta/n, the code coordinate V_j has P(V_j = v) proportional
+    to e^{cv} on {0..j-1}: the floor of a variable with density
+    proportional to e^{cx} on [0, j).  Its inverse CDF is evaluated for
+    -|c|, where expm1(-|c| j) lies in (-1, 0] at every theta, so it gives
+    V_j for theta <= 0 and W_j = j - 1 - V_j for theta > 0.  When |theta|
+    is below half an ulp of 1, every weight e^{cv}, v < n, is 1 in double
+    precision and V_j = floor(u j); dividing by a subnormal c would lose
+    the law.  The decode runs right to left: pi(j) is the
+    (V_j + 1)-th largest of the j values still free, the one at index
+    j - 1 - V_j in ascending order.
+    """
+    n = model.n
+    c = model.theta / n
+    j = _sweep_constants(n)[0]
+    x = rng.random(n)
+    if 1.0 + abs(model.theta) == 1.0:
+        x *= j
+    else:
+        # u * expm1 lies in (-1, 0], so x >= 0; rounding can reach j
+        a = -abs(c)
+        x *= np.expm1(a * j)
+        np.log1p(x, out=x)
+        x /= a
+    np.floor(x, out=x)
+    np.minimum(x, j - 1.0, out=x)
+    # x becomes j - 1 - V_j, the index of pi(j) among the free values
+    if c <= 0:
+        np.subtract(j - 1.0, x, out=x)
+    free = list(range(1, n + 1))
+    values = [free.pop(i) for i in reversed(x.astype(np.int64).tolist())]
+    return Permutation._trusted(values[::-1])
+
+
+def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
               n_samples: int, burn: int, thin: int) -> list[Permutation]:
     """Run burn + n_samples * thin swap steps on ``state``; return the draws.
 
@@ -240,15 +286,11 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
         return [state.permutation() for _ in range(n_samples)]
-    linear = isinstance(model, LinearModel)
-    if linear:
-        # the ratio of LinearModel.swap_evaluator, inlined: a call per step
-        # costs more than the arithmetic
-        fn, t, own = _linear_terms(model, values)
-        theta = model.theta
-        cells = memoryview(values)
-    else:
-        log_ratio, swap = model.swap_evaluator(values)
+    # the ratio of LinearModel.swap_evaluator, inlined: a call per step
+    # costs more than the arithmetic
+    fn, t, own = _linear_terms(model, values)
+    theta = model.theta
+    cells = memoryview(values)
     draws: list[Permutation] = []
     accepted = 0
     record = burn + thin if n_samples > 0 else total + 1
@@ -267,23 +309,17 @@ def _run_swap(state: ChainState, model: Model, rng: np.random.Generator,
         lo = 0
         while lo < m:
             hi = min(m, record - done)
-            if linear:
-                for i, j, logit in islice(steps, hi - lo):
-                    a = cells[i]
-                    b = cells[j]
-                    c = fn(t[i], t[b - 1])
-                    d = fn(t[j], t[a - 1])
-                    if logit < -theta * (own[i] + own[j] - c - d):
-                        cells[i] = b
-                        cells[j] = a
-                        own[i] = c
-                        own[j] = d
-                        accepted += 1
-            else:
-                for i, j, logit in islice(steps, hi - lo):
-                    if logit < log_ratio(i, j):
-                        swap(i, j)
-                        accepted += 1
+            for i, j, logit in islice(steps, hi - lo):
+                a = cells[i]
+                b = cells[j]
+                c = fn(t[i], t[b - 1])
+                d = fn(t[j], t[a - 1])
+                if logit < -theta * (own[i] + own[j] - c - d):
+                    cells[i] = b
+                    cells[j] = a
+                    own[i] = c
+                    own[j] = d
+                    accepted += 1
             lo = hi
             if done + hi == record:
                 draws.append(state.permutation())

@@ -41,21 +41,6 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 9
 
 
-# Largest n whose Kendall chains read their log-ratios from an (n+1) x
-# (n+1) int16 prefix-count table, 132 KB at 256.  Each accepted swap
-# updates a slice of about (n/3)^2 cells, so the table's cost grows as n^2
-# times the acceptance rate, which depends on theta and hardly on n: 50% at
-# theta=0, 33% at |theta|=5, 12% at |theta|=20.  Measured per step against
-# counting the entries between the pair (2 cores, numpy 2.4.6): at theta=0
-# the table takes 0.80x the time at n=200, 0.87x at 300, 1.07x at 350,
-# 1.46x at 500 and 2.8x at 1000; at |theta|=20 it takes 0.30x at n=200,
-# 0.33-0.43x at 500-1000 and 0.55-0.7x at 2000-3000.  The cutoff keeps the
-# table where it wins at every theta.  Building it takes 15 us at n=32,
-# 190 us at 200 and 320 us at 256; a run repays that within 0.1-0.5 n
-# steps (1.1 n at theta=0, n=256).  Only shorter runs, such as one-step
-# gibbs_swap_step calls, would count faster.
-INVERSION_TABLE_MAX_N = 256
-
 # log_ratio(i, j) and swap(i, j) over one chain's state; see swap_evaluator.
 SwapEvaluator = tuple[Callable[[int, int], float], Callable[[int, int], None]]
 
@@ -127,7 +112,12 @@ def _linear_terms(model: LinearModel,
 
 @dataclass(frozen=True)
 class KendallModel:
-    """Mallows pmf proportional to exp((theta/n) * Inv(pi))."""
+    """Mallows pmf proportional to exp((theta/n) * Inv(pi)).
+
+    The weight factorises over the insertion code V_j = #{i < j : pi(i) >
+    pi(j)}, whose coordinates are independent with P(V_j = v) proportional
+    to e^{(theta/n) v} on {0..j-1}; ``mcmc.sample`` draws from it exactly.
+    """
 
     theta: float
     n: int
@@ -137,85 +127,6 @@ class KendallModel:
 
     def log_weight(self, pi: Permutation) -> float:
         return (self.theta / self.n) * inversions(pi)
-
-    def swap_evaluator(self, values: np.ndarray) -> SwapEvaluator:
-        """``(log_ratio, swap)`` for a chain on ``values``.
-
-        As for ``LinearModel.swap_evaluator``.  With n <=
-        INVERSION_TABLE_MAX_N each ratio is read from a prefix-count table
-        built for ``values``; larger n count the entries between the pair.
-        """
-        scale = self.theta / self.n
-        if self.n <= INVERSION_TABLE_MAX_N:
-            return _inversion_table_evaluator(values, scale)
-        return _inversion_count_evaluator(values, scale)
-
-
-def _cell_swapper(cells: memoryview) -> Callable[[int, int], None]:
-    """The swap of a chain that keeps no cache beside its state."""
-
-    def swap(i: int, j: int) -> None:
-        cells[i], cells[j] = cells[j], cells[i]
-
-    return swap
-
-
-def _inversion_count_evaluator(values: np.ndarray, scale: float) -> SwapEvaluator:
-    """Kendall ratios by counting the entries between the pair: O(n) each."""
-
-    def log_ratio(i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        vi = values.item(i)
-        vj = values.item(j)
-        mid = values[i + 1:j]
-        delta = 2 * (int(np.count_nonzero(mid < vj)) - int(np.count_nonzero(mid < vi)))
-        delta += 1 if vj > vi else -1
-        return scale * delta
-
-    return log_ratio, _cell_swapper(memoryview(values))
-
-
-def _inversion_table_evaluator(values: np.ndarray, scale: float) -> SwapEvaluator:
-    """Kendall ratios read from a prefix-count table: O(1) each.
-
-    ``table[p, v] = #{q < p : pi(q) < v}`` (0-based positions q), so the
-    entries strictly between positions i < j that are below v number
-    ``table[j, v] - table[i + 1, v]``.  An accepted swap moves value a at
-    position i to b, which changes the count for rows i+1..j and the
-    columns between a and b by one; it costs one slice update, O(n^2) at
-    worst, which only accepted swaps pay.
-    """
-    n = values.size
-    cells = memoryview(values)
-    # counts stay <= n <= INVERSION_TABLE_MAX_N, well inside int16
-    table = np.zeros((n + 1, n + 1), dtype=np.int16)
-    np.cumsum(values[:, None] < np.arange(n + 1), axis=0, dtype=np.int16, out=table[1:])
-    counts = memoryview(table)
-
-    def log_ratio(i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        a = cells[i]
-        b = cells[j]
-        k = i + 1
-        delta = 2 * ((counts[j, b] - counts[k, b]) - (counts[j, a] - counts[k, a]))
-        delta += 1 if b > a else -1
-        return scale * delta
-
-    def swap(i: int, j: int) -> None:
-        if i > j:
-            i, j = j, i
-        a = cells[i]
-        b = cells[j]
-        cells[i] = b
-        cells[j] = a
-        if a < b:
-            table[i + 1:j + 1, a + 1:b + 1] -= 1
-        else:
-            table[i + 1:j + 1, b + 1:a + 1] += 1
-
-    return log_ratio, swap
 
 
 Model = Union[LinearModel, KendallModel]

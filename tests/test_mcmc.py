@@ -1,6 +1,7 @@
-import functools
 import hashlib
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import expit
 from permexp.grids import get_score
 from permexp.mcmc import (
     ChainState,
+    _kendall_draw,
     _run_swap,
     auxiliary_gibbs_sweep,
     gibbs_swap_step,
@@ -19,23 +21,22 @@ from permexp.mcmc import (
 from permexp.models import (
     KendallModel,
     LinearModel,
-    _inversion_count_evaluator,
     enumerate_pmf,
     kendall_limit_C_prime,
+    kendall_logZ_prime,
 )
 from permexp.perm import Permutation, inversions
 
 from conftest import empirical_law, tv_distance
 
 
-def exact_swap_kernel(model, evaluator=None):
+def exact_swap_kernel(model):
     """Transition matrix of the pair-swap Gibbs chain by enumeration.
 
-    Acceptance comes from ``evaluator(values)``, by default the
-    ``model.swap_evaluator`` that ``_run_swap`` uses, over the ordered
-    pairs (i, j), i != j, that it draws uniformly.
+    Acceptance comes from ``model.swap_evaluator``, whose ratio
+    ``_run_swap`` inlines, over the ordered pairs (i, j), i != j, that it
+    draws uniformly.
     """
-    evaluator = evaluator or model.swap_evaluator
     perms, probs = enumerate_pmf(model)
     states = [tuple(p) for p in perms]
     index = {s: i for i, s in enumerate(states)}
@@ -43,7 +44,7 @@ def exact_swap_kernel(model, evaluator=None):
     npairs = n * (n - 1)
     kmat = np.zeros((len(states), len(states)))
     for a, s in enumerate(states):
-        log_ratio, _ = evaluator(np.array(s))
+        log_ratio, _ = model.swap_evaluator(np.array(s))
         for i, j in itertools.permutations(range(n), 2):
             acc = expit(log_ratio(i, j))
             t = list(s)
@@ -77,35 +78,6 @@ class TestSwapKernel:
         assert np.abs(flow - flow.T).max() <= 1e-12
         assert np.abs(probs @ kmat - probs).max() <= 1e-12
 
-    def test_detailed_balance_kendall(self):
-        model = KendallModel(-1.5, 4)
-        states, probs, kmat = exact_swap_kernel(model)
-        flow = probs[:, None] * kmat
-        assert np.abs(flow - flow.T).max() <= 1e-12
-
-    @pytest.mark.parametrize("evaluator", [_inversion_count_evaluator, None],
-                             ids=["count", "table"])
-    def test_detailed_balance_kendall_s5(self, evaluator):
-        # n = 5 chains read the table; the counting path runs above
-        # INVERSION_TABLE_MAX_N, so it is gated here directly
-        model = KendallModel(2.5, 5)
-        if evaluator is not None:
-            evaluator = functools.partial(evaluator, scale=model.theta / model.n)
-        states, probs, kmat = exact_swap_kernel(model, evaluator)
-        flow = probs[:, None] * kmat
-        assert np.abs(flow - flow.T).max() <= 1e-12
-        assert np.abs(probs @ kmat - probs).max() <= 1e-12
-
-    def test_step_preserves_bijectivity_and_counts(self):
-        model = KendallModel(2.0, 25)
-        rng = make_rng(0)
-        state = ChainState.uniform_start(25, rng)
-        for _ in range(500):
-            gibbs_swap_step(state, model, rng)
-            assert sorted(state.values) == list(range(1, 26))
-        assert state.steps == 500
-        assert 0 < state.swaps_accepted <= 500
-
     @pytest.mark.parametrize("values", [[1, 1, 3], [0, 1, 2], [1, 2, 4], [[1, 2], [2, 1]], []],
                              ids=["repeat", "zero", "out-of-range", "2-d", "empty"])
     def test_state_rejects_a_non_bijection(self, values):
@@ -133,11 +105,12 @@ def _step_snapshots(model, seed):
 
 
 class TestGoldenChains:
-    """Seeded chains reproduce recorded SHA-256 digests of their states.
+    """Seeded runs reproduce recorded SHA-256 digests of their draws.
 
     The digests pin the RNG stream and the acceptance rule: linear chains
-    at n = 40 and 1100 (the ids name the score-table paths that recorded
-    them), Kendall chains below and above their table cutoff, single
+    at n = 40 and 1100 (the ids name the n ranges of two former ratio
+    paths), exact Kendall draws at n = 40 and 1100 (their burn and thin
+    have no effect; the second id names a former table cutoff), single
     gibbs_swap_step calls and auxiliary sweeps all give the draws they
     gave when the digests were recorded.
     """
@@ -148,9 +121,9 @@ class TestGoldenChains:
         (LinearModel(get_score("xy"), 20.0, 1100), 2, 3000, 2000, 32,
          "9e5b2362b17dc567f01aaf5241cff77c5ea5e059bb0fc0a9cc28ae69d313304b"),
         (KendallModel(2.0, 40), 4, 1000, 400, 33,
-         "ccadd6ae1c3f3072fc356cd525cc483c00499fab492ca7e358063123752ff4f2"),
+         "0117225d37f7b8dc356b471ff576bd765dbf527112a450b45e13bc946f3b32fb"),
         (KendallModel(20.0, 1100), 2, 3000, 2000, 37,
-         "7d56ed0c9a70139cb27c6d0f735ce83c315edf25290233988914e721d1f67865"),
+         "9485499d0957e04e626e8415705c8e214465067f8b33ca4165a180a269510198"),
     ], ids=["linear-table", "linear-above-table", "kendall", "kendall-above-table"])
     def test_sample(self, model, draws, burn, thin, seed, want):
         out = sample(model, draws, burn=burn, thin=thin, sampler="swap", seed=seed)
@@ -161,13 +134,6 @@ class TestGoldenChains:
         assert state.swaps_accepted == 1082
         assert (_digest(snapshots)
                 == "b3a5d195d74cadcd65dd98f4c89e3da218530bb3a34fcf8ec11d85ba56364b9a")
-
-    def test_gibbs_swap_step_kendall(self):
-        # each one-step run builds and reads a fresh table
-        state, snapshots = _step_snapshots(KendallModel(-3.0, 30), 38)
-        assert state.swaps_accepted == 1248
-        assert (_digest(snapshots)
-                == "2be7bb67a93a2abf47cb28530b006018913ceb5e1d83703a0d2d01fe695f6582")
 
     @pytest.mark.parametrize("n, draws, burn, thin, seed, want", [
         (500, 4, 5, 2, 35,
@@ -231,7 +197,7 @@ class TestAuxiliarySweep:
 
 class TestSample:
     def test_draw_is_a_read_only_copy(self):
-        model = KendallModel(0.0, 6)
+        model = LinearModel(get_score("xy"), 0.0, 6)
         rng = make_rng(9)
         state = ChainState.uniform_start(6, rng)
         draw = state.permutation()
@@ -283,6 +249,134 @@ class TestSample:
         draws = sample(model, 80, burn=60_000, thin=3_000, sampler="swap", seed=11)
         rate = np.mean([inversions(p) for p in draws]) / (n * n)
         assert abs(rate - kendall_limit_C_prime(theta)) <= 0.01
+
+
+def _insertion_code(p):
+    """V_j = #{i < j : pi(i) > pi(j)}, j = 1..n, by its definition."""
+    return [sum(a > b for a in p[:j]) for j, b in enumerate(p)]
+
+
+def _code_edges(theta, n, j):
+    """Edges of the uniform's intervals for the variable the sampler draws.
+
+    It draws V_j for theta <= 0 and W_j = j - 1 - V_j for theta > 0; the
+    x-th interval [edges[x], edges[x + 1]) gives that variable the value
+    x.  With a = -|theta|/n, P(X <= x - 1) = expm1(a x) / expm1(a j).
+    """
+    x = np.arange(j + 1, dtype=np.float64)
+    if theta == 0:
+        return x / j
+    a = -abs(theta) / n
+    return np.expm1(a * x) / math.expm1(a * j)
+
+
+def _code_value(theta, j, v):
+    """The drawn variable at V_j = v."""
+    return j - 1 - v if theta > 0 else v
+
+
+class _Uniforms:
+    """A generator stub whose ``random(n)`` returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return np.array(self.u, dtype=np.float64)
+
+
+EXACT_THETAS = [-7.5, 0.0, 3.0, 40.0]
+
+
+class TestKendallExact:
+    @pytest.mark.parametrize("theta", EXACT_THETAS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_code_law_is_the_model_pmf(self, n, theta):
+        perms, probs = enumerate_pmf(KendallModel(theta, n))
+        edges = [_code_edges(theta, n, j) for j in range(1, n + 1)]
+        for p, want in zip(perms.tolist(), probs):
+            got = 1.0
+            for j, v in enumerate(_insertion_code(p), start=1):
+                x = _code_value(theta, j, v)
+                got *= edges[j - 1][x + 1] - edges[j - 1][x]
+            assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("theta", EXACT_THETAS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_uniforms_in_code_intervals_decode_to_the_permutation(self, n, theta):
+        # the midpoint of each coordinate's interval, for every pi in S_n
+        model = KendallModel(theta, n)
+        edges = [_code_edges(theta, n, j) for j in range(1, n + 1)]
+        for p in itertools.permutations(range(1, n + 1)):
+            u = []
+            for j, v in enumerate(_insertion_code(p), start=1):
+                x = _code_value(theta, j, v)
+                u.append(0.5 * (edges[j - 1][x] + edges[j - 1][x + 1]))
+            assert _kendall_draw(model, _Uniforms(u)).as_tuple() == p
+
+    @pytest.mark.parametrize("n", [1, 5, 50])
+    def test_end_uniforms_give_the_end_codes(self, n):
+        # u = 0 draws 0 and the largest uniform draws j - 1 at every j, for
+        # |theta| small enough that j - 1 keeps an interval wider than an ulp;
+        # at small |theta| the inverse CDF of the largest rounds up to j
+        top = np.nextafter(1.0, 0.0)
+        ident, rev = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+        for theta in np.concatenate([-np.logspace(-12, 0, 60), [0.0],
+                                     np.logspace(-12, 0, 60)]).tolist():
+            model = KendallModel(theta, n)
+            low = _kendall_draw(model, _Uniforms([0.0] * n)).as_tuple()
+            high = _kendall_draw(model, _Uniforms([top] * n)).as_tuple()
+            assert (low, high) == ((rev, ident) if theta > 0 else (ident, rev))
+
+    @pytest.mark.parametrize("theta", [1e4, -1e4, 0.0, 5e-324])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_extreme_theta_draws_bijections_without_warnings(self, n, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample(KendallModel(theta, n), 20, seed=19)
+        for d in draws:
+            assert np.array_equal(np.sort(d.values), np.arange(1, n + 1))
+        if abs(theta) == 1e4:
+            want = np.arange(n, 0, -1) if theta > 0 else np.arange(1, n + 1)
+            assert all(np.array_equal(d.values, want) for d in draws)
+
+    @pytest.mark.parametrize("theta", [-20.0, 5.0, 50.0])
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_mean_inversions_match_logz_prime(self, n, theta):
+        # the tolerance is 4 standard errors of the mean from the exact
+        # variance sum_j Var(V_j) of Inv, fixed before the draws
+        m = 300
+        c = theta / n
+        var = 0.0
+        for j in range(1, n + 1):
+            v = np.arange(j, dtype=np.float64)
+            w = np.exp(c * (v - (j - 1 if c > 0 else 0)))
+            w /= w.sum()
+            mean = w @ v
+            var += w @ (v - mean) ** 2
+        tol = 4.0 * math.sqrt(var / m) / (n * n)
+        draws = sample(KendallModel(theta, n), m, seed=23)
+        rate = np.mean([inversions(d) for d in draws]) / (n * n)
+        assert abs(rate - kendall_logZ_prime(n, theta)) <= tol
+
+    def test_burn_thin_and_sampler_are_checked_and_ignored(self):
+        model = KendallModel(2.0, 30)
+        want = sample(model, 4, seed=3)
+        assert sample(model, 4, burn=500, thin=7, sampler="swap", seed=3) == want
+        with pytest.raises(ValueError, match="burn must be >= 0"):
+            sample(model, 4, burn=-1, seed=3)
+        with pytest.raises(ValueError, match="thin must be >= 1"):
+            sample(model, 4, thin=0, seed=3)
+        with pytest.raises(ValueError, match="unknown sampler"):
+            sample(model, 4, sampler="gibbs", seed=3)
+
+    def test_swap_step_rejects_the_kendall_model(self):
+        rng = make_rng(1)
+        state = ChainState.uniform_start(5, rng)
+        with pytest.raises(ValueError, match="linear model"):
+            gibbs_swap_step(state, KendallModel(1.0, 5), rng)
+        assert state.steps == 0
 
 
 class TestLongRunLaws:
