@@ -13,6 +13,7 @@ hangs off an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -81,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--tol", type=float,
                      help="IPFP residual tolerance of a linear ld fit (default 1e-12)")
     fit.add_argument("--root-tol", type=float, default=1e-8)
-    fit.set_defaults(func=cmd_fit)
 
     logz = sub.add_parser("logz", help="curve of the limiting log-normalizer")
     _add_score_argument(logz)
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     logz.add_argument("--iters", type=int, default=None)
     logz.add_argument("--tol", type=float, default=1e-12)
     logz.add_argument("--out", default="-", help="output CSV path, or - for stdout")
-    logz.set_defaults(func=cmd_logz)
 
     dens = sub.add_parser("density", help="limiting density on a k x k grid")
     dens.add_argument("--model", choices=["linear", "kendall"], default="linear")
@@ -103,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--tol", type=float,
                       help="IPFP residual tolerance of a linear density (default 1e-12)")
     dens.add_argument("--out", default="-")
-    dens.set_defaults(func=cmd_density)
 
     smp = sub.add_parser("sample", help="draw permutations: exact i.i.d. draws of the "
                                         "Kendall model, MCMC for a linear model")
@@ -127,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--out", default="-")
     smp.add_argument("--hist-out", default=None,
                      help="path for the --hist grid (default: <out>_hist.csv)")
-    smp.set_defaults(func=cmd_sample)
 
     lot = sub.add_parser("lottery", help="full 1970 draft-lottery analysis")
     lot.add_argument("--data", required=True, help="day_of_year,draw_order CSV")
@@ -138,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     lot.add_argument("--bins", type=int, default=10)
     lot.add_argument("--seed", type=int, default=0,
                      help="seed for the uniform reference permutation")
-    lot.set_defaults(func=cmd_lottery)
 
     return top
 
@@ -293,11 +289,20 @@ def cmd_lottery(args) -> int:
     return exit_code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs about as much as a small fit.
+
+    Parsing leaves it unchanged, and it holds no command function, so
+    ``main`` finds ``cmd_<command>`` by name on each call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except IpfpNonConvergence as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

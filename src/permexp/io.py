@@ -9,6 +9,10 @@ Formats:
 * grid CSV: first line k, then k comma-separated rows;
 * JSON reports: flat objects with all floats printed to 10 significant
   digits so reruns diff cleanly.
+
+The CSV writers format in numpy, a block of rows at a time, and give the
+bytes that Python's own formatting gives: ``str`` of each integer, and
+``'%.10g'`` of each grid value.
 """
 from __future__ import annotations
 
@@ -109,19 +113,58 @@ def load_permutation_csv(path: PathLike) -> Permutation:
 
 
 def save_permutation_csv(pi: Permutation, path_or_stream) -> None:
+    """Write one permutation in the ``i,pi`` format."""
     with _writing(path_or_stream) as fh:
         fh.write("i,pi\n")
-        fh.write("".join([f"{i},{v}\n"
-                          for i, v in enumerate(pi.values.tolist(), start=1)]))
+        _write_int_rows(fh, "", pi.values, _digits(pi.n))
 
 
 def save_draws_csv(draws: Sequence[Permutation], path_or_stream) -> None:
-    """Write draws in the compact ``draw,i,pi`` multi-draw format."""
+    """Write draws in the compact ``draw,i,pi`` multi-draw format; draws may differ in n."""
+    digits = _digits(max((pi.n for pi in draws), default=0))
     with _writing(path_or_stream) as fh:
         fh.write("draw,i,pi\n")
         for d, pi in enumerate(draws, start=1):
-            fh.write("".join([f"{d},{i},{v}\n"
-                              for i, v in enumerate(pi.values.tolist(), start=1)]))
+            _write_int_rows(fh, f"{d},", pi.values, digits)
+
+
+def _digits(top: int) -> np.ndarray:
+    """The ASCII digits of 0..top, one row each, right-aligned at the width
+    of top; the positions left of a number's first digit are NUL."""
+    width = len(str(top))
+    table = np.zeros((top + 1, width), dtype=np.uint8)
+    for col in range(width):
+        unit = 10 ** (width - 1 - col)
+        # down the column the digit runs "0".."9" over and over, unit rows each
+        cycle = np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), unit)
+        table[unit:, col] = np.resize(cycle, top + 1)[unit:]
+    table[0, -1] = ord("0")
+    return table
+
+
+def _write_int_rows(fh: IO, prefix: str, values: np.ndarray, digits: np.ndarray) -> None:
+    """Write the rows ``f"{prefix}{i},{v}\\n"`` for i = 1, 2, ... and each v of values.
+
+    Both numbers are read from ``digits`` (see ``_digits``; its top is at
+    least len(values) and every v) into fixed-width slots of one uint8 row
+    each, and the NUL bytes of the empty slot positions are left out.  The
+    rows go out in blocks of about ``_BLOCK_VALUES`` bytes, so the buffers
+    stay small whatever the draw's n.
+    """
+    head = np.frombuffer(prefix.encode("ascii"), dtype=np.uint8)
+    p = head.size
+    w = digits.shape[1]
+    row_bytes = p + 2 * w + 2
+    step = max(1, _BLOCK_VALUES // row_bytes)
+    for start in range(0, values.size, step):
+        block = values[start:start + step]
+        rows = np.empty((block.size, row_bytes), dtype=np.uint8)
+        rows[:, :p] = head
+        rows[:, p:p + w] = digits[start + 1:start + block.size + 1]
+        rows[:, p + w] = ord(",")
+        rows[:, p + w + 1:-1] = digits[block]
+        rows[:, -1] = ord("\n")
+        fh.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +208,9 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-# Grid values are formatted in blocks of about this many, each written as
-# soon as it is made, so memory stays flat in the grid size.
+# Grid values are formatted in blocks of about this many, and integer rows in
+# blocks of about this many bytes, each written as soon as it is made, so
+# memory stays flat in the grid size and the draw size.
 _BLOCK_VALUES = 1 << 15
 # Exact powers of ten: 10**22 is the largest that a double holds exactly.
 _POW10 = np.array([float(10**j) for j in range(23)])

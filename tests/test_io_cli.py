@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from permexp.cli import main
+from permexp import cli
+from permexp.cli import build_parser, main
 from permexp.estimators import multi_estimate
 from permexp.grids import get_score, grid_mean, score_grid
 from permexp.io import (
@@ -287,6 +288,66 @@ class TestDrawsCsv:
         save_permutation_csv(draws[3], buf)
         assert buf.getvalue() == "i,pi\n" + "".join(
             f"{i},{int(v)}\n" for i, v in enumerate(draws[3].values, start=1))
+
+
+def _fstring_permutation(pi) -> str:
+    """The permutation CSV as the writer made it row by row with f-strings."""
+    return "i,pi\n" + "".join([f"{i},{v}\n" for i, v in enumerate(pi.values.tolist(), start=1)])
+
+
+def _fstring_draws(draws) -> str:
+    """The multi-draw CSV as the writer made it row by row with f-strings."""
+    return "draw,i,pi\n" + "".join([f"{d},{i},{v}\n" for d, pi in enumerate(draws, start=1)
+                                    for i, v in enumerate(pi.values.tolist(), start=1)])
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    # line by line: on a failing == of two 10^4-row texts pytest would spend
+    # minutes diffing them
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    bad = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b), None)
+    assert bad is None, f"line {bad + 1}: {got_lines[bad]!r} != {want_lines[bad]!r}"
+    assert len(got_lines) == len(want_lines)
+
+
+class TestIntRowsAgainstFStrings:
+    """The vectorised integer writers give the f-string writers' bytes."""
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 10_000])
+    def test_every_digit_width(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        draws = [Permutation.identity(n), Permutation(np.arange(n, 0, -1)),
+                 random_permutation(rng, n)]
+        for pi in draws:
+            buf = io.StringIO()
+            save_permutation_csv(pi, buf)
+            _assert_same_text(buf.getvalue(), _fstring_permutation(pi))
+        path = tmp_path / "draws.csv"
+        save_draws_csv(draws, path)
+        _assert_same_text(path.read_bytes().decode("ascii"), _fstring_draws(draws))
+
+    @pytest.mark.parametrize("count", [9, 10, 99, 100])
+    def test_draw_column_widens(self, count):
+        rng = np.random.default_rng(count)
+        # mixed n, with the largest draw last
+        draws = [random_permutation(rng, 1 + d % 12) for d in range(count - 1)]
+        draws.append(random_permutation(rng, 15))
+        buf = io.StringIO()
+        save_draws_csv(draws, buf)
+        _assert_same_text(buf.getvalue(), _fstring_draws(draws))
+
+    def test_no_draws(self):
+        buf = io.StringIO()
+        save_draws_csv([], buf)
+        assert buf.getvalue() == "draw,i,pi\n"
+
+    def test_sample_to_stdout(self, capsys):
+        assert main(["sample", "--f", "xy", "--theta", "3", "--n", "12", "--draws", "11",
+                     "--burn", "5", "--thin", "1", "--sampler", "aux", "--seed", "8",
+                     "--out", "-"]) == 0
+        draws = sample(LinearModel(get_score("xy"), 3.0, 12), 11, burn=5, thin=1,
+                       sampler="auxiliary", seed=8)
+        _assert_same_text(capsys.readouterr().out, _fstring_draws(draws))
 
 
 class TestJsonFormatting:
@@ -597,6 +658,36 @@ class TestCliDensity:
         assert np.abs(vals - vals.T).max() <= 1e-8
         assert np.abs(vals - vals[::-1, ::-1].T).max() <= 1e-8
         assert vals.diagonal().max() == vals.max()
+
+
+class TestCliParser:
+    def test_calls_parse_independently(self, tmp_path, lottery, capsys, monkeypatch):
+        """main builds one parser per process, and no flag of a call reaches the next."""
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        tau = tmp_path / "tau.csv"
+        save_permutation_csv(lottery.tau(), tau)
+        kendall_fit = ["fit", "--model", "kendall", "--method", "ml", "--data", str(tau)]
+        try:
+            assert main(kendall_fit) == 0
+            first = capsys.readouterr().out
+            assert main(["fit", "--method", "ld", "--k", "20", "--data", str(tau),
+                         "--data", str(tau)]) == 0
+            assert main(["sample", "--theta", "1", "--n", "5", "--draws", "2", "--burn", "3",
+                         "--thin", "1", "--seed", "4", "--out", str(tmp_path / "s.csv")]) == 0
+            capsys.readouterr()
+            # the Kendall fit rejects --k, and would pool two files if --data leaked
+            assert main(kendall_fit) == 0
+            assert capsys.readouterr().out == first
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
 
 
 class TestCliSample:

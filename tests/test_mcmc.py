@@ -137,9 +137,9 @@ class TestGoldenChains:
 
     @pytest.mark.parametrize("n, draws, burn, thin, seed, want", [
         (500, 4, 5, 2, 35,
-         "76da6aa27bb3b5f99fd576c991dbafea2089f039d0b95437e017d4663250090b"),
+         "81d116ff0d68e57d14dac32989196e6768f0b4e4d2b9511527fb77d7b7a631b8"),
         (3000, 2, 2, 1, 36,
-         "b6a5aa7cc7407d86c43e5c1840e2dd9e4cf212e5a8fde235c719a53f56868ad8"),
+         "a55d8f9a7e70e0aefbecd82d56750c5ea44fc75bbea100418103613c32c97529"),
     ], ids=["n500", "n3000"])
     def test_auxiliary(self, n, draws, burn, thin, seed, want):
         model = LinearModel(get_score("xy"), 20.0, n)

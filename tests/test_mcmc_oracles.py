@@ -3,10 +3,18 @@
 ``_oracle_run_swap`` is the pair-swap loop that ran every swap step before
 the steps were run in segments between records and a linear chain's ratio
 was inlined in the loop; it calls the model's ``log_ratio`` and ``swap``
-once per step.  ``_oracle_sweep`` is the auxiliary sweep before its picks
-were computed up front.  The samplers must give the same draws, the same
-counts and leave the generator at the same position.
+once per step.  The swap chains must give the same draws, the same counts
+and leave the generator at the same position.
+
+``_oracle_sweep`` is the auxiliary sweep before its picks were computed up
+front and before its assignment became one in-place Fisher-Yates pass.
+The two map uniforms to draws differently, so they are compared by their
+exact transition matrices on S_3 and S_4, and by the number of uniforms a
+sweep uses.
 """
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +28,7 @@ from permexp.mcmc import (
     make_rng,
     sample,
 )
-from permexp.models import LinearModel
+from permexp.models import LinearModel, enumerate_pmf
 from permexp.perm import Permutation
 
 # the oracle's block size fixes its RNG stream
@@ -177,15 +185,105 @@ class TestRecordBookkeeping:
         assert [d.as_tuple() for d in draws] == [d.as_tuple() for d in want]
 
 
+class _Stream:
+    """A generator stub whose ``random(size)`` returns the next size chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+        self.used = 0
+
+    def random(self, size):
+        out = np.array(self.u[self.used:self.used + size], dtype=np.float64)
+        assert out.size == size
+        self.used += size
+        return out
+
+
+def _entry_cases(values, theta):
+    """Each entry vector of a sweep from ``values``, its probability and its V.
+
+    Position j is feasible for target l >= entry_j, and with rate
+    r = theta j / n^2, P(entry_j <= e) = e^{r (e - pi(j))} for e < pi(j):
+    V_j in (e^{r (e - 1 - pi(j))}, e^{r (e - pi(j))}] gives entry e (the
+    lower end is 0 at e = 1, the upper 1 at e = pi(j)).  The V returned is
+    the middle of that interval.
+    """
+    n = len(values)
+    per_position = []
+    for j, v in enumerate(values, start=1):
+        r = theta * j / (n * n)
+        edges = [0.0] + [math.exp(r * (e - v)) for e in range(1, v)] + [1.0]
+        per_position.append([(e, edges[e] - edges[e - 1], (edges[e - 1] + edges[e]) / 2)
+                             for e in range(1, v + 1)])
+    for case in itertools.product(*per_position):
+        entries, probs, mids = zip(*case)
+        yield entries, math.prod(probs), list(mids)
+
+
+def _pool_sizes(entries):
+    """c_l = #{j : entry_j <= l} - (l - 1), the pool a target l picks from."""
+    return [sum(e <= l for e in entries) - (l - 1) for l in range(1, len(entries) + 1)]
+
+
+def _feasible(entries):
+    n = len(entries)
+    return {p for p in itertools.permutations(range(1, n + 1))
+            if all(v >= e for v, e in zip(p, entries))}
+
+
+def _exact_aux_kernel(sweep, model, slice_uniform):
+    """The sweep's n! x n! transition matrix, from every entry and pick vector.
+
+    ``slice_uniform(v)`` is the uniform that ``sweep`` reads as V = v.  Each
+    pick is (r + 1/2)/c_l, so it selects r from a pool of c_l.  For every
+    entry vector the pick vectors must map one to one onto the feasible
+    assignments, and each sweep must read exactly 2n uniforms.
+    """
+    perms, probs = enumerate_pmf(model)
+    states = [tuple(p) for p in perms.tolist()]
+    index = {s: i for i, s in enumerate(states)}
+    n = model.n
+    kmat = np.zeros((len(states), len(states)))
+    for a, s in enumerate(states):
+        for entries, p_entries, mids in _entry_cases(s, model.theta):
+            sizes = _pool_sizes(entries)
+            slices = [slice_uniform(v) for v in mids]
+            images = []
+            for picks in itertools.product(*[range(c) for c in sizes]):
+                rng = _Stream(slices + [(r + 0.5) / c for r, c in zip(picks, sizes)])
+                state = ChainState(np.array(s))
+                sweep(state, model, rng)
+                assert rng.used == 2 * n and state.sweeps == 1
+                images.append(tuple(state.values.tolist()))
+            assert len(set(images)) == len(images)
+            assert set(images) == _feasible(entries)
+            for t in images:
+                kmat[a, index[t]] += p_entries / len(images)
+    return probs, kmat
+
+
 class TestAuxiliaryOracle:
     @pytest.mark.parametrize("theta", [0.5, 3.0, 20.0, 1e6])
     @pytest.mark.parametrize("n", [1, 2, 4, 50, 500, 3000])
     def test_same_sweeps(self, n, theta):
+        """Both sweeps read 2n uniforms and keep a bijection; their draws differ."""
         model = LinearModel(get_score("xy"), theta, n)
         (state, rng), (want_state, want_rng) = _chains(model, n)
         for _ in range(6):
             auxiliary_gibbs_sweep(state, model, rng)
             _oracle_sweep(want_state, model, want_rng)
-            assert np.array_equal(state.values, want_state.values)
-        assert state.sweeps == want_state.sweeps
+            assert np.array_equal(np.sort(state.values), np.arange(1, n + 1))
+        assert state.sweeps == want_state.sweeps == 6
         assert rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("theta", [0.5, 3.0, 40.0])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_exact_kernel(self, n, theta):
+        """The sweep's exact matrix is stochastic, keeps the pmf, and equals the oracle's."""
+        model = LinearModel(get_score("xy"), theta, n)
+        # the sweep reads V = 1 - u, the oracle V = u
+        probs, kmat = _exact_aux_kernel(auxiliary_gibbs_sweep, model, lambda v: 1.0 - v)
+        assert np.abs(kmat.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(probs @ kmat - probs).max() <= 1e-15
+        _, want = _exact_aux_kernel(_oracle_sweep, model, lambda v: v)
+        assert np.abs(kmat - want).max() <= 1e-15
