@@ -5,8 +5,10 @@ Subcommands: ``fit`` (estimate theta from permutation files), ``logz``
 (limiting density grid), ``sample`` (exact Kendall draws, MCMC draws of
 a linear model), ``lottery`` (the full 1970 draft-lottery analysis).
 
-Exit codes: 0 success, 2 when a fit legitimately has no root
-(extremal data), 1 on a usage, I/O or validation failure.  All floats
+Exit codes: 0 success, 2 when a fit's estimating equation has no sign
+change within the [-64, 64] bracket (the Kendall-LD fit of the reverse
+permutation at n = 366, whose root is near 730) or all its PL pair scores
+vanish, 1 on a usage, I/O or validation failure.  All floats
 are printed with 10 significant digits; every source of randomness
 hangs off an explicit ``--seed``.
 """
@@ -27,8 +29,8 @@ from .estimators import (
     multi_estimate,
     uniformity_test,
 )
-from .grids import SCORE_FUNCTIONS, get_score, grid_mean, kl_to_uniform, score_grid
-from .ipfp import IpfpNonConvergence, limit_matrix
+from .grids import SCORE_FUNCTIONS, get_score, grid_mean, score_grid
+from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
     _fmt,
     _writing,
@@ -48,7 +50,7 @@ EXIT_NO_ROOT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on a usage error; here 2 means a fit has no root."""
+    """argparse exits 2 on a usage error; here 2 means a fit found no root in its bracket."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -147,9 +149,8 @@ def cmd_fit(args) -> int:
     else:
         f = get_score(args.score or "xy")
         if args.method == "ld":
-            ld_kw = {"k": 100 if args.k is None else args.k,
-                 "tol": 1e-12 if args.tol is None else args.tol,
-                 "max_iter": args.iters}
+            ld_kw = {"k": 100 if args.k is None else args.k, "tol": args.tol,
+                     "max_iter": args.iters}
         else:
             _reject_given(f"method {args.method}", ld_only)
     perms = [load_permutation_csv(p) for p in args.data]
@@ -189,7 +190,7 @@ def cmd_logz(args) -> int:
             res = err.result
             status = "maxiter"
         wp = grid_mean(res.grid.w, score)
-        w = theta * wp - kl_to_uniform(res.grid.w)
+        w = variational_value(res, score, theta)
         rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")
     with _writing(sys.stdout if args.out == "-" else args.out) as fh:
         fh.write("".join(rows))

@@ -17,9 +17,10 @@ All estimating equations here are strictly monotone in theta, so roots
 are located by geometric bracket expansion from [-1, 1] (capped at
 [-64, 64]) followed by Brent's method (Brent 1973, ch. 4) on the
 sign-change bracket; the true root lies within ``root_tol`` of the
-returned theta.  A score with constant sign over the capped bracket has
-no root; that is a legitimate outcome for extremal permutations and
-raises :class:`NoRootError` rather than failing silently.
+returned theta.  A score with constant sign over the capped bracket
+raises :class:`NoRootError` rather than failing silently.  That names no
+sign change within [-64, 64], not data without a root: the Kendall-LD
+root of the reverse permutation at n = 366 lies near 730, beyond the cap.
 """
 from __future__ import annotations
 
@@ -403,8 +404,12 @@ def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction | None, method
       (default 1e-12) and ``max_iter`` go to the IPFP as in
       :func:`w_k_prime`, whose value the equation reproduces bit for
       bit.  For the Kendall family the statistic is Inv/n^2 and the derivative
-      :func:`kendall_limit_C_prime`, whose range is (0, 1/2), so the
-      identity and the reverse permutation have no root.
+      :func:`kendall_limit_C_prime`, whose range is (0, 1/2).  The
+      identity's rate 0 lies outside that range, so it has no root.  The
+      reverse permutation's rate (n - 1)/(2n) lies inside it, and its
+      root, about 2n - 1.7 (38.28 at n = 20), passes the bracket cap
+      from n = 33 on: at n = 366 it is near 730 and the fit raises
+      NoRootError.
     * ``"ml"``: exact maximum likelihood.  Linear models enumerate S_n,
       which needs n <= 9; the Kendall family uses the closed-form
       q-factorial derivative and works at any n.

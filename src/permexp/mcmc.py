@@ -10,12 +10,11 @@ kernels:
   and resample the two entries from their conditional distribution given
   the rest (keep or swap).  The model pmf is stationary and reversible
   for this kernel.  One loop, ``_run_swap``, runs every swap step,
-  ``gibbs_swap_step`` and ``sample`` alike.  A chain keeps
-  f(x_i, u_pi(i)) per position as Python floats and computes each
-  proposal's two cross terms with the score's own function on Python
-  floats (``models._linear_terms``); the loop inlines the ratio of
-  ``LinearModel.swap_evaluator``.  On S_1 there is no pair, and a step
-  keeps the one permutation.
+  ``gibbs_swap_step`` and ``sample`` alike, and it alone holds the
+  chain's log ratio.  A chain keeps f(x_i, u_pi(i)) per position as
+  Python floats and computes each proposal's two cross terms with the
+  score's own function on Python floats.  On S_1 there is no pair, and a
+  step keeps the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
@@ -48,7 +47,8 @@ from itertools import islice
 
 import numpy as np
 
-from .models import KendallModel, LinearModel, Model, _linear_terms
+from .grids import lattice
+from .models import KendallModel, LinearModel, Model
 from .perm import Permutation
 
 __all__ = [
@@ -285,9 +285,15 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
         return [state.permutation() for _ in range(n_samples)]
-    # the ratio of LinearModel.swap_evaluator, inlined: a call per step
-    # costs more than the arithmetic
-    fn, t, own = _linear_terms(model, values)
+    # the chain's terms on Python floats: t[i] = (i + 1)/n and own[i] =
+    # f(t[i], t[values[i] - 1]), which a swap at i refreshes.  By the
+    # contract of ScoreFunction these are the floats of score_grid(f, n),
+    # so own comes from one call of f on arrays, which costs a
+    # gibbs_swap_step far less than n calls of fn
+    t = lattice(n)
+    own = np.broadcast_to(model.f(t, t[values - 1]), t.shape).tolist()
+    t = t.tolist()
+    fn = model.f.fn
     theta = model.theta
     cells = memoryview(values)
     draws: list[Permutation] = []

@@ -14,11 +14,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .grids import ScoreFunction, lattice, score_grid
+from .grids import ScoreFunction, score_grid
 from .perm import Permutation, inversions, linear_statistic
 
 __all__ = [
@@ -41,10 +41,6 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 9
 
 
-# log_ratio(i, j) and swap(i, j) over one chain's state; see swap_evaluator.
-SwapEvaluator = tuple[Callable[[int, int], float], Callable[[int, int], None]]
-
-
 def _check_parameters(theta: float, n: int) -> None:
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -65,49 +61,6 @@ class LinearModel:
 
     def log_weight(self, pi: Permutation) -> float:
         return self.theta * linear_statistic(pi, self.f)
-
-    def swap_evaluator(self, values: np.ndarray) -> SwapEvaluator:
-        """``(log_ratio, swap)`` for a chain on ``values``.
-
-        ``log_ratio(i, j)`` is the log weight change from swapping
-        positions i and j (0-based) of the 1-based image array ``values``;
-        ``swap(i, j)`` swaps them.  The ratio reads the chain's own terms
-        f(x_i, u_pi(i)) (see ``_linear_terms``) and calls ``f.fn`` on
-        Python floats for the two cross terms; ``swap`` updates both.
-        """
-        fn, t, own = _linear_terms(self, values)
-        theta = self.theta
-        cells = memoryview(values)
-
-        def log_ratio(i: int, j: int) -> float:
-            return -theta * (own[i] + own[j] - fn(t[i], t[cells[j] - 1])
-                             - fn(t[j], t[cells[i] - 1]))
-
-        def swap(i: int, j: int) -> None:
-            a = cells[i]
-            b = cells[j]
-            cells[i] = b
-            cells[j] = a
-            own[i] = fn(t[i], t[b - 1])
-            own[j] = fn(t[j], t[a - 1])
-
-        return log_ratio, swap
-
-
-def _linear_terms(model: LinearModel,
-                  values: np.ndarray) -> tuple[Callable[[float, float], float], list, list]:
-    """``(fn, t, own)`` of a linear chain on ``values``, all on Python floats.
-
-    ``fn`` is the score's own function, ``t`` the lattice i/n as a list
-    and ``own[i] = fn(t[i], t[values[i] - 1])``, the chain's term at
-    position i; a swap at i must refresh ``own[i]``.  By the contract of
-    ``ScoreFunction`` these are the floats of ``score_grid(f, n)``, so
-    ``own`` comes from one call of f on arrays, which costs a
-    ``gibbs_swap_step`` far less than n calls of fn.
-    """
-    t = lattice(model.n)
-    own = np.broadcast_to(model.f(t, t[values - 1]), t.shape).tolist()
-    return model.f.fn, t.tolist(), own
 
 
 @dataclass(frozen=True)

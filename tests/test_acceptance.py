@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from permexp.estimators import multi_estimate, threshold_test, uniformity_test
 from permexp.grids import get_score, kl_to_uniform, score_grid
@@ -29,7 +28,7 @@ from permexp.models import (
 )
 from permexp.perm import BinMatrix, Permutation, bin_counts, fisher_yates_logpmf, spearman_r
 
-from conftest import LOTTERY_CSV, all_perms, empirical_law, tv_distance
+from conftest import LOTTERY_CSV, all_perms, empirical_law, exact_swap_kernel, tv_distance
 
 
 def _report(num: int, text: str) -> None:
@@ -145,20 +144,8 @@ def test_05_grid_halving_stability():
 def test_06_sampler_exactness():
     start = time.time()
     model = LinearModel(get_score("xy"), 3.0, 4)
-    perms, probs = enumerate_pmf(model)
-    states = [tuple(p) for p in perms]
+    states, probs, kmat = exact_swap_kernel(model)
     index = {s: i for i, s in enumerate(states)}
-
-    kmat = np.zeros((24, 24))
-    for a, s in enumerate(states):
-        log_ratio, _ = model.swap_evaluator(np.array(s))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                acc = expit(log_ratio(i, j))
-                t = list(s)
-                t[i], t[j] = t[j], t[i]
-                kmat[a, index[tuple(t)]] += acc / 6.0
-                kmat[a, a] += (1.0 - acc) / 6.0
     flow = probs[:, None] * kmat
     db_gap = float(np.abs(flow - flow.T).max())
     assert db_gap <= 1e-12

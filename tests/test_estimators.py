@@ -506,9 +506,19 @@ class TestKendallLd:
             multi_estimate([Permutation.identity(30)], None, "ld")
         assert exc.value.sign == "negative"
 
+    def test_reverse_has_a_root_below_the_cap(self):
+        # the rate (n - 1)/(2n) lies inside C''s range (0, 1/2)
+        n, tol = 20, 1e-8
+        rate = (n - 1) / (2 * n)
+        res = multi_estimate([Permutation.reverse(n)], None, "ld", root_tol=tol)
+        assert res.theta_hat == pytest.approx(38.281, abs=1e-3)
+        assert rate - kendall_limit_C_prime(res.theta_hat - tol) > 0
+        assert rate - kendall_limit_C_prime(res.theta_hat + tol) < 0
+
     def test_reverse_no_root_beyond_cap(self):
-        # inversion rate (1-1/n)/2 needs theta ~ 2n; at n=100 that sits
-        # outside the capped bracket, a legitimate no-root outcome
+        # inversion rate (1-1/n)/2 needs theta ~ 2n; at n=100 the root
+        # lies outside the capped bracket, so the root finder finds no
+        # sign change
         with pytest.raises(NoRootError) as exc:
             multi_estimate([Permutation.reverse(100)], None, "ld")
         assert exc.value.sign == "positive"

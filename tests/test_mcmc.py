@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from permexp.grids import get_score
 from permexp.mcmc import (
@@ -27,31 +26,7 @@ from permexp.models import (
 )
 from permexp.perm import Permutation, inversions
 
-from conftest import empirical_law, tv_distance
-
-
-def exact_swap_kernel(model):
-    """Transition matrix of the pair-swap Gibbs chain by enumeration.
-
-    Acceptance comes from ``model.swap_evaluator``, whose ratio
-    ``_run_swap`` inlines, over the ordered pairs (i, j), i != j, that it
-    draws uniformly.
-    """
-    perms, probs = enumerate_pmf(model)
-    states = [tuple(p) for p in perms]
-    index = {s: i for i, s in enumerate(states)}
-    n = model.n
-    npairs = n * (n - 1)
-    kmat = np.zeros((len(states), len(states)))
-    for a, s in enumerate(states):
-        log_ratio, _ = model.swap_evaluator(np.array(s))
-        for i, j in itertools.permutations(range(n), 2):
-            acc = expit(log_ratio(i, j))
-            t = list(s)
-            t[i], t[j] = t[j], t[i]
-            kmat[a, index[tuple(t)]] += acc / npairs
-            kmat[a, a] += (1.0 - acc) / npairs
-    return states, probs, kmat
+from conftest import empirical_law, exact_swap_kernel, tv_distance
 
 
 class TestSwapKernel:
@@ -63,20 +38,23 @@ class TestSwapKernel:
         assert state.steps == 100_000
         assert abs(state.swaps_accepted / state.steps - 0.5) <= 0.01
 
-    def test_detailed_balance_s4(self):
-        model = LinearModel(get_score("xy"), 3.0, 4)
-        states, probs, kmat = exact_swap_kernel(model)
+    @staticmethod
+    def _assert_balanced(model):
+        _, probs, kmat = exact_swap_kernel(model)
+        assert np.abs(kmat.sum(axis=1) - 1.0).max() <= 1e-12
         flow = probs[:, None] * kmat
         assert np.abs(flow - flow.T).max() <= 1e-12
         assert np.abs(probs @ kmat - probs).max() <= 1e-12
 
+    def test_detailed_balance_s4(self):
+        for name in ("xy", "centered", "footrule", "sq"):
+            for theta in (3.0, -2.5):
+                self._assert_balanced(LinearModel(get_score(name), theta, 4))
+
     @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
     def test_detailed_balance_s5_linear(self, name):
-        model = LinearModel(get_score(name), -2.5, 5)
-        states, probs, kmat = exact_swap_kernel(model)
-        flow = probs[:, None] * kmat
-        assert np.abs(flow - flow.T).max() <= 1e-12
-        assert np.abs(probs @ kmat - probs).max() <= 1e-12
+        for theta in (3.0, -2.5):
+            self._assert_balanced(LinearModel(get_score(name), theta, 5))
 
     @pytest.mark.parametrize("values", [[1, 1, 3], [0, 1, 2], [1, 2, 4], [[1, 2], [2, 1]], []],
                              ids=["repeat", "zero", "out-of-range", "2-d", "empty"])

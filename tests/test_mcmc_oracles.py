@@ -2,9 +2,10 @@
 
 ``_oracle_run_swap`` is the pair-swap loop that ran every swap step before
 the steps were run in segments between records and a linear chain's ratio
-was inlined in the loop; it calls the model's ``log_ratio`` and ``swap``
-once per step.  The swap chains must give the same draws, the same counts
-and leave the generator at the same position.
+was inlined in the loop.  It reads each step's log ratio from the score
+table ``score_grid(f, n)``, evaluated on arrays, where the chain calls f
+on Python floats.  The swap chains must give the same draws, the same
+counts and leave the generator at the same position.
 
 ``_oracle_sweep`` is the auxiliary sweep before its picks were computed up
 front and before its assignment became one in-place Fisher-Yates pass.
@@ -18,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from permexp.grids import ScoreFunction, get_score
+from permexp.grids import ScoreFunction, get_score, score_grid
 from permexp.mcmc import (
     _BLOCK,
     ChainState,
@@ -43,7 +44,11 @@ def _oracle_run_swap(state, model, rng, n_samples, burn, thin):
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
         return [state.permutation() for _ in range(n_samples)]
-    log_ratio, swap = model.swap_evaluator(values)
+    # Python floats from the table's items, summed in the chain's order;
+    # a nested list of the table would hold 4e6 floats at n = 2000
+    score = score_grid(model.f, n).item
+    theta = model.theta
+    cells = memoryview(values)
     draws: list[Permutation] = []
     next_record = burn + thin if n_samples > 0 else total + 1
     done = 0
@@ -59,8 +64,10 @@ def _oracle_run_swap(state, model, rng, n_samples, burn, thin):
         for i, j, logit in zip(memoryview(ii), memoryview(jj), memoryview(logits)):
             if j >= i:
                 j += 1
-            if logit < log_ratio(i, j):
-                swap(i, j)
+            a = cells[i] - 1
+            b = cells[j] - 1
+            if logit < -theta * (score(i, a) + score(j, b) - score(i, b) - score(j, a)):
+                cells[i], cells[j] = b + 1, a + 1
                 state.swaps_accepted += 1
             done += 1
             if done == next_record:
@@ -130,7 +137,7 @@ def _assert_same(model, seed, n_samples, burn, thin):
 
 
 class TestWideSwapOracle:
-    """Wide linear chains run the inlined ratio; the oracle calls log_ratio per pair."""
+    """Wide linear chains call f on Python floats; the oracle reads the score table."""
 
     @pytest.mark.parametrize("n", [1025, 1100, 2000])
     @pytest.mark.parametrize("theta", [-20.0, 0.0, 3.0, 50.0])

@@ -7,10 +7,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from permexp.grids import ScoreFunction, get_score, score_grid
-from permexp.mcmc import sample
+from permexp.mcmc import ChainState, _run_swap, sample
 from permexp.models import (
     _all_permutations,
     _log_weights,
@@ -28,6 +28,8 @@ from permexp.models import (
     kendall_logZ_prime,
 )
 from permexp.perm import Permutation, linear_statistic
+
+from conftest import SwapDraws, swap_bracket, swap_step
 
 
 class TestBruteLogZ:
@@ -309,56 +311,67 @@ class TestGridDiscordance:
         assert grid_discordance(p) == pytest.approx(total, abs=1e-14)
 
 
-def _ratio(model, vals, i, j):
-    """One swap log-ratio from the evaluator a chain on ``vals`` uses."""
-    log_ratio, _ = model.swap_evaluator(vals)
-    return log_ratio(i, j)
-
-
 class TestSwapLogRatios:
+    """The swap chain's decisions, from chosen draws, against log_weight and the score grid.
+
+    A draw (I, J') swaps I with J = J' + [J' >= I]; a step that accepts
+    with probability sigma(Delta) swaps at U just below sigma(Delta) and
+    keeps its state just above.
+    """
+
     def test_linear_ratio_matches_weight_difference(self):
+        # one step from each state, with Delta from log_weight
         rng = np.random.default_rng(4)
         f = get_score("footrule")
         for n in (9, 1100):
             model = LinearModel(f, 1.7, n)
             for _ in range(50):
-                vals = rng.permutation(n) + 1
-                i, j = rng.choice(n, size=2, replace=False)
-                swapped = vals.copy()
+                vals = (rng.permutation(n) + 1).tolist()
+                i, jp = int(rng.integers(n)), int(rng.integers(n - 1))
+                j = jp + (jp >= i)
+                swapped = list(vals)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                want = model.log_weight(Permutation(swapped)) - model.log_weight(
+                delta = model.log_weight(Permutation(swapped)) - model.log_weight(
                     Permutation(vals)
                 )
-                assert _ratio(model, vals, int(i), int(j)) == pytest.approx(
-                    want, abs=1e-10
-                )
+                below, above = swap_bracket(float(expit(delta)))
+                assert swap_step(model, vals, i, jp, below) == tuple(swapped)
+                if above is not None:
+                    assert swap_step(model, vals, i, jp, above) == tuple(vals)
 
     @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
     def test_f_path_reads_as_score_table(self, name):
-        # the ratio calls f on Python floats; by ScoreFunction's contract
-        # they are the floats of the score grid, before and after swaps
+        # one run of 2000 steps, with Delta from the score grid: the chain
+        # calls f on Python floats and must decide as the grid's floats do,
+        # before and after the swaps that refresh its per-position terms
         rng = np.random.default_rng(5)
         theta = -2.5
+        steps = 2000
         for n in (9, 1100):
             model = LinearModel(get_score(name), theta, n)
             s = score_grid(model.f, n)
-            vals = rng.permutation(n) + 1
-            log_ratio, swap = model.swap_evaluator(vals)
-            for _ in range(3000):
-                i, j = rng.choice(n, size=2, replace=False).tolist()
+            start = rng.permutation(n) + 1
+            vals = start.copy()
+            ii = rng.integers(n, size=steps)
+            jj = rng.integers(n - 1, size=steps)
+            uu = []
+            want = np.empty((steps, n), dtype=np.int64)
+            for step, (i, jp) in enumerate(zip(ii.tolist(), jj.tolist())):
+                j = jp + (jp >= i)
                 vi, vj = vals[i] - 1, vals[j] - 1
-                want = -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
-                assert log_ratio(i, j) == want
-                if rng.random() < 0.5:
-                    swap(i, j)
-
-    def test_model_copies_after_a_ratio(self):
-        model = LinearModel(get_score("xy"), 1.5, 6)
-        vals = np.array([3, 1, 2, 6, 4, 5])
-        ratio = _ratio(model, vals, 1, 4)
-        twin = copy.deepcopy(model)
-        assert twin == model
-        assert _ratio(twin, vals, 1, 4) == ratio
+                delta = -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
+                below, above = swap_bracket(float(expit(delta)))
+                if above is None or rng.random() < 0.5:
+                    uu.append(below)
+                    vals[i], vals[j] = vals[j], vals[i]
+                else:
+                    uu.append(above)
+                want[step] = vals
+            state = ChainState(start)
+            draws = _run_swap(state, model, SwapDraws(n, ii, jj, uu), steps, 0, 1)
+            assert len(draws) == steps
+            for got, row in zip(draws, want):
+                assert np.array_equal(got.values, row)
 
     @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
     def test_model_pickles_after_a_chain(self, name):
