@@ -29,7 +29,7 @@ from .estimators import (
     multi_estimate,
     uniformity_test,
 )
-from .grids import SCORE_FUNCTIONS, get_score, grid_mean, score_grid
+from .grids import SCORE_FUNCTIONS, get_score, score_grid
 from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
     _fmt,
@@ -178,8 +178,8 @@ def cmd_logz(args) -> int:
         print("error: need steps >= 2 and finite theta-min < theta-max", file=sys.stderr)
         return EXIT_ERROR
     rows = ["theta,w_k,w_k_prime,status\n"]
-    # one score grid F gives every row's kernel theta * F, w' = <F, A> and
-    # w = theta * w' - D(A || uniform)
+    # one score grid F gives every row's kernel theta * F; each run stores
+    # w' = <F, A>, and w = theta * w' - D(A || uniform) reads its grid A
     score = score_grid(f, args.k)
     for theta in np.linspace(lo, hi, args.steps).tolist():
         status = "ok"
@@ -189,8 +189,8 @@ def cmd_logz(args) -> int:
         except IpfpNonConvergence as err:
             res = err.result
             status = "maxiter"
-        wp = grid_mean(res.grid.w, score)
-        w = variational_value(res, score, theta)
+        wp = res.score_mean
+        w = variational_value(res, theta)
         rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")
     with _writing(sys.stdout if args.out == "-" else args.out) as fh:
         fh.write("".join(rows))

@@ -6,21 +6,24 @@ linear family and for Kendall's tau alike; a single sample is a pooled
 fit with m = 1.  :func:`multi_sample_scores` evaluates the same equation.
 
 A fit builds everything that does not depend on theta once and then
-evaluates only what does, about ten times per root: the PL pair scores
+evaluates only what does, about eight times per root: the PL pair scores
 of all samples are stored in one array (built in fixed-size row blocks,
 with no n x n array), and each evaluation streams them through a scratch
 buffer of ``SCORE_BLOCK`` values with in-place exp passes; the LD score
 grid f(r/k, s/k) is built once, and each evaluation is one IPFP run on
-theta times it, which the IPFP kernel writes into its one working array.
+theta times it, which the IPFP kernel writes into its one working array
+and which returns the mean <F, A> without building the grid A.
 
 All estimating equations here are strictly monotone in theta, so roots
-are located by geometric bracket expansion from [-1, 1] (capped at
-[-64, 64]) followed by Brent's method (Brent 1973, ch. 4) on the
-sign-change bracket; the true root lies within ``root_tol`` of the
-returned theta.  A score with constant sign over the capped bracket
-raises :class:`NoRootError` rather than failing silently.  That names no
-sign change within [-64, 64], not data without a root: the Kendall-LD
-root of the reverse permutation at n = 366 lies near 730, beyond the cap.
+are located by a bracket search from -1 and 1 that probes outward past
+the secant root of its last two probes, with steps that at least double
+(capped at [-64, 64]), followed by Brent's method (Brent 1973, ch. 4)
+on the last two probes, the tightest sign change found; the true root
+lies within ``root_tol`` of the returned theta.  A score with constant
+sign over the capped bracket raises :class:`NoRootError` rather than
+failing silently.  That names no sign change within [-64, 64], not data
+without a root: the Kendall-LD root of the reverse permutation at
+n = 366 lies near 730, beyond the cap.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import ScoreFunction, grid_mean, lattice, score_grid
+from .grids import ScoreFunction, lattice, score_grid
 from .ipfp import limit_matrix
 from .models import (
     BRUTE_FORCE_LIMIT,
@@ -160,40 +163,56 @@ def _brent(f: Callable[[float], float], xpre: float, xcur: float,
 
 def find_monotone_root(score: Callable[[float], float],
                        root_tol: float = 1e-8) -> tuple[float, tuple, int, float]:
-    """Root of a strictly decreasing score by bracket expansion + Brent's method.
+    """Root of a strictly decreasing score by a secant-guided bracket + Brent's method.
 
-    The bracket starts at [-1, 1] and each end doubles outward until the
-    score changes sign, up to ``BRACKET_CAP``.  The true root lies within
+    The search evaluates the score at -1 and 1.  While the last two
+    probes agree in sign, it probes outward at b + 1.5 (r - b), r being
+    the secant root through them and b the last probe, with a step of at
+    least 1 the first time and at least twice the previous step after
+    that, up to ``BRACKET_CAP``; the worst case thus probes 2, 4, ..., 64
+    as a doubling search would.  Brent's method then runs on the last two
+    probes, the tightest sign change found.  The true root lies within
     ``root_tol`` (plus Brent's relative tolerance, 4 eps |root|) of the
     returned value.  Returns (root, sign-change bracket, evaluations,
     score at root), where evaluations counts distinct calls of ``score``.
     Raises NoRootError when no sign change exists within
-    [-BRACKET_CAP, BRACKET_CAP], and ValueError when the score is NaN or
-    Brent's method does not reach ``root_tol`` within BRENT_MAX_ITER
-    iterations.
+    [-BRACKET_CAP, BRACKET_CAP], naming the interval searched, and
+    ValueError when ``root_tol`` is not positive and finite, the score is
+    NaN, or Brent's method does not reach ``root_tol`` within
+    BRENT_MAX_ITER iterations.
     """
     if not root_tol > 0:
         raise ValueError("root_tol must be positive")
-    lo, hi = -1.0, 1.0
+    if not math.isfinite(root_tol):
+        raise ValueError("root_tol must be finite")
     seen: dict[float, float] = {}
-    s_lo = _memo_score(lo, score, seen)
-    while s_lo < 0 and lo > -BRACKET_CAP:
-        lo = max(-BRACKET_CAP, 2.0 * lo)
-        s_lo = _memo_score(lo, score, seen)
-    if s_lo < 0:
-        raise NoRootError("negative", (lo, hi), len(seen))
-    if s_lo == 0:
-        return lo, (lo, lo), len(seen), 0.0
-
-    s_hi = _memo_score(hi, score, seen)
-    while s_hi > 0 and hi < BRACKET_CAP:
-        hi = min(BRACKET_CAP, 2.0 * hi)
-        s_hi = _memo_score(hi, score, seen)
-    if s_hi > 0:
-        raise NoRootError("positive", (lo, hi), len(seen))
-    if s_hi == 0:
-        return hi, (hi, hi), len(seen), 0.0
-
+    prev, cur = -1.0, 1.0
+    s_prev = _memo_score(prev, score, seen)
+    if s_prev == 0:
+        return prev, (prev, prev), 1, 0.0
+    s_cur = _memo_score(cur, score, seen)
+    if s_prev < 0 and s_cur < 0:
+        # the root lies below -1: search downward from there
+        prev, cur, s_prev, s_cur = cur, prev, s_cur, s_prev
+    min_step = 1.0
+    while s_cur != 0 and (s_cur < 0) == (s_prev < 0):
+        if abs(cur) >= BRACKET_CAP:
+            sign = "positive" if s_cur > 0 else "negative"
+            raise NoRootError(sign, (min(seen), max(seen)), len(seen))
+        # 1.5 times the step to the secant root; a flat or NaN secant, or a
+        # step short of min_step, gives way to min_step
+        outward = 1.0 if s_cur > 0 else -1.0
+        drop = s_prev - s_cur
+        step = 1.5 * s_cur * (cur - prev) / drop if drop else 0.0
+        if not outward * step >= min_step:
+            step = outward * min_step
+        nxt = max(-BRACKET_CAP, min(BRACKET_CAP, cur + step))
+        min_step = 2.0 * abs(nxt - cur)
+        prev, s_prev, cur = cur, s_cur, nxt
+        s_cur = _memo_score(cur, score, seen)
+    if s_cur == 0:
+        return cur, (cur, cur), len(seen), 0.0
+    (lo, s_lo), (hi, s_hi) = sorted([(prev, s_prev), (cur, s_cur)])
     root = _brent(lambda t: _memo_score(t, score, seen), lo, hi, s_lo, s_hi, root_tol)
     if root is None:
         raise ValueError(f"root finder did not converge to root_tol={root_tol:g} "
@@ -321,9 +340,10 @@ def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction | None, method:
         grid = score_grid(f, k)
 
         def score(theta):
-            # stat_sum - m * w_k_prime(f, theta, k, tol, max_iter), bit for bit
-            limit = limit_matrix(f, theta, k, tol, max_iter, score_grid=grid).grid.w
-            return stat_sum - m * grid_mean(limit, grid)
+            # stat_sum - m * w_k_prime(f, theta, k, tol, max_iter), bit for bit;
+            # the run's stored mean <F, A> spares building its grid A
+            limit = limit_matrix(f, theta, k, tol, max_iter, score_grid=grid)
+            return stat_sum - m * limit.score_mean
         return score
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"exact ML for linear models needs n <= {BRUTE_FORCE_LIMIT}")

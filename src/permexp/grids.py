@@ -3,8 +3,8 @@
 A grid of order k is a k x k float array of cell probabilities summing
 to 1, doubly stochastic at level k when every row and column carries
 mass 1/k; the functions here take that array as it is.  An IPFP result
-holds its grid as a :class:`CopulaGrid`: the kernel's own array, made
-read-only, and its order k.  Score functions are named, vectorized maps
+gives its grid as a :class:`CopulaGrid`: the read-only array it builds
+on first read, and its order k.  Score functions are named, vectorized maps
 [0,1]^2 -> R, evaluated only at points of :func:`lattice`.
 """
 from __future__ import annotations
@@ -111,7 +111,7 @@ def score_grid(f, k: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CopulaGrid:
-    """The read-only k x k cell array an IPFP run built, and its order k."""
+    """The read-only k x k cell array of an IPFP result, and its order k."""
 
     w: np.ndarray
 

@@ -16,16 +16,20 @@ them to that normalization.
 One kernel does all scaling: Sinkhorn's scaling vectors (Cuturi 2013),
 two mat-vecs per sweep, stabilized by absorbing the scalings into the
 log potentials when a marginal sum leaves float range (Schmitzer 2019).
+A run ends with the mean <F, A> of its score grid, taken from the final
+scalings by one more mat-vec; the grid A itself is built on first read,
+so a caller that needs only the mean (w_k_prime, the LD equation) never
+builds it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grids
-from .grids import CopulaGrid, ScoreFunction, grid_mean, kl_to_uniform
+from .grids import CopulaGrid, ScoreFunction, kl_to_uniform
 
 __all__ = [
     "IpfpResult",
@@ -44,19 +48,47 @@ __all__ = [
 class IpfpResult:
     """Outcome of an IPFP run.
 
-    The grid is computed as ``A = exp(theta * F + row_log_scales[r] +
-    col_log_scales[s])``, theta * F being the log kernel (log b0, with
-    theta = 1, for :func:`ipfp_scale`), so that identity holds up to
-    rounding for every cell in float range; ``residual`` is the final
-    max deviation of any row/column sum from 1/k.
+    ``score_mean`` is <F, A>, the mean of the score grid F under the
+    scaled grid A (log b0 for :func:`ipfp_scale`), which the run takes
+    from its final scalings without building A.  ``grid`` is built on
+    first read, in the run's working array, as ``A = exp(theta * F +
+    row_log_scales[r] + col_log_scales[s])``, theta * F being the log
+    kernel (log b0, with theta = 1, for :func:`ipfp_scale`), so that
+    identity holds up to rounding for every cell in float range; the
+    result then drops F.  ``residual`` is the final max deviation of any
+    row/column sum from 1/k.
     """
 
-    grid: CopulaGrid
     iterations: int
     residual: float
     row_log_scales: np.ndarray
     col_log_scales: np.ndarray
     converged: bool
+    score_mean: float
+    # (F, theta, [working array]) until the grid is first read, then the grid
+    _cells: tuple[np.ndarray, float, list[np.ndarray]] | CopulaGrid = field(repr=False)
+
+    @property
+    def grid(self) -> CopulaGrid:
+        cells = self._cells
+        if isinstance(cells, CopulaGrid):
+            return cells
+        score, theta, spare = cells
+        # the first read takes the run's working array; a read at the same
+        # time in another thread builds the same cells in an array of its own
+        try:
+            w = spare.pop()
+        except IndexError:
+            w = np.empty(score.shape)
+        # exp of the final potentials keeps cells below K's float range exact
+        np.multiply(score, theta, out=w)
+        w += self.row_log_scales[:, None]
+        w += self.col_log_scales
+        np.exp(w, out=w)
+        w.setflags(write=False)
+        grid = CopulaGrid(w)
+        object.__setattr__(self, "_cells", grid)
+        return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +166,17 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     row.  Row sums u * (K v) reuse the next sweep's K v, column sums are
     v * (K^T u).  The log kernel theta * score is written into the one
     k x k working array wherever it is read, and never stored apart.
+    The run ends by writing K o score over K for the mean <score, A>; the
+    result builds the grid A over that array from score and the final
+    potentials on first read.
     """
     k = score.shape[0]
     if k < 1:
         raise ValueError("grid order must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     target = 1.0 / k
@@ -173,16 +210,14 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
                        float(np.abs(v * ktu - target).max()))
         if residual <= tol:
             break
-    # exp of the final potentials keeps cells below K's float range exact
+    # <F, A> = u . ((K o F) v), with K o F written over K; A is built over
+    # it from the final potentials only when the grid is first read
+    np.multiply(kern, score, out=kern)
+    score_mean = float(u @ (kern @ v))
     alpha += np.log(u)
     beta += np.log(v)
-    np.multiply(score, theta, out=kern)
-    kern += alpha[:, None]
-    kern += beta
-    np.exp(kern, out=kern)
-    kern.setflags(write=False)
-    result = IpfpResult(CopulaGrid(kern), iterations, residual, alpha, beta,
-                        residual <= tol)
+    result = IpfpResult(iterations, residual, alpha, beta, residual <= tol, score_mean,
+                        (score, theta, [kern]))
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
     return result
@@ -208,9 +243,12 @@ def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
     return _sinkhorn(score_grid, theta, tol, max_iter)
 
 
-def variational_value(result: IpfpResult, score: np.ndarray, theta: float) -> float:
-    """theta * <F, A> - D(A || uniform) for the scaled grid A and score grid F."""
-    return theta * grid_mean(result.grid.w, score) - kl_to_uniform(result.grid.w)
+def variational_value(result: IpfpResult, theta: float) -> float:
+    """theta * <F, A> - D(A || uniform) for the scaled grid A of a run on theta * F.
+
+    <F, A> is the run's ``score_mean``; only D(A || uniform) reads the grid.
+    """
+    return theta * result.score_mean - kl_to_uniform(result.grid.w)
 
 
 def recover_potentials(result: IpfpResult) -> PotentialGrid:
@@ -243,9 +281,8 @@ def w_k(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
     convergence residual (1e-8 at the default tolerance), so a larger
     gap indicates a broken invariant and raises.
     """
-    score = grids.score_grid(f, k)
-    result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter, score_grid=score)
-    value = variational_value(result, score, theta)
+    result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter)
+    value = variational_value(result, theta)
     pots = recover_potentials(result)
     check = -(pots.a_hat.mean() + pots.b_hat.mean())
     gap = abs(value - check)
@@ -261,7 +298,8 @@ def w_k(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
 
 def w_k_prime(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
               max_iter: int | None = None) -> float:
-    """Derivative of w_k in theta: the grid mean of f under the limit matrix."""
-    score = grids.score_grid(f, k)
-    result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter, score_grid=score)
-    return grid_mean(result.grid.w, score)
+    """Derivative of w_k in theta: the grid mean of f under the limit matrix.
+
+    That is the run's ``score_mean``; no grid is built.
+    """
+    return limit_matrix(f, theta, k, tol=tol, max_iter=max_iter).score_mean

@@ -99,7 +99,7 @@ def test_04_ipfp_correctness():
     assert np.abs(logres).max() <= 1e-8
 
     pots = recover_potentials(res)
-    value = variational_value(res, score_grid(f, k), theta)
+    value = variational_value(res, theta)
     assert abs(value - (-(pots.a_hat.mean() + pots.b_hat.mean()))) <= 1e-8
     assert abs(w_k(f, theta, k) - value) <= 1e-12
 

@@ -66,23 +66,29 @@ def copula_permutation(rng, n, rho):
 
 
 def assert_root_matches_brentq(score, root_tol):
-    """find_monotone_root gives scipy's brentq root on its bracket, with as many evaluations."""
-    root, (lo, hi), evals, resid = find_monotone_root(score, root_tol=root_tol)
-    seen = {}
+    """find_monotone_root gives scipy's brentq root on its bracket, with as many evaluations.
+
+    The finder's calls are recorded; brentq on the returned bracket must
+    evaluate no point the finder did not, and the finder no point twice.
+    """
+    calls = []
+
+    def recorded(t):
+        value = score(t)
+        calls.append((t, value))
+        return value
+
+    root, (lo, hi), evals, resid = find_monotone_root(recorded, root_tol=root_tol)
+    seen = dict(calls)
+    assert evals == len(calls) == len(seen)
 
     def memo(t):
         if t not in seen:
             seen[t] = score(t)
         return seen[t]
 
-    # the expansion evaluated -1, -2, ..., lo and 1, 2, ..., hi
-    for end in (lo, hi):
-        t = math.copysign(1.0, end)
-        while abs(t) <= abs(end):
-            memo(t)
-            t *= 2.0
     assert root == brentq(memo, lo, hi, xtol=root_tol)
-    assert evals == len(seen)
+    assert len(seen) == evals
     assert resid == seen[root]
 
 
@@ -105,18 +111,29 @@ class TestRootFinder:
         assert evals > 0 and abs(resid) < 1e-7
 
     def test_no_root_positive(self):
+        # the error names the interval searched, and every evaluation
+        calls = []
         with pytest.raises(NoRootError) as exc:
-            find_monotone_root(lambda t: 1.0 + math.exp(-t))
+            find_monotone_root(lambda t: calls.append(t) or 1.0 + math.exp(-t))
         assert exc.value.sign == "positive"
+        assert exc.value.bracket == (min(calls), max(calls)) == (-1.0, 64.0)
+        assert exc.value.evaluations == len(calls)
 
     def test_no_root_negative(self):
+        calls = []
         with pytest.raises(NoRootError) as exc:
-            find_monotone_root(lambda t: -1.0 - math.exp(t))
+            find_monotone_root(lambda t: calls.append(t) or -1.0 - math.exp(t))
         assert exc.value.sign == "negative"
+        assert exc.value.bracket == (min(calls), max(calls)) == (-64.0, 1.0)
+        assert exc.value.evaluations == len(calls)
 
     def test_root_outside_initial_bracket(self):
-        root, *_ = find_monotone_root(lambda t: 37.5 - t)
+        # a linear score's secant root is its root, and the probe goes 1.5
+        # times as far: 1 + 1.5 * 36.5
+        calls = []
+        root, bracket, _, _ = find_monotone_root(lambda t: calls.append(t) or 37.5 - t)
         assert root == pytest.approx(37.5, abs=1e-8)
+        assert calls[:3] == [-1.0, 1.0, 55.75] and bracket == (1.0, 55.75)
 
     def test_evaluations_count_distinct_score_calls(self):
         calls = []
@@ -136,7 +153,7 @@ class TestRootFinder:
         root, _, _, resid = find_monotone_root(
             lambda t: 1.0 if t <= math.pi else -1.0, root_tol=1e-20)
         assert abs(root - math.pi) <= 4 * math.ulp(math.pi)
-        assert resid == 1.0
+        assert abs(resid) == 1.0
 
     def test_score_released_without_gc(self):
         # a PL score holds its pair arrays; they must go when the fit returns,
@@ -164,10 +181,43 @@ class TestRootFinder:
         with pytest.raises(ValueError, match="NaN"):
             find_monotone_root(lambda t: 3.0 - t if t < 2.0 else math.nan)
 
-    @pytest.mark.parametrize("root_tol", [0.0, -1e-8])
+    @pytest.mark.parametrize("root_tol", [0.0, -1e-8, math.nan, -math.inf])
     def test_root_tol_must_be_positive(self, root_tol):
         with pytest.raises(ValueError, match="root_tol must be positive"):
             find_monotone_root(lambda t: 3.0 - t, root_tol=root_tol)
+
+    def test_root_tol_must_be_finite(self):
+        # an infinite tolerance would stop Brent at the first bracket end
+        with pytest.raises(ValueError, match="root_tol must be finite"):
+            find_monotone_root(lambda t: 3.0 - t, root_tol=math.inf)
+
+    @pytest.mark.parametrize("perm, f, method, sign, searched", [
+        (Permutation.identity(50), get_score("xy"), "pl", "positive", (-1.0, 64.0)),
+        (Permutation.reverse(50), get_score("xy"), "pl", "negative", (-64.0, 1.0)),
+        (Permutation.reverse(100), None, "ld", "positive", (-1.0, 64.0)),
+        (Permutation.identity(30), None, "ld", "negative", (-64.0, 1.0)),
+    ])
+    def test_fit_without_root_names_searched_interval(self, perm, f, method, sign,
+                                                      searched):
+        with pytest.raises(NoRootError) as exc:
+            multi_estimate([perm], f, method)
+        assert (exc.value.sign, exc.value.bracket) == (sign, searched)
+
+    def test_bracket_is_the_last_two_probes(self):
+        # the root (3 log 100, about 13.8) takes three outward probes; Brent
+        # starts from the last probe short of it and the first one past it
+        calls = []
+        root, (lo, hi), _, _ = find_monotone_root(
+            lambda t: calls.append(t) or math.exp(-t / 3.0) - 0.01)
+        assert calls.index(hi) == calls.index(lo) + 1
+        assert 1.0 < lo < root < hi
+
+    def test_flat_score_probes_double(self):
+        # a secant through equal values points nowhere; the steps double
+        calls = []
+        with pytest.raises(NoRootError):
+            find_monotone_root(lambda t: calls.append(t) or 1.0)
+        assert calls == [-1.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
 
     @pytest.mark.parametrize("seed", [30, 31, 32, 33])
     def test_pl_root_within_tolerance(self, seed):
@@ -184,8 +234,8 @@ class TestRootFinder:
 
         assert main(["lottery", "--data", str(lottery_path)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["pl"]["evaluations"] <= 12
-        assert report["ld"]["evaluations"] <= 12
+        assert report["pl"]["evaluations"] <= 8
+        assert report["ld"]["evaluations"] <= 8
 
 
 class TestRootFinderMatchesScipy:

@@ -526,11 +526,24 @@ class TestCliFit:
      "thin must be >= 1"),
     (["sample", "--theta", "1", "--n", "5", "--draws", "3", "--burn", "5", "--thin", "-3"],
      "thin must be >= 1"),
+    # a tolerance must be finite as well as positive
+    (["fit", "--method", "ld", "--data", "TAU", "--tol", "inf"], "tol must be finite"),
+    (["fit", "--method", "pl", "--data", "FIVE", "--root-tol", "inf"],
+     "root_tol must be finite"),
+    (["fit", "--method", "pl", "--data", "FIVE", "--root-tol", "nan"],
+     "root_tol must be positive"),
+    (["logz", "--theta-min", "-1", "--theta-max", "1", "--steps", "2", "--tol", "inf"],
+     "tol must be finite"),
+    (["density", "--theta", "20", "--k", "4", "--tol", "inf"], "tol must be finite"),
+    (["lottery", "--data", "LOTTERY", "--tol", "inf"], "tol must be finite"),
+    (["lottery", "--data", "LOTTERY", "--root-tol", "inf"], "root_tol must be finite"),
 ])
 def test_invalid_work_size_exits_1(argv, message, tmp_path, lottery, lottery_path, capsys):
     tau = tmp_path / "tau.csv"
     save_permutation_csv(lottery.tau(), tau)
-    paths = {"TAU": str(tau), "LOTTERY": str(lottery_path)}
+    five = tmp_path / "five.csv"
+    save_permutation_csv(Permutation([2, 1, 4, 5, 3]), five)
+    paths = {"TAU": str(tau), "FIVE": str(five), "LOTTERY": str(lottery_path)}
     assert main([paths.get(arg, arg) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -596,7 +609,7 @@ class TestCliLogz:
             except IpfpNonConvergence as err:
                 res, status = err.result, "maxiter"
             want.append(f"{theta:.10g},"
-                        f"{variational_value(res, score_grid(score, 30), theta):.10g},"
+                        f"{variational_value(res, theta):.10g},"
                         f"{grid_mean(res.grid.w, score_grid(score, 30)):.10g},{status}")
         assert out.read_text().splitlines() == want
         statuses = [row.rsplit(",", 1)[1] for row in want[1:]]

@@ -1,4 +1,7 @@
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -43,9 +46,16 @@ class TestIpfpScale:
             ipfp_scale(np.array([[1.0, -2.0], [1.0, 1.0]]))
 
     def test_rejects_bad_tol(self):
-        for tol in (0.0, float("nan")):
+        for tol in (0.0, -1e-12, float("nan"), -float("inf")):
             with pytest.raises(ValueError, match="tol must be positive"):
                 ipfp_scale(np.ones((2, 2)), tol=tol)
+
+    def test_rejects_infinite_tol(self):
+        # an infinite tolerance would stop every run after one sweep
+        with pytest.raises(ValueError, match="tol must be finite"):
+            ipfp_scale(np.ones((2, 2)), tol=float("inf"))
+        with pytest.raises(ValueError, match="tol must be finite"):
+            limit_matrix(get_score("xy"), 20.0, 4, tol=float("inf"))
 
     def test_nonconvergence_carries_state_and_retry_works(self):
         b0 = np.exp(8.0 * np.outer(np.arange(4), np.arange(4)) / 9)
@@ -194,7 +204,7 @@ class TestPotentials:
         res = limit_matrix(f, theta, k)
         pots = recover_potentials(res)
         assert pots.a_hat.sum() == pytest.approx(pots.b_hat.sum(), abs=1e-9)
-        value = variational_value(res, score_grid(f, k), theta)
+        value = variational_value(res, theta)
         assert -(pots.a_hat.mean() + pots.b_hat.mean()) == pytest.approx(value, abs=1e-8)
 
     def test_marginal_condition(self):
@@ -332,3 +342,33 @@ def test_results_hold_the_kernel_grid_read_only():
         limit_matrix(get_score("xy"), 50.0, 20, max_iter=1)
     assert exc.value.result.iterations == 1
     _assert_probability_grid(exc.value.result, 20)
+
+
+def test_grid_reads_agree_across_threads_and_pickling():
+    # the first read builds the grid in the run's working array; reads in
+    # several threads at once, and a pickled copy, give the same cells
+    f = get_score("xy")
+    want = limit_matrix(f, 2.96, 300).grid.w
+    res = limit_matrix(f, 2.96, 300)
+    twin = pickle.loads(pickle.dumps(res))
+    barrier = threading.Barrier(4, timeout=30)
+    grids = []
+
+    def read():
+        barrier.wait()
+        grids.append(res.grid.w)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(grids) == 4 and all(np.array_equal(g, want) for g in grids)
+    assert res.grid is res.grid
+    assert np.array_equal(twin.grid.w, want)

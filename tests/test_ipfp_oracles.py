@@ -5,14 +5,16 @@ kernel log B0 as an array of its own, and ``_oracle_score_grid`` built F
 by calling f on two k x k meshgrids.  The kernel now writes theta * F
 into its working array wherever log B0 was read, and f gets read-only
 broadcast views; grids, residuals, sweep counts and both log-scale
-vectors must come out bit for bit the same.
+vectors must come out bit for bit the same.  The oracle built its grid
+at the end of the run; a result now builds it when it is first read.
 """
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from permexp.grids import CopulaGrid, get_score, lattice, score_grid
+from permexp.grids import CopulaGrid, get_score, grid_mean, lattice, score_grid
 from permexp.ipfp import IpfpNonConvergence, IpfpResult, ipfp_scale, limit_matrix
 
 _SUM_LO, _SUM_HI = math.exp(-200.0), math.exp(200.0)
@@ -36,7 +38,18 @@ def _log_normalize(kern, log_b0, other, axis):
     return -(top + np.log(mass)).ravel()
 
 
-def _oracle_sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResult:
+class _OracleRun(NamedTuple):
+    """The fields an IPFP result had when the oracle built its grid eagerly."""
+
+    grid: CopulaGrid
+    iterations: int
+    residual: float
+    row_log_scales: np.ndarray
+    col_log_scales: np.ndarray
+    converged: bool
+
+
+def _oracle_sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> _OracleRun:
     """The scaling kernel on exp(log_b0); see the module docstring.
 
     The iterate is diag(u) K diag(v) with K = exp(log_b0 + alpha (+) beta);
@@ -87,7 +100,7 @@ def _oracle_sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> IpfpResul
     kern += beta
     np.exp(kern, out=kern)
     kern.setflags(write=False)
-    result = IpfpResult(CopulaGrid(kern), iterations, residual, alpha, beta,
+    result = _OracleRun(CopulaGrid(kern), iterations, residual, alpha, beta,
                         residual <= tol)
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
@@ -110,7 +123,7 @@ def _outcome(run):
         return err.result
 
 
-def _assert_same_run(got: IpfpResult, want: IpfpResult) -> None:
+def _assert_same_run(got: IpfpResult, want: _OracleRun) -> None:
     assert np.array_equal(got.grid.w, want.grid.w)
     assert got.residual == want.residual
     assert got.iterations == want.iterations
@@ -131,6 +144,39 @@ def test_limit_matrix_matches_former_kernel(name, theta, k):
                                                  max_iter))
         got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=max_iter))
         _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 100])
+@pytest.mark.parametrize("theta", [-500.0, 3.0, 500.0])
+@pytest.mark.parametrize("name", ["xy", "footrule", "sq"])
+def test_stored_mean_matches_grid_mean(name, theta, k):
+    # a run takes <F, A> from its final scalings, and builds A from its
+    # final potentials; at the default sweep cap, as every caller runs it
+    f = get_score(name)
+    score = score_grid(f, k)
+    res = _outcome(lambda: limit_matrix(f, theta, k, score_grid=score))
+    mean = res.score_mean
+    want = grid_mean(res.grid.w, score)
+    # the grid's mass is off 1 by the rounding of its potentials (4.9e-15
+    # at footrule, k = 100, theta = -500), and its mean with it
+    slack = 4e-15 + abs(math.fsum(res.grid.w.ravel()) - 1.0)
+    assert abs(mean - want) <= slack * abs(want)
+    # a grid read after the mean is the former kernel's, bit for bit
+    # (2000 sweeps at most, as above)
+    got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=2000))
+    assert math.isfinite(got.score_mean)
+    _assert_same_run(got, _outcome(lambda: _oracle_sinkhorn(
+        theta * _oracle_score_grid(f, k), 1e-12, 2000)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 100])
+def test_stored_mean_of_ipfp_scale(k):
+    # an asymmetric kernel, whose row and column scalings differ
+    b0 = np.random.default_rng(k).uniform(1e-3, 1e3, size=(k, k))
+    res = ipfp_scale(b0)
+    want = grid_mean(res.grid.w, np.log(b0))
+    slack = 4e-15 + abs(math.fsum(res.grid.w.ravel()) - 1.0)
+    assert abs(res.score_mean - want) <= slack * abs(want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 100])
