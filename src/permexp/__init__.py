@@ -40,7 +40,7 @@ from .ipfp import (
     w_k,
     w_k_prime,
 )
-from .mcmc import ChainState, auxiliary_gibbs_sweep, gibbs_swap_step, make_rng, sample
+from .mcmc import ChainState, auxiliary_gibbs_sweep, make_rng, sample
 from .models import (
     KendallModel,
     LinearModel,

@@ -378,8 +378,10 @@ class UniformityTest:
 
 
 def uniformity_test(tau: Permutation) -> UniformityTest:
-    """Test tau for uniformity via the normalized linear statistic."""
+    """Test tau for uniformity via the normalized linear statistic; needs n >= 2."""
     n = tau.n
+    if n < 2:
+        raise ValueError("uniformity test needs n >= 2")
     stat = float(np.dot(np.arange(1, n + 1, dtype=np.float64), tau.values)) / n ** 3
     mean = 0.25 * (1.0 + 1.0 / n) ** 2
     variance = (1.0 - 1.0 / n) * (1.0 + 1.0 / n) ** 2 / (144.0 * n)

@@ -231,13 +231,18 @@ def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
     log A = theta*F + row_log_scales[r] + col_log_scales[s] holds for
     the returned result.  ``score_grid`` is F = grids.score_grid(f, k),
     for a caller that also needs F or solves several theta on one grid
-    and builds it once; by default it is built here.  The default sweep
-    cap, ceil(10 k (1 + |theta|)), is generous for all tested regimes.
+    and builds it once; by default it is built here.  A grid that is not
+    k x k raises ValueError.  The default sweep cap, ceil(10 k (1 + |theta|)),
+    is generous for all tested regimes.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
+    if k < 1:
+        raise ValueError("grid order must be >= 1")
     if score_grid is None:
         score_grid = grids.score_grid(f, k)
+    elif score_grid.shape != (k, k):
+        raise ValueError(f"score_grid has shape {score_grid.shape}, not ({k}, {k})")
     if max_iter is None:
         max_iter = int(math.ceil(10 * k * (1.0 + abs(theta))))
     return _sinkhorn(score_grid, theta, tol, max_iter)

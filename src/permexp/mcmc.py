@@ -9,12 +9,11 @@ kernels:
 * a pair-swap Gibbs step: pick an unordered pair of positions uniformly
   and resample the two entries from their conditional distribution given
   the rest (keep or swap).  The model pmf is stationary and reversible
-  for this kernel.  One loop, ``_run_swap``, runs every swap step,
-  ``gibbs_swap_step`` and ``sample`` alike, and it alone holds the
-  chain's log ratio.  A chain keeps f(x_i, u_pi(i)) per position as
-  Python floats and computes each proposal's two cross terms with the
-  score's own function on Python floats.  On S_1 there is no pair, and a
-  step keeps the one permutation.
+  for this kernel.  One loop, ``_run_swap``, runs every swap step of
+  ``sample``, and it alone holds the chain's log ratio.  A chain keeps
+  f(x_i, u_pi(i)) per position as Python floats and computes each
+  proposal's two cross terms with the score's own function on Python
+  floats.  On S_1 there is no pair, and a step keeps the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
@@ -47,14 +46,13 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import lattice
+from .grids import SCORE_FUNCTIONS, lattice
 from .models import KendallModel, LinearModel, Model
 from .perm import Permutation
 
 __all__ = [
     "ChainState",
     "make_rng",
-    "gibbs_swap_step",
     "auxiliary_gibbs_sweep",
     "supports_auxiliary",
     "sample",
@@ -102,26 +100,14 @@ class ChainState:
         return Permutation._trusted(self.values)
 
 
-def gibbs_swap_step(state: ChainState, model: LinearModel,
-                    rng: np.random.Generator) -> ChainState:
-    """One conditional pair-swap of a linear chain; mutates and returns ``state``.
-
-    The pair (I, J) is uniform over all n-choose-2 position pairs; the
-    swapped configuration is adopted with its conditional probability
-    sigma(log Q(swapped) - log Q(current)), so at theta = 0 the swap
-    happens with probability exactly 1/2.  The Kendall model has no
-    chain: ``sample`` draws it exactly, and a Kendall model raises
-    ValueError here.
-    """
-    if not isinstance(model, LinearModel):
-        raise ValueError("the pair-swap step takes a linear model; "
-                         "sample draws the Kendall model exactly")
-    _run_swap(state, model, rng, 0, 1, 1)
-    return state
-
-
 def supports_auxiliary(model: Model) -> bool:
-    return isinstance(model, LinearModel) and model.f.name == "xy" and model.theta > 0
+    """Whether the auxiliary sweep draws ``model``: the built-in xy score at theta > 0.
+
+    The sweep's floors are the closed form of that score, so a score is
+    checked by its function, not by its name.
+    """
+    return (isinstance(model, LinearModel) and model.f.fn is SCORE_FUNCTIONS["xy"].fn
+            and model.theta > 0)
 
 
 def auxiliary_gibbs_sweep(state: ChainState, model: Model,
@@ -288,8 +274,8 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
     # the chain's terms on Python floats: t[i] = (i + 1)/n and own[i] =
     # f(t[i], t[values[i] - 1]), which a swap at i refreshes.  By the
     # contract of ScoreFunction these are the floats of score_grid(f, n),
-    # so own comes from one call of f on arrays, which costs a
-    # gibbs_swap_step far less than n calls of fn
+    # so own comes from one call of f on arrays, which costs a chain's
+    # start far less than n calls of fn
     t = lattice(n)
     own = np.broadcast_to(model.f(t, t[values - 1]), t.shape).tolist()
     t = t.tolist()

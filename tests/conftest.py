@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from permexp.mcmc import ChainState, gibbs_swap_step
+from permexp.mcmc import ChainState, _run_swap
 from permexp.models import enumerate_pmf
 from permexp.perm import Permutation
 
@@ -78,9 +78,9 @@ class SwapDraws:
 
 
 def swap_step(model, values, i: int, j: int, u: float) -> tuple:
-    """The state after one ``gibbs_swap_step`` from ``values`` that draws I = i, J' = j, U = u."""
+    """The state after one step of the swap chain from ``values`` that draws I = i, J' = j, U = u."""
     state = ChainState(np.array(values, dtype=np.int64))
-    gibbs_swap_step(state, model, SwapDraws(model.n, [i], [j], [u]))
+    _run_swap(state, model, SwapDraws(model.n, [i], [j], [u]), 0, 1, 1)
     assert state.steps == 1
     return tuple(state.values.tolist())
 
@@ -96,7 +96,7 @@ def swap_bracket(acc: float) -> tuple[float, float | None]:
 
 
 def exact_swap_kernel(model):
-    """Transition matrix of ``gibbs_swap_step`` on S_n, read off the step itself.
+    """Transition matrix of the swap chain's step on S_n, read off the step itself.
 
     A stub generator feeds the step from every state s every draw (I, J')
     in {0..n-1} x {0..n-2}; these must reach each ordered pair (i, j),

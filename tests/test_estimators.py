@@ -623,6 +623,10 @@ class TestUniformityTest:
         ut = uniformity_test(Permutation.identity(50))
         assert ut.chebyshev_bound != 1.0 or ut.statistic == ut.mean
 
+    def test_rejects_n_below_2(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            uniformity_test(Permutation.identity(1))
+
     def test_serialization_fields(self, lottery):
         d = uniformity_test(lottery.tau()).to_json_dict()
         assert set(d) == {"statistic", "mean", "variance", "z", "p_normal",

@@ -550,6 +550,21 @@ def test_invalid_work_size_exits_1(argv, message, tmp_path, lottery, lottery_pat
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--theta", "50", "--k", "50", "--iters", "1"],
+     "IPFP stopped at residual 2.021e-01 > tol 1.000e-12 after 1 sweeps"),
+    (["sample", "--f", "footrule", "--sampler", "aux", "--theta", "1", "--n", "5"],
+     "auxiliary sampler requires the Linear xy model with theta > 0; use sampler='swap'"),
+], ids=["density-maxiter", "sample-aux-footrule"])
+def test_command_failure_prints_one_error_line(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--theta", "2", "--k", "20", "--f", "xy"],
     ["density", "--theta", "2", "--k", "20", "--iters", "1"],

@@ -113,6 +113,12 @@ class TestLimitMatrix:
             logres -= res.col_log_scales[None, :]
             assert np.abs(logres).max() <= 1e-8
 
+    @pytest.mark.parametrize("shape", [(10, 10), (50, 10), (50,)], ids=["k10", "rows", "1-d"])
+    def test_score_grid_must_be_k_by_k(self, shape):
+        f = get_score("xy")
+        with pytest.raises(ValueError, match="score_grid has shape"):
+            limit_matrix(f, 3.0, 50, score_grid=np.zeros(shape))
+
     def test_log_domain_matches_plain(self):
         # oracle: textbook log-domain Sinkhorn, run for the same sweeps
         f = get_score("xy")

@@ -1,18 +1,18 @@
 import hashlib
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from permexp.grids import get_score
+from permexp.grids import ScoreFunction, get_score
 from permexp.mcmc import (
     ChainState,
     _kendall_draw,
     _run_swap,
     auxiliary_gibbs_sweep,
-    gibbs_swap_step,
     make_rng,
     sample,
     supports_auxiliary,
@@ -71,12 +71,12 @@ def _digest(arrays):
 
 
 def _step_snapshots(model, seed):
-    """3000 gibbs_swap_step calls; the state after every 100th."""
+    """3000 single-step runs of the swap chain; the state after every 100th."""
     rng = make_rng(seed)
     state = ChainState.uniform_start(model.n, rng)
     snapshots = []
     for t in range(3000):
-        gibbs_swap_step(state, model, rng)
+        _run_swap(state, model, rng, 0, 1, 1)
         if t % 100 == 99:
             snapshots.append(state.values.copy())
     return state, snapshots
@@ -89,7 +89,7 @@ class TestGoldenChains:
     at n = 40 and 1100 (the ids name the n ranges of two former ratio
     paths), exact Kendall draws at n = 40 and 1100 (their burn and thin
     have no effect; the second id names a former table cutoff), single
-    gibbs_swap_step calls and auxiliary sweeps all give the draws they
+    swap-chain steps and auxiliary sweeps all give the draws they
     gave when the digests were recorded.
     """
 
@@ -107,7 +107,7 @@ class TestGoldenChains:
         out = sample(model, draws, burn=burn, thin=thin, sampler="swap", seed=seed)
         assert _digest(d.values for d in out) == want
 
-    def test_gibbs_swap_step(self):
+    def test_single_steps(self):
         state, snapshots = _step_snapshots(LinearModel(get_score("footrule"), 3.0, 30), 34)
         assert state.swaps_accepted == 1082
         assert (_digest(snapshots)
@@ -138,6 +138,19 @@ class TestAuxiliarySweep:
             assert not supports_auxiliary(model)
             with pytest.raises(ValueError):
                 auxiliary_gibbs_sweep(state, model, rng)
+
+    def test_checks_the_score_function_not_its_name(self):
+        # a score named xy with the sign flipped would give draws of the +xy model
+        impostor = LinearModel(ScoreFunction("xy", lambda x, y: -x * y), 5.0, 6)
+        rng = make_rng(1)
+        state = ChainState.uniform_start(6, rng)
+        assert not supports_auxiliary(impostor)
+        with pytest.raises(ValueError):
+            auxiliary_gibbs_sweep(state, impostor, rng)
+        with pytest.raises(ValueError, match="auxiliary sampler"):
+            sample(impostor, 2, sampler="auxiliary", seed=1)
+        twin = pickle.loads(pickle.dumps(LinearModel(get_score("xy"), 5.0, 6)))
+        assert supports_auxiliary(twin)
 
     def test_bijectivity_large_n(self):
         model = LinearModel(get_score("xy"), 20.0, 10_000)
@@ -181,7 +194,7 @@ class TestSample:
         draw = state.permutation()
         recorded = draw.as_tuple()
         for _ in range(50):
-            gibbs_swap_step(state, model, rng)
+            _run_swap(state, model, rng, 0, 1, 1)
         assert tuple(state.values) != recorded
         assert draw.as_tuple() == recorded
         assert not draw.values.flags.writeable
@@ -348,13 +361,6 @@ class TestKendallExact:
             sample(model, 4, thin=0, seed=3)
         with pytest.raises(ValueError, match="unknown sampler"):
             sample(model, 4, sampler="gibbs", seed=3)
-
-    def test_swap_step_rejects_the_kendall_model(self):
-        rng = make_rng(1)
-        state = ChainState.uniform_start(5, rng)
-        with pytest.raises(ValueError, match="linear model"):
-            gibbs_swap_step(state, KendallModel(1.0, 5), rng)
-        assert state.steps == 0
 
 
 class TestLongRunLaws:

@@ -25,7 +25,6 @@ from permexp.mcmc import (
     ChainState,
     _run_swap,
     auxiliary_gibbs_sweep,
-    gibbs_swap_step,
     make_rng,
     sample,
 )
@@ -177,7 +176,7 @@ class TestRecordBookkeeping:
     def test_single_steps_match_oracle(self, model):
         (state, rng), (want_state, want_rng) = _chains(model, 41)
         for _ in range(300):
-            gibbs_swap_step(state, model, rng)
+            _run_swap(state, model, rng, 0, 1, 1)
             _oracle_run_swap(want_state, model, want_rng, 0, 1, 1)
             assert np.array_equal(state.values, want_state.values)
         assert (state.steps, state.swaps_accepted) == (want_state.steps,
