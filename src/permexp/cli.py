@@ -119,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="steps (default n^2) or sweeps (default 1) between a linear "
                           "chain's draws; checked, then ignored by Kendall draws")
     smp.add_argument("--sampler", choices=["swap", "aux"], default="swap",
-                     help="linear chain kernel: pair swaps, or auxiliary sweeps (xy, "
-                          "theta > 0); exact Kendall draws accept swap and ignore it")
+                     help="linear chain kernel: heat-bath steps on the pairs of uniform "
+                          "random matchings, or auxiliary sweeps (xy, theta > 0); exact "
+                          "Kendall draws accept swap and ignore it")
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--hist", type=int, default=None, metavar="K",
                      help="also emit the K x K binned frequency grid")
@@ -157,18 +158,18 @@ def cmd_fit(args) -> int:
     try:
         result = multi_estimate(perms, f, args.method, root_tol=args.root_tol, **ld_kw)
     except NoRootError as err:
-        print(format_json_report({
-            "error": "no_root", "sign": err.sign,
-            "bracket_lo": err.bracket[0], "bracket_hi": err.bracket[1],
-            "evaluations": err.evaluations,
-        }))
+        print(format_json_report(_no_root_record(err)))
         return EXIT_NO_ROOT
-    except AllPairsDegenerateError:
-        print(format_json_report({"error": "degenerate", "detail":
-                                  "all pairwise scores vanish"}))
+    except AllPairsDegenerateError as err:
+        print(format_json_report({"error": "degenerate", "detail": str(err)}))
         return EXIT_NO_ROOT
     print(format_json_report(result.to_json_dict()))
     return EXIT_OK
+
+
+def _no_root_record(err: NoRootError) -> dict:
+    return {"error": "no_root", "sign": err.sign, "bracket_lo": err.bracket[0],
+            "bracket_hi": err.bracket[1], "evaluations": err.evaluations}
 
 
 def cmd_logz(args) -> int:
@@ -264,14 +265,15 @@ def cmd_lottery(args) -> int:
         "spearman_r": r_rank,
     }
     exit_code = EXIT_OK
-    try:
-        report["pl"] = multi_estimate([tau], f, "pl", root_tol=args.root_tol).to_json_dict()
-        report["ld"] = multi_estimate([tau], f, "ld", root_tol=args.root_tol, k=args.k,
-                                      tol=args.tol, max_iter=args.iters).to_json_dict()
-    except NoRootError as err:
-        report["error"] = "no_root"
-        report["sign"] = err.sign
-        exit_code = EXIT_NO_ROOT
+    fits = {"pl": {}, "ld": {"k": args.k, "tol": args.tol, "max_iter": args.iters}}
+    for method, settings in fits.items():
+        # each fit on its own: one without a root leaves its record and the other fit
+        try:
+            report[method] = multi_estimate([tau], f, method, root_tol=args.root_tol,
+                                            **settings).to_json_dict()
+        except NoRootError as err:
+            report[method] = _no_root_record(err)
+            exit_code = EXIT_NO_ROOT
 
     rng = np.random.default_rng(args.seed)
     reference = Permutation(rng.permutation(n) + 1)

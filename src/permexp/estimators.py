@@ -73,7 +73,11 @@ class NoRootError(RuntimeError):
 
 
 class AllPairsDegenerateError(ValueError):
-    """Every pairwise swap score is zero; theta is unidentifiable."""
+    """The data carry no information about theta.
+
+    Raised for a one-element permutation, and for a PL fit whose pairwise
+    swap scores are all zero.
+    """
 
 
 @dataclass(frozen=True)
@@ -302,12 +306,16 @@ def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction | None, method:
         _reject_given("the Kendall model", ld_settings)
         if method == "pl":
             raise ValueError("pseudo-likelihood applies to the linear model only")
+    elif method != "ld":
+        _reject_given(f"method {method!r}", ld_settings)
+    if n == 1:
+        # S_1 has one permutation, so every equation is 0 at every theta
+        raise AllPairsDegenerateError("one element carries no information about theta")
+    if f is None:
         rate_sum = sum(inversions(p) / (n * n) for p in perms)
         if method == "ld":
             return lambda theta: rate_sum - m * kendall_limit_C_prime(theta)
         return lambda theta: rate_sum - m * kendall_logZ_prime(n, theta)
-    if method != "ld":
-        _reject_given(f"method {method!r}", ld_settings)
     if method == "pl":
         pairs = n * (n - 1) // 2
         ys = np.empty(m * pairs)
@@ -437,9 +445,11 @@ def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction | None, method
       q-factorial derivative and works at any n.
 
     ``k``, ``tol`` and ``max_iter`` apply to linear LD only; any other
-    fit given one raises ValueError.  No model temperature enters any
-    equation.  The result is labelled PL, LD, ML, Kendall-LD or
-    Kendall-ML; only linear LD reports ``k``.
+    fit given one raises ValueError.  Every method raises
+    AllPairsDegenerateError at n = 1, where each equation is 0 at every
+    theta.  No model temperature enters any equation.  The result is
+    labelled PL, LD, ML, Kendall-LD or Kendall-ML; only linear LD reports
+    ``k``.
 
     The work splits into a per-fit part and a per-theta part.  Once per
     fit: the pair scores (PL), the statistics, the S_n enumeration (ML)

@@ -6,14 +6,21 @@ uniforms, one inverse CDF per coordinate and one decode, and distinct
 draws are independent.  The linear models are sampled by MCMC, with two
 kernels:
 
-* a pair-swap Gibbs step: pick an unordered pair of positions uniformly
-  and resample the two entries from their conditional distribution given
-  the rest (keep or swap).  The model pmf is stationary and reversible
-  for this kernel.  One loop, ``_run_swap``, runs every swap step of
-  ``sample``, and it alone holds the chain's log ratio.  A chain keeps
-  f(x_i, u_pi(i)) per position as Python floats and computes each
-  proposal's two cross terms with the score's own function on Python
-  floats.  On S_1 there is no pair, and a step keeps the one permutation.
+* a pair-swap Gibbs step on the pairs of uniform random perfect
+  matchings: a matching splits the positions into floor(n/2) disjoint
+  pairs, and the steps take its pairs in order, each resampling the two
+  entries of its pair from their conditional distribution given the rest
+  (keep or swap).  Each step is a heat-bath on its pair, so it is
+  reversible for the model pmf.  Averaged over the uniform matching, one
+  whole matching is a reversible kernel too: its pairs are disjoint and
+  the linear weight is a sum over positions, so their heat-baths commute
+  and the matching is one exact blocked Gibbs step.  A draw recorded
+  inside a matching still comes from the model at equilibrium, because
+  every step keeps the model stationary.  One function, ``_run_swap``, runs
+  every swap step of ``sample``, and it alone holds the chain's log ratio.
+  A matching of at least ``_MATCHING_MIN_PAIRS`` pairs is heat-bathed by
+  array operations; a smaller one pair by pair on Python floats.  On S_1
+  there is no pair, and a step keeps the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
@@ -21,14 +28,14 @@ kernels:
   exactly by one constrained Fisher-Yates pass, in place on the positions
   sorted by their floors.
 
-Both loops draw their randomness as numpy arrays, do in numpy what does
-not depend on the steps before (the second index of each pair, the
-logits, the sweep's floors, pool sizes and picks), and then step through
-the rest as plain Python ints and floats, read and written through
-memoryviews or lists: a numpy scalar costs far more per operation than
-the model arithmetic of one step.  Recorded draws are read-only copies of
-the state, which ``ChainState`` checks once when it is made, so they skip
-``Permutation``'s checks.
+Both draw their randomness as numpy arrays and do in numpy what does not
+depend on the steps before (the matchings, the logits, the sweep's
+floors, pool sizes and picks).  What is left is stepped through as plain
+Python ints and floats, read and written through memoryviews or lists,
+where a numpy call would cost more than the model arithmetic: the sweep's
+picks, and the pairs of small matchings.  Recorded draws are read-only
+copies of the state, which ``ChainState`` checks once when it is made,
+so they skip ``Permutation``'s checks.
 
 The default burn-ins of the linear chains are fixed step and sweep
 counts; no check shows that a chain has reached equilibrium after them,
@@ -59,8 +66,22 @@ __all__ = [
 ]
 
 
-# Swap steps per block of randomness; the block size fixes the RNG stream.
+# Swap steps per block of randomness, in whole matchings: a block holds
+# max(1, _BLOCK // h) matchings of h = n // 2 pairs, drawn before the
+# block's uniforms.  The block size and that order fix the RNG stream.
 _BLOCK = 1 << 15
+
+# Matchings of at least this many pairs are heat-bathed by array
+# operations, smaller ones pair by pair in a Python loop.  Both executions
+# give the same draws, so this sets speed only.  An array pass costs about
+# 10 us however small the matching, a loop step 0.3-0.5 us; from h = 48 the
+# arrays are faster for every built-in score (per-step cost at theta = 3 on
+# 2 cores, numpy 2.4.6; the two break even between h = 32 and 48).
+_MATCHING_MIN_PAIRS = 48
+
+# the signs of the four terms of a log ratio, own[i] + own[j] - c - d
+_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+_SIGNS.setflags(write=False)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -184,10 +205,11 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
     A Kendall model is drawn exactly: the draws are i.i.d., and ``burn``,
     ``thin`` and ``sampler="swap"`` are validated but have no effect.  A
     linear model is sampled by MCMC: ``burn``/``thin`` count pair-swap
-    steps for the swap sampler and full sweeps for the auxiliary
-    sampler; defaults are 10*n^2 swap steps (or 10 sweeps) of burn-in
-    and n^2-step (or 1-sweep) thinning.  Deterministic given ``seed``;
-    distinct seeds give independent draws.
+    steps for the swap sampler, each a heat-bath on one pair of a uniform
+    random matching (taken in order, floor(n/2) pairs a matching), and
+    full sweeps for the auxiliary sampler; defaults are 10*n^2 swap steps
+    (or 10 sweeps) of burn-in and n^2-step (or 1-sweep) thinning.
+    Deterministic given ``seed``; distinct seeds give independent draws.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -259,10 +281,21 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
     """Run burn + n_samples * thin swap steps on ``state``; return the draws.
 
     The draws are the states after steps burn + thin, burn + 2 thin, ...
-    Randomness comes in blocks of (I, J, U) arrays.  A swap is accepted
-    when logit(U) < log ratio, which is U < sigma(log ratio).  Each block
-    is run as segments that end at the recorded steps, so the loops over
-    steps keep no record bookkeeping.
+    The pairs come from uniform random perfect matchings of the positions,
+    used in order: with h = n // 2, one ``rng.permuted`` row gives the h
+    disjoint pairs (row[2k], row[2k + 1]), and for odd n its last position
+    sits that matching out.  A block of randomness is max(1, _BLOCK // h)
+    rows, then one uniform U per step.  A swap is accepted when
+    logit(U) < log ratio, which is U < sigma(log ratio).
+
+    A matching of at least ``_MATCHING_MIN_PAIRS`` pairs is heat-bathed in
+    one set of array operations: its pairs are disjoint, so every log ratio
+    reads the state at the matching's start.  A smaller one runs pair by
+    pair in a Python loop.  Both sum every log ratio from the same floats in
+    the same order, so they give the same chain.  Each block is run as
+    segments that end at the recorded steps and, for the array execution,
+    at the end of each matching, so the work over steps keeps no record
+    bookkeeping.
     """
     n = model.n
     values = state.values
@@ -271,46 +304,76 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
         return [state.permutation() for _ in range(n_samples)]
-    # the chain's terms on Python floats: t[i] = (i + 1)/n and own[i] =
-    # f(t[i], t[values[i] - 1]), which a swap at i refreshes.  By the
-    # contract of ScoreFunction these are the floats of score_grid(f, n),
-    # so own comes from one call of f on arrays, which costs a chain's
-    # start far less than n calls of fn
+    h = n // 2
+    per_block = max(1, _BLOCK // h) * h
+    vectorised = h >= _MATCHING_MIN_PAIRS
+    span = h if vectorised else per_block
+    positions = np.arange(n)[None, :]
     t = lattice(n)
-    own = np.broadcast_to(model.f(t, t[values - 1]), t.shape).tolist()
-    t = t.tolist()
+    # the lattice at a 1-based value: point[v] = t[v - 1]
+    point = np.concatenate(([0.0], t))
     fn = model.f.fn
     theta = model.theta
-    cells = memoryview(values)
+    if not vectorised:
+        # the chain's terms on Python floats: own[i] = f(t[i], point[values[i]]),
+        # which a swap at i refreshes.  By the contract of ScoreFunction these
+        # are the floats of score_grid(f, n), so own comes from one call of f
+        # on arrays, which costs a chain's start far less than n calls of fn
+        own = np.empty(n)
+        own[:] = fn(t, point[values])  # a score may return a constant
+        own = own.tolist()
+        t = t.tolist()
+        point = point.tolist()
+        cells = memoryview(values)
     draws: list[Permutation] = []
     accepted = 0
     record = burn + thin if n_samples > 0 else total + 1
     done = 0
     while done < total:
-        m = min(_BLOCK, total - done)
-        ii = rng.integers(0, n, size=m)
-        jj = rng.integers(0, n - 1, size=m)
+        m = min(per_block, total - done)
+        rows = positions.repeat(-(-m // h), axis=0)
+        rng.permuted(rows, axis=1, out=rows)
         uu = rng.random(m)
-        jj += jj >= ii  # J uniform over the positions other than I
         with np.errstate(divide="ignore"):
             logits = np.log(uu) - np.log1p(-uu)
-        # memoryviews yield Python ints and floats one at a time: no numpy
-        # scalars in the loop and no block-sized lists in memory
-        steps = zip(memoryview(ii), memoryview(jj), memoryview(logits))
+        pairs = rows[:, :2 * h].reshape(-1, h, 2)  # pairs[r, k] = row r's pair k
+        if vectorised:
+            # per matching, the positions p, q, q, p of its pairs as four
+            # contiguous rows, and the lattice points of p, q, p, q: against
+            # the values a, b, b, a at idx, one call of f gives the four
+            # terms f(t_p, a), f(t_q, b), f(t_p, b), f(t_q, a) of every ratio
+            idx = np.ascontiguousarray(pairs[:, :, [0, 1, 1, 0]].transpose(0, 2, 1))
+            at = t[idx[:, [0, 1, 0, 1]]]
+        else:
+            # memoryviews yield Python ints and floats one at a time: no
+            # numpy scalars in the loop and no block-sized lists in memory
+            ends = iter(memoryview(pairs.reshape(-1)[:2 * m]))
+            steps = zip(ends, ends, memoryview(logits))
         lo = 0
         while lo < m:
-            hi = min(m, record - done)
-            for i, j, logit in islice(steps, hi - lo):
-                a = cells[i]
-                b = cells[j]
-                c = fn(t[i], t[b - 1])
-                d = fn(t[j], t[a - 1])
-                if logit < -theta * (own[i] + own[j] - c - d):
-                    cells[i] = b
-                    cells[j] = a
-                    own[i] = c
-                    own[j] = d
-                    accepted += 1
+            hi = min(m, record - done, (lo // span + 1) * span)
+            if vectorised:
+                r, k = divmod(lo, h)  # matching r from its pair k
+                sites = idx[r, :, k:k + hi - lo]
+                v = values[sites]  # a, b, b, a
+                # the terms with signs +, +, -, -, added row after row: the
+                # floats of the loop's own[i] + own[j] - c - d
+                terms = fn(at[r, :, k:k + hi - lo], point[v]) * _SIGNS
+                swap = logits[lo:hi] < -theta * np.add.reduce(terms, axis=0)
+                values[sites[:2]] = np.where(swap, v[1::-1], v[:2])
+                accepted += int(np.count_nonzero(swap))
+            else:
+                for i, j, logit in islice(steps, hi - lo):
+                    a = cells[i]
+                    b = cells[j]
+                    c = fn(t[i], point[b])
+                    d = fn(t[j], point[a])
+                    if logit < -theta * (own[i] + own[j] - c - d):
+                        cells[i] = b
+                        cells[j] = a
+                        own[i] = c
+                        own[j] = d
+                        accepted += 1
             lo = hi
             if done + hi == record:
                 draws.append(state.permutation())
@@ -318,7 +381,7 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
         done += m
         # drop the iterator over this block, so that drawing the next block
         # frees its arrays
-        steps = None
+        steps = ends = None
     state.steps += total
     state.swaps_accepted += accepted
     return draws

@@ -54,33 +54,42 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 class SwapDraws:
-    """A generator stub that feeds a swap chain chosen draws.
+    """A generator stub that feeds a swap chain chosen matchings and uniforms.
 
-    A block of m swap steps asks for ``integers(0, n, m)`` (the I),
-    ``integers(0, n - 1, m)`` (the J', which the chain maps to J) and
-    ``random(m)`` (the U), in that order; the stub returns ``i``, ``j``
-    and ``u`` and checks that every call asks for them.  Runs of one block
-    only.
+    A block of m swap steps shuffles ceil(m / h) rows of 0..n-1 in place
+    with ``permuted(rows, axis=1, out=rows)`` (h = n // 2: the matchings,
+    whose pairs are (row[2k], row[2k + 1])), then asks for ``random(m)``
+    (the U), in that order; the stub writes ``rows`` and returns ``u``, and
+    checks that every call asks for them.  Runs of one block only.
     """
 
-    def __init__(self, n: int, i, j, u):
-        self.integer_calls = [(n, list(i)), (n - 1, list(j))]
+    def __init__(self, n: int, rows, u):
+        self.rows = [list(row) for row in rows]
+        assert all(sorted(row) == list(range(n)) for row in self.rows)
         self.u = list(u)
+        self.permuted_calls = 0
 
-    def integers(self, low, high, size):
-        want_high, values = self.integer_calls.pop(0)
-        assert (low, high, size) == (0, want_high, len(values))
-        return np.array(values, dtype=np.int64)
+    def permuted(self, x, axis, out):
+        assert self.permuted_calls == 0 and axis == 1 and out is x
+        assert x.tolist() == [sorted(row) for row in self.rows]
+        self.permuted_calls += 1
+        out[...] = self.rows
+        return out
 
     def random(self, size):
-        assert not self.integer_calls and size == len(self.u)
+        assert self.permuted_calls == 1 and size == len(self.u)
         return np.array(self.u, dtype=np.float64)
 
 
+def pair_row(n: int, i: int, j: int) -> list:
+    """A shuffled row of 0..n-1 whose first pair is (i, j)."""
+    return [i, j] + [k for k in range(n) if k not in (i, j)]
+
+
 def swap_step(model, values, i: int, j: int, u: float) -> tuple:
-    """The state after one step of the swap chain from ``values`` that draws I = i, J' = j, U = u."""
+    """The state after one step of the swap chain from ``values`` on the pair (i, j) with U = u."""
     state = ChainState(np.array(values, dtype=np.int64))
-    _run_swap(state, model, SwapDraws(model.n, [i], [j], [u]), 0, 1, 1)
+    _run_swap(state, model, SwapDraws(model.n, [pair_row(model.n, i, j)], [u]), 0, 1, 1)
     assert state.steps == 1
     return tuple(state.values.tolist())
 
@@ -98,37 +107,32 @@ def swap_bracket(acc: float) -> tuple[float, float | None]:
 def exact_swap_kernel(model):
     """Transition matrix of the swap chain's step on S_n, read off the step itself.
 
-    A stub generator feeds the step from every state s every draw (I, J')
-    in {0..n-1} x {0..n-2}; these must reach each ordered pair (i, j),
-    i != j, exactly once.  With t the state s with i and j swapped and
-    Delta = log p(t) - log p(s) from ``enumerate_pmf``, the step must give
-    t at U = sigma(Delta)(1 - 1e-9) and keep s at U = sigma(Delta)(1 + 1e-9)
-    when that is below 1, so it swaps with probability sigma(Delta) to
-    within 1e-9 relative.  Returns the states, their pmf and the matrix
-    built from those probabilities.
+    A step heat-baths the first pair of a uniformly shuffled row, which is a
+    uniform ordered pair (i, j), i != j.  A stub generator feeds the step
+    from every state s each such pair.  With t the state s with i and j
+    swapped and Delta = log p(t) - log p(s) from ``enumerate_pmf``, the
+    step must give t at U = sigma(Delta)(1 - 1e-9) and keep s at
+    U = sigma(Delta)(1 + 1e-9) when that is below 1, so it swaps with
+    probability sigma(Delta) to within 1e-9 relative.  Returns the states,
+    their pmf and the matrix built from those probabilities.
     """
     perms, probs = enumerate_pmf(model)
     states = [tuple(p) for p in perms.tolist()]
     index = {s: a for a, s in enumerate(states)}
     logp = np.log(probs)
     n = model.n
-    draws = list(itertools.product(range(n), range(n - 1)))
+    pairs = list(itertools.permutations(range(n), 2))
     kmat = np.zeros((len(states), len(states)))
     for a, s in enumerate(states):
-        pairs = set()
-        for i, jp in draws:
-            j = jp + (jp >= i)
+        for i, j in pairs:
             t = list(s)
             t[i], t[j] = t[j], t[i]
             b = index[tuple(t)]
             acc = float(expit(logp[b] - logp[a]))
             below, above = swap_bracket(acc)
-            # a swap of i with any position other than j gives another state
-            assert swap_step(model, s, i, jp, below) == states[b]
+            assert swap_step(model, s, i, j, below) == states[b]
             if above is not None:
-                assert swap_step(model, s, i, jp, above) == s
-            pairs.add((i, j))
-            kmat[a, b] += acc / len(draws)
-            kmat[a, a] += (1.0 - acc) / len(draws)
-        assert len(pairs) == len(draws) == n * (n - 1)
+                assert swap_step(model, s, i, j, above) == s
+            kmat[a, b] += acc / len(pairs)
+            kmat[a, a] += (1.0 - acc) / len(pairs)
     return states, probs, kmat

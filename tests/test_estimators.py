@@ -410,6 +410,16 @@ class TestPlEstimate:
         with pytest.raises(AllPairsDegenerateError):
             multi_estimate([Permutation.identity(6)], flat, "pl")
 
+    @pytest.mark.parametrize("f, method", [
+        (get_score("xy"), "pl"), (get_score("xy"), "ld"), (get_score("xy"), "ml"),
+        (None, "ld"), (None, "ml"),
+    ], ids=["pl", "ld", "ml", "kendall-ld", "kendall-ml"])
+    def test_one_element_is_degenerate(self, f, method):
+        # every equation is 0 at every theta on S_1
+        k = 10 if f is not None and method == "ld" else None
+        with pytest.raises(AllPairsDegenerateError, match="one element"):
+            multi_estimate([Permutation([1])], f, method, k=k)
+
     def test_null_sampling_median_near_zero(self):
         rng = np.random.default_rng(3)
         f = get_score("xy")

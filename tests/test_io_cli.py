@@ -390,6 +390,19 @@ class TestCliFit:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "no_root" and out["sign"] == "positive"
 
+    @pytest.mark.parametrize("argv", [
+        ["--method", "pl"], ["--method", "ld"], ["--method", "ml"],
+        ["--model", "kendall", "--method", "ld"], ["--model", "kendall", "--method", "ml"],
+    ], ids=["pl", "ld", "ml", "kendall-ld", "kendall-ml"])
+    def test_one_element_is_degenerate(self, tmp_path, capsys, argv):
+        # every equation is 0 at every theta on S_1: no fit may report a root
+        path = tmp_path / "one.csv"
+        path.write_text("i,pi\n1,1\n")
+        assert main(["fit"] + argv + ["--data", str(path)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": "degenerate",
+                       "detail": "one element carries no information about theta"}
+
     def test_nonpositive_root_tol_exit_code(self, tau_csv, capsys):
         code = main(["fit", "--method", "pl", "--data", tau_csv, "--root-tol", "0"])
         assert code == 1
@@ -834,6 +847,21 @@ class TestCliLottery:
                          "--iters", "100", "--root-tol", root_tol]) == 0
             evaluations.append(json.loads(capsys.readouterr().out)["pl"]["evaluations"])
         assert evaluations[0] != evaluations[1]
+
+    def test_each_fit_reports_its_own_missing_root(self, tmp_path, capsys):
+        # draw order = day of year, so tau is the reverse: both fits have no
+        # root, and each says so under its own key
+        path = tmp_path / "reverse.csv"
+        path.write_text("day_of_year,draw_order\n"
+                        + "".join(f"{d},{d}\n" for d in range(1, 367)))
+        code = main(["lottery", "--data", str(path), "--k", "100"])
+        assert code == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert "error" not in rep
+        for method in ("pl", "ld"):
+            assert rep[method]["error"] == "no_root" and rep[method]["sign"] == "negative"
+            assert set(rep[method]) == {"error", "sign", "bracket_lo", "bracket_hi",
+                                        "evaluations"}
 
     def test_shuffled_data_looks_null(self, tmp_path, capsys):
         rng = np.random.default_rng(123)

@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from permexp import mcmc
 from permexp.grids import ScoreFunction, get_score
 from permexp.mcmc import (
     ChainState,
@@ -26,7 +28,7 @@ from permexp.models import (
 )
 from permexp.perm import Permutation, inversions
 
-from conftest import empirical_law, exact_swap_kernel, tv_distance
+from conftest import SwapDraws, empirical_law, exact_swap_kernel, swap_bracket, tv_distance
 
 
 class TestSwapKernel:
@@ -63,6 +65,139 @@ class TestSwapKernel:
             ChainState(np.array(values, dtype=np.int64))
 
 
+MATCHING_ROWS = {n: list(itertools.permutations(range(n))) for n in (4, 5)}
+
+
+def exact_matching_kernel(model):
+    """Transition matrix of one whole matching, averaged over every shuffled row.
+
+    The pairs (row[2k], row[2k + 1]) of a row are disjoint, so from a state
+    s the matching swaps each pair on its own, with probability
+    sigma(Delta), Delta = log p(s with the pair swapped) - log p(s) from
+    ``enumerate_pmf``.  Returns the pmf, the matrix built from those
+    probabilities, and the runs that check the chain against them.
+
+    From each start state, a run heat-baths every row of 0..n-1 as one
+    matching after another, twice over, and records the state after each.
+    In the first pass the even pairs of each row swap (U just below
+    sigma(Delta)) and the odd ones keep (U just above), in the second the
+    reverse; a pair whose upper U is not below 1 swaps in both.  A run is
+    (start, uniforms, records), and its records must be the states those
+    decisions give.  As the start runs over S_n, so does the state that
+    meets a given row in a given pass, so the runs from all starts check
+    each pair of each row on both sides from every state.
+    """
+    perms, probs = enumerate_pmf(model)
+    states = [tuple(p) for p in perms.tolist()]
+    index = {s: a for a, s in enumerate(states)}
+    n = model.n
+    h = n // 2
+    # flip[a, i, j]: the state a with positions i and j swapped; acc: the
+    # probability that the heat-bath swaps them
+    flip = np.zeros((len(states), n, n), dtype=np.int64)
+    for a, s in enumerate(states):
+        for i, j in itertools.permutations(range(n), 2):
+            t = list(s)
+            t[i], t[j] = t[j], t[i]
+            flip[a, i, j] = index[tuple(t)]
+    logp = np.log(probs)
+    acc = expit(logp[flip] - logp[:, None, None])
+    every = np.arange(len(states))
+    kmat = np.zeros((len(states), len(states)))
+    for row in MATCHING_ROWS[n]:
+        pairs = [(row[2 * k], row[2 * k + 1]) for k in range(h)]
+        for swaps in itertools.product((False, True), repeat=h):
+            target = every
+            weight = np.ones(len(states))
+            for (i, j), swapped in zip(pairs, swaps):
+                weight *= acc[:, i, j] if swapped else 1.0 - acc[:, i, j]
+                if swapped:
+                    target = flip[target, i, j]
+            np.add.at(kmat, (every, target), weight / len(MATCHING_ROWS[n]))
+    flip = flip.tolist()
+    acc = acc.tolist()
+    runs = []
+    for start in range(len(states)):
+        a = start
+        uu = []
+        records = []
+        for parity in (0, 1):
+            for row in MATCHING_ROWS[n]:
+                b = a
+                for k in range(h):
+                    i, j = row[2 * k], row[2 * k + 1]
+                    below, above = swap_bracket(acc[a][i][j])
+                    if k % 2 == parity or above is None:
+                        uu.append(below)
+                        b = flip[b][i][j]
+                    else:
+                        uu.append(above)
+                a = b
+                records.append(states[a])
+        runs.append((states[start], uu, np.array(records)))
+    return probs, kmat, runs
+
+
+class TestMatchingKernel:
+    @pytest.mark.parametrize("theta", [3.0, -2.5])
+    @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_detailed_balance(self, monkeypatch, n, name, theta):
+        model = LinearModel(get_score(name), theta, n)
+        probs, kmat, runs = exact_matching_kernel(model)
+        assert np.abs(kmat.sum(axis=1) - 1.0).max() <= 1e-12
+        flow = probs[:, None] * kmat
+        assert np.abs(flow - flow.T).max() <= 1e-12
+        assert np.abs(probs @ kmat - probs).max() <= 1e-12
+        rows = 2 * MATCHING_ROWS[n]
+        # every check at n = 4; at n = 5, where a run costs about 1 ms, the
+        # per-pair loop runs those from every other start and the array
+        # operations, at about 15 us a matching, those from every tenth, so
+        # that each row meets 60 and 12 states there on both sides
+        for min_pairs, step in ((n, 1 if n == 4 else 2), (1, 1 if n == 4 else 10)):
+            monkeypatch.setattr(mcmc, "_MATCHING_MIN_PAIRS", min_pairs)
+            for start, uu, records in runs[::step]:
+                state = ChainState(np.array(start, dtype=np.int64))
+                draws = _run_swap(state, model, SwapDraws(n, rows, uu), len(rows), 0, n // 2)
+                assert np.array_equal([d.values for d in draws], records)
+                assert state.steps == len(rows) * (n // 2)
+
+
+def _swap_run(model, seed, n_samples, burn, thin):
+    rng = make_rng(seed)
+    state = ChainState.uniform_start(model.n, rng)
+    draws = _run_swap(state, model, rng, n_samples, burn, thin)
+    return ([d.as_tuple() for d in draws], state.values.tolist(), state.steps,
+            state.swaps_accepted, rng.random())
+
+
+class TestMatchingExecutions:
+    """The per-pair loop and the array operations run the same chain.
+
+    Blocks of randomness hold 60 steps here, so that runs cross many
+    blocks, and a matching of h > 60 pairs makes a block of its own.
+    """
+
+    @pytest.mark.parametrize("n, burn, thin, draws", [
+        (2, 50, 3, 5),
+        (3, 51, 4, 5),
+        (10, 333, 7, 6),
+        (11, 301, 13, 4),            # the last position sits out
+        (101, 2_000, 77, 5),         # blocks of one matching of 50 pairs
+        (1025, 3_000, 1_001, 3),
+    ])
+    @pytest.mark.parametrize("name, theta", [("footrule", 3.0), ("sq", -20.0)])
+    def test_same_chain(self, monkeypatch, name, theta, n, burn, thin, draws):
+        model = LinearModel(get_score(name), theta, n)
+        monkeypatch.setattr(mcmc, "_BLOCK", 60)
+        runs = []
+        for min_pairs in (1, n // 2 + 1):
+            monkeypatch.setattr(mcmc, "_MATCHING_MIN_PAIRS", min_pairs)
+            runs.append(_swap_run(model, n, draws, burn, thin))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == burn + draws * thin
+
+
 def _digest(arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -86,32 +221,32 @@ class TestGoldenChains:
     """Seeded runs reproduce recorded SHA-256 digests of their draws.
 
     The digests pin the RNG stream and the acceptance rule: linear chains
-    at n = 40 and 1100 (the ids name the n ranges of two former ratio
-    paths), exact Kendall draws at n = 40 and 1100 (their burn and thin
-    have no effect; the second id names a former table cutoff), single
-    swap-chain steps and auxiliary sweeps all give the draws they
+    at n = 40 and 1100 (the per-pair loop and the array operations over
+    whole matchings), exact Kendall draws at n = 40 and 1100 (their burn
+    and thin have no effect; the second id names a former table cutoff),
+    single swap-chain steps and auxiliary sweeps all give the draws they
     gave when the digests were recorded.
     """
 
     @pytest.mark.parametrize("model, draws, burn, thin, seed, want", [
         (LinearModel(get_score("sq"), -6.0, 40), 4, 1000, 400, 31,
-         "122114709d7d5c5e751ab63efbf379744651ddb31bef962bb896568796025f98"),
+         "b5d42083b23a7ed3f633775ea34bad998798006e7def89f46e7293e958e18bd9"),
         (LinearModel(get_score("xy"), 20.0, 1100), 2, 3000, 2000, 32,
-         "9e5b2362b17dc567f01aaf5241cff77c5ea5e059bb0fc0a9cc28ae69d313304b"),
+         "2f15c03e7f8064e4aefe76dbef1f28d6196587cffd281c22fc935d801081973a"),
         (KendallModel(2.0, 40), 4, 1000, 400, 33,
          "0117225d37f7b8dc356b471ff576bd765dbf527112a450b45e13bc946f3b32fb"),
         (KendallModel(20.0, 1100), 2, 3000, 2000, 37,
          "9485499d0957e04e626e8415705c8e214465067f8b33ca4165a180a269510198"),
-    ], ids=["linear-table", "linear-above-table", "kendall", "kendall-above-table"])
+    ], ids=["linear-n40", "linear-n1100", "kendall", "kendall-above-table"])
     def test_sample(self, model, draws, burn, thin, seed, want):
         out = sample(model, draws, burn=burn, thin=thin, sampler="swap", seed=seed)
         assert _digest(d.values for d in out) == want
 
     def test_single_steps(self):
         state, snapshots = _step_snapshots(LinearModel(get_score("footrule"), 3.0, 30), 34)
-        assert state.swaps_accepted == 1082
+        assert state.swaps_accepted == 1067
         assert (_digest(snapshots)
-                == "b3a5d195d74cadcd65dd98f4c89e3da218530bb3a34fcf8ec11d85ba56364b9a")
+                == "88cf778dc3703d5c4a04089bc53723a85884007887ccf8a624a475617c89ad85")
 
     @pytest.mark.parametrize("n, draws, burn, thin, seed, want", [
         (500, 4, 5, 2, 35,

@@ -1,11 +1,11 @@
-"""The samplers against their former per-step loops, kept here verbatim as oracles.
+"""The samplers against plain per-step references, kept here as oracles.
 
-``_oracle_run_swap`` is the pair-swap loop that ran every swap step before
-the steps were run in segments between records and a linear chain's ratio
-was inlined in the loop.  It reads each step's log ratio from the score
-table ``score_grid(f, n)``, evaluated on arrays, where the chain calls f
-on Python floats.  The swap chains must give the same draws, the same
-counts and leave the generator at the same position.
+``_oracle_run_swap`` is a plain per-pair reference of the swap chain's
+schedule: blocks of uniform random matchings from ``rng.permuted`` rows,
+then their uniforms, with each pair's log ratio read from the score table
+``score_grid(f, n)``, evaluated on arrays, where the chain calls f on Python
+floats or on a whole matching's arrays.  The swap chains must give the same
+draws, the same counts and leave the generator at the same position.
 
 ``_oracle_sweep`` is the auxiliary sweep before its picks were computed up
 front and before its assignment became one in-place Fisher-Yates pass.
@@ -13,6 +13,7 @@ The two map uniforms to draws differently, so they are compared by their
 exact transition matrices on S_3 and S_4, and by the number of uniforms a
 sweep uses.
 """
+import functools
 import itertools
 import math
 
@@ -35,6 +36,12 @@ from permexp.perm import Permutation
 _ORACLE_BLOCK = 1 << 15
 
 
+@functools.lru_cache(maxsize=1)
+def _score_table(f, n):
+    """The score table of the last model, kept for its runs of one step each."""
+    return score_grid(f, n)
+
+
 def _oracle_run_swap(state, model, rng, n_samples, burn, thin):
     n = model.n
     values = state.values
@@ -45,28 +52,27 @@ def _oracle_run_swap(state, model, rng, n_samples, burn, thin):
         return [state.permutation() for _ in range(n_samples)]
     # Python floats from the table's items, summed in the chain's order;
     # a nested list of the table would hold 4e6 floats at n = 2000
-    score = score_grid(model.f, n).item
+    score = _score_table(model.f, n).item
     theta = model.theta
-    cells = memoryview(values)
+    h = n // 2
     draws: list[Permutation] = []
     next_record = burn + thin if n_samples > 0 else total + 1
     done = 0
     while done < total:
-        m = min(_ORACLE_BLOCK, total - done)
-        ii = rng.integers(0, n, size=m)
-        jj = rng.integers(0, n - 1, size=m)
+        # whole matchings of h pairs, then one uniform per step
+        m = min(max(1, _ORACLE_BLOCK // h) * h, total - done)
+        rows = rng.permuted(np.broadcast_to(np.arange(n), (-(-m // h), n)), axis=1).tolist()
         uu = rng.random(m)
         with np.errstate(divide="ignore"):
             logits = np.log(uu) - np.log1p(-uu)
-        # memoryviews yield Python ints and floats one at a time: no numpy
-        # scalars in the loop and no block-sized lists in memory
-        for i, j, logit in zip(memoryview(ii), memoryview(jj), memoryview(logits)):
-            if j >= i:
-                j += 1
-            a = cells[i] - 1
-            b = cells[j] - 1
+        for step, logit in enumerate(logits.tolist()):
+            # pair k of a row is (row[2k], row[2k + 1])
+            row, k = rows[step // h], step % h
+            i, j = row[2 * k], row[2 * k + 1]
+            a = int(values[i]) - 1
+            b = int(values[j]) - 1
             if logit < -theta * (score(i, a) + score(j, b) - score(i, b) - score(j, a)):
-                cells[i], cells[j] = b + 1, a + 1
+                values[i], values[j] = b + 1, a + 1
                 state.swaps_accepted += 1
             done += 1
             if done == next_record:
@@ -136,7 +142,7 @@ def _assert_same(model, seed, n_samples, burn, thin):
 
 
 class TestWideSwapOracle:
-    """Wide linear chains call f on Python floats; the oracle reads the score table."""
+    """Wide chains heat-bath each matching by array operations; the oracle reads the score table."""
 
     @pytest.mark.parametrize("n", [1025, 1100, 2000])
     @pytest.mark.parametrize("theta", [-20.0, 0.0, 3.0, 50.0])
@@ -151,11 +157,12 @@ class TestWideSwapOracle:
         _assert_same(LinearModel(constant, 3.0, 1025), 44, 3, 700, 600)
 
 
-# a small linear chain and one above n = 1024; every n runs one loop, and
-# the ids "table" and "chunked" keep the names of the two ratio paths that
-# once split the chains at n = 1024
+# a chain run by the per-pair loop and one whose matchings are heat-bathed
+# by array operations, each with blocks of exactly _BLOCK steps (h = 2 and
+# h = 512); the ids "table" and "chunked" keep the names of two ratio
+# paths that once split the chains at n = 1024
 BOOKKEEPING_MODELS = [LinearModel(get_score("xy"), 2.0, 5),
-                      LinearModel(get_score("sq"), 0.0, 1030)]
+                      LinearModel(get_score("sq"), 0.0, 1025)]
 
 
 class TestRecordBookkeeping:
@@ -170,6 +177,7 @@ class TestRecordBookkeeping:
     @pytest.mark.parametrize("model", BOOKKEEPING_MODELS, ids=["table", "chunked"])
     def test_matches_oracle(self, model, n_samples, burn, thin):
         assert _BLOCK == _ORACLE_BLOCK
+        assert _BLOCK % (model.n // 2) == 0
         _assert_same(model, 40, n_samples, burn, thin)
 
     @pytest.mark.parametrize("model", BOOKKEEPING_MODELS, ids=["table", "chunked"])

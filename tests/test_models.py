@@ -314,7 +314,7 @@ class TestGridDiscordance:
 class TestSwapLogRatios:
     """The swap chain's decisions, from chosen draws, against log_weight and the score grid.
 
-    A draw (I, J') swaps I with J = J' + [J' >= I]; a step that accepts
+    A step heat-baths a pair (I, J) of a shuffled row; a step that accepts
     with probability sigma(Delta) swaps at U just below sigma(Delta) and
     keeps its state just above.
     """
@@ -335,29 +335,31 @@ class TestSwapLogRatios:
                     Permutation(vals)
                 )
                 below, above = swap_bracket(float(expit(delta)))
-                assert swap_step(model, vals, i, jp, below) == tuple(swapped)
+                assert swap_step(model, vals, i, j, below) == tuple(swapped)
                 if above is not None:
-                    assert swap_step(model, vals, i, jp, above) == tuple(vals)
+                    assert swap_step(model, vals, i, j, above) == tuple(vals)
 
     @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
     def test_f_path_reads_as_score_table(self, name):
-        # one run of 2000 steps, with Delta from the score grid: the chain
-        # calls f on Python floats and must decide as the grid's floats do,
-        # before and after the swaps that refresh its per-position terms
+        # one run of 2000 steps over shuffled rows, with Delta from the score
+        # grid: the chain calls f on Python floats (n = 9) or on arrays
+        # (n = 1100, one pair at a time, as every step is recorded) and must
+        # decide as the grid's floats do, before and after the swaps
         rng = np.random.default_rng(5)
         theta = -2.5
         steps = 2000
         for n in (9, 1100):
+            h = n // 2
             model = LinearModel(get_score(name), theta, n)
             s = score_grid(model.f, n)
             start = rng.permutation(n) + 1
             vals = start.copy()
-            ii = rng.integers(n, size=steps)
-            jj = rng.integers(n - 1, size=steps)
+            rows = [rng.permutation(n) for _ in range(-(-steps // h))]
             uu = []
             want = np.empty((steps, n), dtype=np.int64)
-            for step, (i, jp) in enumerate(zip(ii.tolist(), jj.tolist())):
-                j = jp + (jp >= i)
+            for step in range(steps):
+                row = rows[step // h]
+                i, j = int(row[2 * (step % h)]), int(row[2 * (step % h) + 1])
                 vi, vj = vals[i] - 1, vals[j] - 1
                 delta = -theta * (s[i, vi] + s[j, vj] - s[i, vj] - s[j, vi])
                 below, above = swap_bracket(float(expit(delta)))
@@ -368,7 +370,7 @@ class TestSwapLogRatios:
                     uu.append(above)
                 want[step] = vals
             state = ChainState(start)
-            draws = _run_swap(state, model, SwapDraws(n, ii, jj, uu), steps, 0, 1)
+            draws = _run_swap(state, model, SwapDraws(n, rows, uu), steps, 0, 1)
             assert len(draws) == steps
             for got, row in zip(draws, want):
                 assert np.array_equal(got.values, row)
