@@ -14,8 +14,8 @@ from .estimators import (
     EstimateResult,
     NoRootError,
     UniformityTest,
+    estimating_equation,
     multi_estimate,
-    multi_sample_scores,
     threshold_test,
     uniformity_test,
 )

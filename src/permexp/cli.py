@@ -8,7 +8,9 @@ a linear model), ``lottery`` (the full 1970 draft-lottery analysis).
 Exit codes: 0 success, 2 when a fit's estimating equation has no sign
 change within the [-64, 64] bracket (the Kendall-LD fit of the reverse
 permutation at n = 366, whose root is near 730) or all its PL pair scores
-vanish, 1 on a usage, I/O or validation failure.  All floats
+vanish, 1 on a usage, I/O or validation failure or an IPFP stop at the
+sweep cap; a ``lottery`` fit that ends either way leaves its record in
+the printed report, and 1 outranks 2.  All floats
 are printed with 10 significant digits; every source of randomness
 hangs off an explicit ``--seed``.
 """
@@ -157,27 +159,27 @@ def cmd_fit(args) -> int:
     perms = [load_permutation_csv(p) for p in args.data]
     try:
         result = multi_estimate(perms, f, args.method, root_tol=args.root_tol, **ld_kw)
-    except NoRootError as err:
-        print(format_json_report(_no_root_record(err)))
-        return EXIT_NO_ROOT
-    except AllPairsDegenerateError as err:
-        print(format_json_report({"error": "degenerate", "detail": str(err)}))
+    except (NoRootError, AllPairsDegenerateError) as err:
+        print(format_json_report(_failure_record(err)))
         return EXIT_NO_ROOT
     print(format_json_report(result.to_json_dict()))
     return EXIT_OK
 
 
-def _no_root_record(err: NoRootError) -> dict:
-    return {"error": "no_root", "sign": err.sign, "bracket_lo": err.bracket[0],
-            "bracket_hi": err.bracket[1], "evaluations": err.evaluations}
+def _failure_record(err: NoRootError | AllPairsDegenerateError | IpfpNonConvergence) -> dict:
+    """The report record of a fit that ended without an estimate."""
+    if isinstance(err, NoRootError):
+        return {"error": "no_root", "sign": err.sign, "bracket_lo": err.bracket[0],
+                "bracket_hi": err.bracket[1], "evaluations": err.evaluations}
+    kind = "ipfp_maxiter" if isinstance(err, IpfpNonConvergence) else "degenerate"
+    return {"error": kind, "detail": str(err)}
 
 
 def cmd_logz(args) -> int:
     f = get_score(args.score or "xy")
     lo, hi = args.theta_min, args.theta_max
     if args.steps < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        print("error: need steps >= 2 and finite theta-min < theta-max", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("need steps >= 2 and finite theta-min < theta-max")
     rows = ["theta,w_k,w_k_prime,status\n"]
     # one score grid F gives every row's kernel theta * F; each run stores
     # w' = <F, A>, and w = theta * w' - D(A || uniform) reads its grid A
@@ -216,16 +218,12 @@ def cmd_sample(args) -> int:
     hist_out = args.hist_out
     if args.hist is not None:
         if args.draws < 1:
-            print("error: --hist needs at least one draw", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("--hist needs at least one draw")
         if not 1 <= args.hist <= args.n:
-            print(f"error: --hist K={args.hist} outside 1..{args.n}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"--hist K={args.hist} outside 1..{args.n}")
         if hist_out is None:
             if args.out == "-":
-                print("error: --hist with stdout output needs --hist-out",
-                      file=sys.stderr)
-                return EXIT_ERROR
+                raise ValueError("--hist with stdout output needs --hist-out")
             hist_out = f"{args.out}_hist.csv"
     if args.model == "kendall":
         _reject_given("the Kendall model", {"--f": args.score})
@@ -267,13 +265,17 @@ def cmd_lottery(args) -> int:
     exit_code = EXIT_OK
     fits = {"pl": {}, "ld": {"k": args.k, "tol": args.tol, "max_iter": args.iters}}
     for method, settings in fits.items():
-        # each fit on its own: one without a root leaves its record and the other fit
+        # each fit on its own: one without an estimate leaves its record and the
+        # other fit; an IPFP stop (exit 1) outranks a missing root (exit 2)
         try:
             report[method] = multi_estimate([tau], f, method, root_tol=args.root_tol,
                                             **settings).to_json_dict()
-        except NoRootError as err:
-            report[method] = _no_root_record(err)
-            exit_code = EXIT_NO_ROOT
+        except (NoRootError, AllPairsDegenerateError) as err:
+            report[method] = _failure_record(err)
+            exit_code = exit_code or EXIT_NO_ROOT
+        except IpfpNonConvergence as err:
+            report[method] = _failure_record(err)
+            exit_code = EXIT_ERROR
 
     rng = np.random.default_rng(args.seed)
     reference = Permutation(rng.permutation(n) + 1)

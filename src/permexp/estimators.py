@@ -3,7 +3,8 @@
 One entry point fits theta: :func:`multi_estimate` solves the estimating
 equation of a method (PL, LD or ML) summed over i.i.d. samples, for the
 linear family and for Kendall's tau alike; a single sample is a pooled
-fit with m = 1.  :func:`multi_sample_scores` evaluates the same equation.
+fit with m = 1.  :func:`estimating_equation` returns the equation it
+solves, a map from theta to the summed value.
 
 A fit builds everything that does not depend on theta once and then
 evaluates only what does, about eight times per root: the PL pair scores
@@ -53,7 +54,7 @@ __all__ = [
     "pairwise_swap_scores",
     "uniformity_test",
     "threshold_test",
-    "multi_sample_scores",
+    "estimating_equation",
     "multi_estimate",
 ]
 
@@ -286,16 +287,18 @@ def _reject_given(owner: str, settings: dict) -> None:
         raise ValueError(f"{owner} takes no {', '.join(given)}")
 
 
-def _pooled_score(perms: Sequence[Permutation], f: ScoreFunction | None, method: str,
-                  k: int | None = None, tol: float | None = None,
-                  max_iter: int | None = None) -> Callable[[float], float]:
+def estimating_equation(perms: Sequence[Permutation], f: ScoreFunction | None,
+                        method: str, k: int | None = None, tol: float | None = None,
+                        max_iter: int | None = None) -> Callable[[float], float]:
     """The estimating equation of ``method`` summed over i.i.d. samples.
 
-    ``f`` is the linear model's score, or None for the Kendall family.
-    Everything that does not depend on theta (pair scores, statistics,
-    the S_n enumeration, the LD score grid) is built once here; the
-    returned closure maps theta to the summed equation.  With one sample
-    it is the single-sample equation exactly.
+    ``f`` is the linear model's score, or None for the Kendall family;
+    methods and settings are those of :func:`multi_estimate`, which
+    solves this equation.  Everything that does not depend on theta
+    (pair scores, statistics, the S_n enumeration, the LD score grid) is
+    built, and checked, once here; the returned closure maps theta to the
+    summed equation, with one sample the single-sample equation exactly
+    (for ``"pl"``, the sum over pairs of y / (1 + e^{theta y})).
     """
     if method not in ("pl", "ld", "ml"):
         raise ValueError(f"unknown method {method!r}")
@@ -407,17 +410,6 @@ def threshold_test(theta_hat: float, theta0: float, theta1: float) -> bool:
     return theta_hat > 0.5 * (theta0 + theta1)
 
 
-def multi_sample_scores(perms: Sequence[Permutation], f: ScoreFunction | None,
-                        theta: float, method: str, k: int | None = None,
-                        tol: float | None = None, max_iter: int | None = None) -> float:
-    """Summed estimating equation over i.i.d. samples; see :func:`multi_estimate`.
-
-    With one sample and method ``"pl"`` this is the pseudo-likelihood
-    score, the sum over pairs of y / (1 + e^{theta y}).
-    """
-    return float(_pooled_score(perms, f, method, k, tol, max_iter)(theta))
-
-
 def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction | None, method: str,
                    root_tol: float = 1e-8, k: int | None = None,
                    tol: float | None = None, max_iter: int | None = None) -> EstimateResult:
@@ -458,7 +450,7 @@ def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction | None, method
     (PL), one IPFP run on theta times the stored grid (LD), or one sum
     over the enumeration (ML).
     """
-    score = _pooled_score(perms, f, method, k, tol, max_iter)
+    score = estimating_equation(perms, f, method, k, tol, max_iter)
     root, bracket, evals, resid = find_monotone_root(score, root_tol=root_tol)
     if f is None:
         return EstimateResult(root, f"Kendall-{method.upper()}", bracket, evals, resid)

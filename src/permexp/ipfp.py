@@ -11,7 +11,8 @@ log-normalizing constant of the associated permutation model.
 The accumulated log scale vectors are the discrete analogues of the
 potentials a(.), b(.) in the factorized density
 exp(theta f(x,y) + a(x) + b(y)); :func:`recover_potentials` converts
-them to that normalization.
+them to that normalization; :func:`variational_value`, the one path to
+the variational value, checks it against them.
 
 One kernel does all scaling: Sinkhorn's scaling vectors (Cuturi 2013),
 two mat-vecs per sweep, stabilized by absorbing the scalings into the
@@ -248,12 +249,29 @@ def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
     return _sinkhorn(score_grid, theta, tol, max_iter)
 
 
+_W_IDENTITY_TOL = 1e-8
+
+
 def variational_value(result: IpfpResult, theta: float) -> float:
     """theta * <F, A> - D(A || uniform) for the scaled grid A of a run on theta * F.
 
     <F, A> is the run's ``score_mean``; only D(A || uniform) reads the grid.
+    The value is checked against the potential identity w = -(sum alpha +
+    sum beta) / k - 2 log k, that is -(mean a_hat + mean b_hat) of
+    :func:`recover_potentials`, to a slack that grows with the run's
+    residual (sweep-capped runs included); a larger gap, from a theta other
+    than the run's or a broken invariant, raises RuntimeError.
     """
-    return theta * result.score_mean - kl_to_uniform(result.grid.w)
+    value = theta * result.score_mean - kl_to_uniform(result.grid.w)
+    alpha, beta = result.row_log_scales, result.col_log_scales
+    k = alpha.size
+    check = -(alpha.sum() + beta.sum()) / k - 2.0 * math.log(k)
+    gap = abs(value - check)
+    scale = max(1.0, float(np.abs(alpha).max()), float(np.abs(beta).max()))
+    slack = max(_W_IDENTITY_TOL, 10.0 * k * result.residual * scale)
+    if gap > slack:
+        raise RuntimeError(f"variational/potential identity violated by {gap:.3e}")
+    return value
 
 
 def recover_potentials(result: IpfpResult) -> PotentialGrid:
@@ -274,31 +292,13 @@ def recover_potentials(result: IpfpResult) -> PotentialGrid:
     return PotentialGrid(alpha + logk + c, beta + logk - c)
 
 
-_W_IDENTITY_TOL = 1e-8
-
-
 def w_k(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
         max_iter: int | None = None) -> float:
     """Grid approximation of the limiting log-normalizing constant.
 
-    Cross-checks the variational value against -(mean a_hat +
-    mean b_hat) from the recovered potentials; the two agree up to the
-    convergence residual (1e-8 at the default tolerance), so a larger
-    gap indicates a broken invariant and raises.
+    The checked :func:`variational_value` of the IPFP limit matrix.
     """
-    result = limit_matrix(f, theta, k, tol=tol, max_iter=max_iter)
-    value = variational_value(result, theta)
-    pots = recover_potentials(result)
-    check = -(pots.a_hat.mean() + pots.b_hat.mean())
-    gap = abs(value - check)
-    scale = max(1.0, float(np.abs(result.row_log_scales).max()),
-                float(np.abs(result.col_log_scales).max()))
-    slack = max(_W_IDENTITY_TOL, 10.0 * k * result.residual * scale)
-    if gap > slack:
-        raise RuntimeError(
-            f"variational/potential identity violated by {gap:.3e}"
-        )
-    return value
+    return variational_value(limit_matrix(f, theta, k, tol=tol, max_iter=max_iter), theta)
 
 
 def w_k_prime(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,

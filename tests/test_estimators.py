@@ -24,11 +24,10 @@ import permexp.estimators as estimators
 from permexp.estimators import (
     PAIR_BLOCK,
     AllPairsDegenerateError,
-    _pooled_score,
     NoRootError,
+    estimating_equation,
     find_monotone_root,
     multi_estimate,
-    multi_sample_scores,
     pairwise_swap_scores,
     threshold_test,
     uniformity_test,
@@ -226,8 +225,8 @@ class TestRootFinder:
         tau = random_permutation(rng, 150)
         tol = 1e-8
         theta = multi_estimate([tau], f, "pl", root_tol=tol).theta_hat
-        assert (multi_sample_scores([tau], f, theta - tol, "pl") >= 0
-                >= multi_sample_scores([tau], f, theta + tol, "pl"))
+        score = estimating_equation([tau], f, "pl")
+        assert score(theta - tol) >= 0 >= score(theta + tol)
 
     def test_lottery_fits_take_few_evaluations(self, lottery_path, capsys):
         from permexp.cli import main
@@ -260,7 +259,7 @@ class TestRootFinderMatchesScipy:
 
     @pytest.mark.parametrize("method, k", [("pl", None), ("ld", 1000)])
     def test_lottery_fits(self, lottery, method, k):
-        score = _pooled_score([lottery.tau()], get_score("xy"), method, k=k)
+        score = estimating_equation([lottery.tau()], get_score("xy"), method, k=k)
         assert_root_matches_brentq(score, 1e-6)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -268,10 +267,10 @@ class TestRootFinderMatchesScipy:
         rng = np.random.default_rng([seed, 11])
         perm = copula_permutation(rng, 500, -0.75 + 1.5 * seed / 9)
         f = get_score("xy")
-        for score in (_pooled_score([perm], f, "pl"),
-                      _pooled_score([perm], f, "ld", k=100),
-                      _pooled_score([perm], None, "ld"),
-                      _pooled_score([perm], None, "ml")):
+        for score in (estimating_equation([perm], f, "pl"),
+                      estimating_equation([perm], f, "ld", k=100),
+                      estimating_equation([perm], None, "ld"),
+                      estimating_equation([perm], None, "ml")):
             assert_root_matches_brentq(score, 1e-8)
 
 
@@ -281,7 +280,7 @@ class TestPlScore:
         pi = random_permutation(rng, 30)
         f = get_score("xy")
         y = pairwise_swap_scores(pi, f)
-        assert multi_sample_scores([pi], f, 0.0, "pl") == pytest.approx(0.5 * y.sum())
+        assert estimating_equation([pi], f, "pl")(0.0) == pytest.approx(0.5 * y.sum())
 
     def test_identity_all_positive(self):
         f = get_score("xy")
@@ -289,7 +288,7 @@ class TestPlScore:
         y = pairwise_swap_scores(pi, f)
         assert np.all(y > 0)
         for theta in (-5.0, 0.0, 5.0, 60.0):
-            assert multi_sample_scores([pi], f, theta, "pl") > 0
+            assert estimating_equation([pi], f, "pl")(theta) > 0
 
     def test_additive_shift_invariance(self):
         rng = np.random.default_rng(1)
@@ -300,8 +299,8 @@ class TestPlScore:
         ya = pairwise_swap_scores(pi, f)
         yb = pairwise_swap_scores(pi, g)
         assert np.abs(ya - yb).max() <= 1e-10
-        assert multi_sample_scores([pi], g, 1.3, "pl") == pytest.approx(
-            multi_sample_scores([pi], f, 1.3, "pl"), abs=1e-9)
+        assert estimating_equation([pi], g, "pl")(1.3) == pytest.approx(
+            estimating_equation([pi], f, "pl")(1.3), abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1,
                                    2 * PAIR_BLOCK + 1, 300])
@@ -334,7 +333,7 @@ class TestPlScore:
         ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = multi_sample_scores(perms, f, theta, "pl")
+            got = estimating_equation(perms, f, "pl")(theta)
         want = float(ys @ expit(-theta * ys))
         assert abs(got - want) <= 1e-12 * np.abs(ys).sum()
 
@@ -351,7 +350,7 @@ class TestPlScore:
         f = get_score("footrule")
         perms = [random_permutation(rng, n) for _ in range(m)]
         ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
-        score = _pooled_score(perms, f, "pl")
+        score = estimating_equation(perms, f, "pl")
         for theta in (-1e4, -2.5, 0.0, 0.7, 1e4):
             with np.errstate(over="ignore"):
                 want = math.fsum(ys / (1.0 + np.exp(theta * ys)))
@@ -365,7 +364,7 @@ class TestPlScore:
         perms = [random_permutation(rng, 300) for _ in range(3)]
         ys = np.concatenate([pairwise_swap_scores(p, f) for p in perms])
         assert ys.size > 2 * estimators.SCORE_BLOCK
-        score = _pooled_score(perms, f, "pl")
+        score = estimating_equation(perms, f, "pl")
         for theta in (-1e4, -3.0, 0.4, 1e4):
             with np.errstate(over="ignore"):
                 want = math.fsum(ys / (1.0 + np.exp(theta * ys)))
@@ -386,9 +385,9 @@ class TestPlScore:
         f = get_score("footrule")
         pi = random_permutation(rng, 40)
         h = 1e-6
+        score = estimating_equation([pi], f, "pl")
         for theta in (-2.0, 0.0, 1.4):
-            fd = (multi_sample_scores([pi], f, theta + h, "pl")
-                  - multi_sample_scores([pi], f, theta - h, "pl")) / (2 * h)
+            fd = (score(theta + h) - score(theta - h)) / (2 * h)
             exact = pl_score_derivative(pi, f, theta)
             assert exact < 0
             assert exact == pytest.approx(fd, abs=1e-6 * max(1.0, abs(exact)))
@@ -473,8 +472,9 @@ class TestLdEstimate:
     def test_ld_score_sign_change(self, lottery):
         f = get_score("xy")
         tau = lottery.tau()
-        assert multi_sample_scores([tau], f, 0.0, "ld", k=100) > 0
-        assert multi_sample_scores([tau], f, 6.0, "ld", k=100) < 0
+        score = estimating_equation([tau], f, "ld", k=100)
+        assert score(0.0) > 0
+        assert score(6.0) < 0
 
     def test_no_root_on_extremes(self):
         f = get_score("xy")
@@ -489,7 +489,7 @@ class TestLdEstimate:
         rng = np.random.default_rng(10)
         perms = [random_permutation(rng, 40) for _ in range(2)]
         stat = sum(linear_statistic(p, f) / 40 for p in perms)
-        got = multi_sample_scores(perms, f, theta, "ld", k=30)
+        got = estimating_equation(perms, f, "ld", k=30)(theta)
         assert got == stat - 2 * w_k_prime(f, theta, 30)
 
     @pytest.mark.parametrize("method", ["pl", "ml"])
@@ -660,7 +660,7 @@ class TestMultiSample:
         f = get_score("xy")
         pi = random_permutation(rng, 40)
         y = pairwise_swap_scores(pi, f)
-        assert multi_sample_scores([pi], f, 1.2, "pl") == pytest.approx(
+        assert estimating_equation([pi], f, "pl")(1.2) == pytest.approx(
             float(np.sum(y / (1.0 + np.exp(1.2 * y))))
         )
 
@@ -668,8 +668,8 @@ class TestMultiSample:
         rng = np.random.default_rng(9)
         f = get_score("xy")
         pi = random_permutation(rng, 30)
-        single = multi_sample_scores([pi], f, 0.7, "pl")
-        assert multi_sample_scores([pi] * 4, f, 0.7, "pl") == pytest.approx(4 * single)
+        single = estimating_equation([pi], f, "pl")(0.7)
+        assert estimating_equation([pi] * 4, f, "pl")(0.7) == pytest.approx(4 * single)
 
     @pytest.mark.parametrize("f_name, method", [
         ("xy", "pl"), ("xy", "ld"), ("xy", "ml"), (None, "ld"), (None, "ml"),
@@ -727,6 +727,6 @@ class TestMultiSample:
     def test_size_mismatch(self):
         f = get_score("xy")
         with pytest.raises(ValueError):
-            multi_sample_scores(
-                [Permutation.identity(4), Permutation.identity(5)], f, 1.0, "pl"
-            )
+            estimating_equation(
+                [Permutation.identity(4), Permutation.identity(5)], f, "pl"
+            )(1.0)

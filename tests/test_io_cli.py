@@ -550,6 +550,10 @@ class TestCliFit:
     (["density", "--theta", "20", "--k", "4", "--tol", "inf"], "tol must be finite"),
     (["lottery", "--data", "LOTTERY", "--tol", "inf"], "tol must be finite"),
     (["lottery", "--data", "LOTTERY", "--root-tol", "inf"], "root_tol must be finite"),
+    (["logz", "--theta-min", "-1", "--theta-max", "1", "--steps", "1"],
+     "need steps >= 2 and finite theta-min < theta-max"),
+    (["sample", "--theta", "1", "--n", "5", "--draws", "0", "--hist", "3"],
+     "--hist needs at least one draw"),
 ])
 def test_invalid_work_size_exits_1(argv, message, tmp_path, lottery, lottery_path, capsys):
     tau = tmp_path / "tau.csv"
@@ -650,7 +654,8 @@ class TestCliLogz:
         code = main(["logz", "--theta-min", lo, "--theta-max", hi, "--steps", "2",
                      "--k", "10", "--out", str(out)])
         assert code == 1
-        assert "theta-min < theta-max" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: need steps >= 2 and finite theta-min < theta-max\n")
         assert out.read_text() == "earlier output\n"
 
 
@@ -777,19 +782,22 @@ class TestCliSample:
         code = main(["sample", "--f", "xy", "--theta", "1", "--n", "6",
                      "--draws", "1", "--burn", "10", "--thin", "5",
                      "--hist", "2"])
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --hist with stdout output needs --hist-out\n"
 
-    @pytest.mark.parametrize("args", [["--draws", "0", "--hist", "3"],
-                                      ["--draws", "2", "--hist", "9"]],
-                             ids=["no-draws", "hist-above-n"])
-    def test_bad_hist_keeps_existing_out(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("args, message", [
+        (["--draws", "0", "--hist", "3"], "--hist needs at least one draw"),
+        (["--draws", "2", "--hist", "9"], "--hist K=9 outside 1..5"),
+    ], ids=["no-draws", "hist-above-n"])
+    def test_bad_hist_keeps_existing_out(self, tmp_path, capsys, args, message):
         out = tmp_path / "s.csv"
         out.write_text("earlier output\n")
         code = main(["sample", "--theta", "1", "--n", "5", "--burn", "10", "--thin", "5",
                      "--out", str(out)] + args)
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert out.read_text() == "earlier output\n"
         assert not (tmp_path / "s.csv_hist.csv").exists()
 
@@ -848,13 +856,16 @@ class TestCliLottery:
             evaluations.append(json.loads(capsys.readouterr().out)["pl"]["evaluations"])
         assert evaluations[0] != evaluations[1]
 
-    def test_each_fit_reports_its_own_missing_root(self, tmp_path, capsys):
-        # draw order = day of year, so tau is the reverse: both fits have no
-        # root, and each says so under its own key
+    @staticmethod
+    def _reverse_data(tmp_path):
+        # draw order = day of year, so tau is the reverse: neither fit has a root
         path = tmp_path / "reverse.csv"
         path.write_text("day_of_year,draw_order\n"
                         + "".join(f"{d},{d}\n" for d in range(1, 367)))
-        code = main(["lottery", "--data", str(path), "--k", "100"])
+        return str(path)
+
+    def test_each_fit_reports_its_own_missing_root(self, tmp_path, capsys):
+        code = main(["lottery", "--data", self._reverse_data(tmp_path), "--k", "100"])
         assert code == 2
         rep = json.loads(capsys.readouterr().out)
         assert "error" not in rep
@@ -862,6 +873,20 @@ class TestCliLottery:
             assert rep[method]["error"] == "no_root" and rep[method]["sign"] == "negative"
             assert set(rep[method]) == {"error", "sign", "bracket_lo", "bracket_hi",
                                         "evaluations"}
+
+    def test_ipfp_stop_in_a_fit_keeps_the_report(self, tmp_path, capsys):
+        # 100 sweeps do not reach tol at an extreme bracket probe of the LD fit
+        code = main(["lottery", "--data", self._reverse_data(tmp_path), "--k", "50",
+                     "--iters", "100"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rep = json.loads(captured.out)
+        assert rep["pl"]["error"] == "no_root" and rep["pl"]["sign"] == "negative"
+        assert rep["ld"] == {"error": "ipfp_maxiter",
+                             "detail": "IPFP stopped at residual 8.711e-10 > tol "
+                                       "1.000e-12 after 100 sweeps"}
+        assert rep["tau_bins"] and rep["reference_bins"]
 
     def test_shuffled_data_looks_null(self, tmp_path, capsys):
         rng = np.random.default_rng(123)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import sys
@@ -10,6 +11,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from permexp.grids import (
+    SCORE_FUNCTIONS,
     ScoreFunction,
     get_score,
     kl_to_uniform,
@@ -230,6 +232,39 @@ class TestPotentials:
             ipfp_scale(b0, tol=1e-15, max_iter=1)
         with pytest.raises(ValueError):
             recover_potentials(exc.value.result)
+
+
+class TestVariationalValue:
+    @pytest.mark.parametrize("theta", [-25.0, 7.0])
+    @pytest.mark.parametrize("name", sorted(SCORE_FUNCTIONS))
+    def test_closed_form_check_is_the_potential_identity(self, name, theta):
+        # the check -(sum alpha + sum beta) / k - 2 log k is, by algebra,
+        # -(mean a_hat + mean b_hat) of the recovered potentials
+        k = 40
+        res = limit_matrix(get_score(name), theta, k)
+        pots = recover_potentials(res)
+        check = -(res.row_log_scales.sum() + res.col_log_scales.sum()) / k - 2 * math.log(k)
+        assert abs(check + (pots.a_hat.mean() + pots.b_hat.mean())) <= 1e-12
+        assert abs(variational_value(res, theta) - check) <= 1e-8
+
+    def test_theta_of_another_run_raises(self):
+        res = limit_matrix(get_score("xy"), 3.0, 50)
+        variational_value(res, 3.0)
+        with pytest.raises(RuntimeError, match="identity violated"):
+            variational_value(res, 4.0)
+
+    def test_shifted_row_scales_raise(self):
+        res = limit_matrix(get_score("xy"), 3.0, 50)
+        cells = res.grid  # built from the run's own scales, and kept
+        moved = dataclasses.replace(res, row_log_scales=res.row_log_scales + 1e-3)
+        assert moved.grid is cells
+        with pytest.raises(RuntimeError, match="identity violated"):
+            variational_value(moved, 3.0)
+
+    @pytest.mark.parametrize("theta", [-12.0, 0.5, 30.0])
+    def test_w_k_is_the_checked_value_of_the_limit(self, theta):
+        f = get_score("footrule")
+        assert w_k(f, theta, 30) == variational_value(limit_matrix(f, theta, 30), theta)
 
 
 class TestWk:

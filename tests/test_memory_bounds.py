@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from permexp.estimators import PAIR_BLOCK, _pooled_score, multi_estimate
+from permexp.estimators import PAIR_BLOCK, estimating_equation, multi_estimate
 from permexp.grids import get_score, score_grid
 from permexp.models import kendall_limit_density
 from permexp.perm import Permutation
@@ -69,7 +69,7 @@ def test_kendall_density_builds_four_grids(theta):
 def test_ld_evaluation_holds_one_kernel(theta):
     k = 500
     pi = Permutation(np.random.default_rng(8).permutation(50) + 1)
-    score = _pooled_score([pi], get_score("xy"), "ld", k=k)  # builds F
+    score = estimating_equation([pi], get_score("xy"), "ld", k=k)  # builds F
     peak = _peak_bytes(lambda: score(theta))
     # the former evaluation held theta * F beside the kernel: 2 k^2 floats
     assert peak <= LD_EVALUATION_ARRAYS * k * k * 8
