@@ -3,9 +3,9 @@
 Library surface: permutation/rank primitives (:mod:`permexp.perm`),
 copula grids and score functions (:mod:`permexp.grids`), IPFP scaling
 and the limiting log-normalizer (:mod:`permexp.ipfp`), model families
-with exact oracles (:mod:`permexp.models`), the exact Kendall sampler
-and MCMC samplers (:mod:`permexp.mcmc`), temperature estimators and the
-uniformity test (:mod:`permexp.estimators`), and file formats
+and the Kendall closed forms (:mod:`permexp.models`), the exact Kendall
+sampler and MCMC samplers (:mod:`permexp.mcmc`), temperature estimators
+and the uniformity test (:mod:`permexp.estimators`), and file formats
 (:mod:`permexp.io`).
 The ``permexp`` command line fronts the same functionality.
 """
@@ -24,7 +24,6 @@ from .grids import (
     CopulaGrid,
     ScoreFunction,
     get_score,
-    grid_mean,
     kl_to_uniform,
     lattice,
     score_grid,
@@ -32,10 +31,7 @@ from .grids import (
 from .ipfp import (
     IpfpNonConvergence,
     IpfpResult,
-    PotentialGrid,
-    ipfp_scale,
     limit_matrix,
-    recover_potentials,
     variational_value,
     w_k,
     w_k_prime,
@@ -44,8 +40,6 @@ from .mcmc import ChainState, auxiliary_gibbs_sweep, make_rng, sample
 from .models import (
     KendallModel,
     LinearModel,
-    brute_logZ,
-    enumerate_pmf,
     kendall_limit_C,
     kendall_limit_C_prime,
     kendall_limit_density,

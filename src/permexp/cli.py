@@ -13,6 +13,10 @@ sweep cap; a ``lottery`` fit that ends either way leaves its record in
 the printed report, and 1 outranks 2.  All floats
 are printed with 10 significant digits; every source of randomness
 hangs off an explicit ``--seed``.
+
+A negative number in exponent form passed as a word of its own, as in
+``--theta -1e1``, is read as an option and rejected; join it to its
+flag with ``=``: ``--theta=-1e1``, ``--root-tol=-1e-3``.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from .estimators import (
     uniformity_test,
 )
 from .grids import SCORE_FUNCTIONS, get_score, score_grid
-from .ipfp import IpfpNonConvergence, limit_matrix, variational_value
+from .ipfp import DEFAULT_TOL, IpfpNonConvergence, limit_matrix, variational_value
 from .io import (
     _fmt,
     _writing,
@@ -83,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--method", choices=["pl", "ld", "ml"], required=True)
     fit.add_argument("--k", type=int, help="grid order of a linear ld fit (default 100)")
     fit.add_argument("--iters", type=int, help="IPFP sweep cap of a linear ld fit")
-    fit.add_argument("--tol", type=float,
-                     help="IPFP residual tolerance of a linear ld fit (default 1e-12)")
+    fit.add_argument("--tol", type=float, help="IPFP residual tolerance of a linear ld fit "
+                                              f"(default {DEFAULT_TOL:g})")
     fit.add_argument("--root-tol", type=float, default=1e-8)
 
     logz = sub.add_parser("logz", help="curve of the limiting log-normalizer")
@@ -94,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     logz.add_argument("--steps", type=int, required=True)
     logz.add_argument("--k", type=int, default=100)
     logz.add_argument("--iters", type=int, default=None)
-    logz.add_argument("--tol", type=float, default=1e-12)
+    logz.add_argument("--tol", type=float, default=DEFAULT_TOL)
     logz.add_argument("--out", default="-", help="output CSV path, or - for stdout")
 
     dens = sub.add_parser("density", help="limiting density on a k x k grid")
@@ -103,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--theta", type=float, required=True)
     dens.add_argument("--k", type=int, required=True)
     dens.add_argument("--iters", type=int, help="IPFP sweep cap of a linear density")
-    dens.add_argument("--tol", type=float,
-                      help="IPFP residual tolerance of a linear density (default 1e-12)")
+    dens.add_argument("--tol", type=float, help="IPFP residual tolerance of a linear density "
+                                               f"(default {DEFAULT_TOL:g})")
     dens.add_argument("--out", default="-")
 
     smp = sub.add_parser("sample", help="draw permutations: exact i.i.d. draws of the "
@@ -135,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     lot.add_argument("--data", required=True, help="day_of_year,draw_order CSV")
     lot.add_argument("--k", type=int, default=1000, help="grid order for the LD fit")
     lot.add_argument("--iters", type=int, default=200)
-    lot.add_argument("--tol", type=float, default=1e-12)
+    lot.add_argument("--tol", type=float, default=DEFAULT_TOL)
     lot.add_argument("--root-tol", type=float, default=1e-6)
     lot.add_argument("--bins", type=int, default=10)
     lot.add_argument("--seed", type=int, default=0,
@@ -207,7 +211,7 @@ def cmd_density(args) -> int:
         grid = kendall_limit_density(args.theta, args.k)
     else:
         f = get_score(args.score or "xy")
-        tol = 1e-12 if args.tol is None else args.tol
+        tol = DEFAULT_TOL if args.tol is None else args.tol
         res = limit_matrix(f, args.theta, args.k, tol=tol, max_iter=args.iters)
         grid = args.k * args.k * res.grid.w
     write_grid_csv(grid, sys.stdout if args.out == "-" else args.out)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import ScoreFunction, lattice, score_grid
-from .ipfp import limit_matrix
+from .ipfp import DEFAULT_TOL, limit_matrix
 from .models import (
     BRUTE_FORCE_LIMIT,
     enumerate_statistics,
@@ -346,7 +346,7 @@ def estimating_equation(perms: Sequence[Permutation], f: ScoreFunction | None,
     if method == "ld":
         if k is None:
             raise ValueError("method 'ld' needs a grid order k")
-        tol = 1e-12 if tol is None else tol
+        tol = DEFAULT_TOL if tol is None else tol
         stat_sum = sum(linear_statistic(p, f) / n for p in perms)
         grid = score_grid(f, k)
 
@@ -423,7 +423,7 @@ def multi_estimate(perms: Sequence[Permutation], f: ScoreFunction | None, method
       score vanishes.
     * ``"ld"``: the mean statistic matched to the limiting derivative of
       the log normalizer.  Linear models need a grid order ``k``; ``tol``
-      (default 1e-12) and ``max_iter`` go to the IPFP as in
+      (default ``DEFAULT_TOL``, 1e-12) and ``max_iter`` go to the IPFP as in
       :func:`w_k_prime`, whose value the equation reproduces bit for
       bit.  For the Kendall family the statistic is Inv/n^2 and the derivative
       :func:`kendall_limit_C_prime`, whose range is (0, 1/2).  The

@@ -20,7 +20,6 @@ __all__ = [
     "SCORE_FUNCTIONS",
     "get_score",
     "kl_to_uniform",
-    "grid_mean",
     "lattice",
     "score_grid",
 ]
@@ -97,7 +96,8 @@ def score_grid(f, k: int) -> np.ndarray:
     f is called once, on the read-only lattice as a k x 1 column and a
     1 x k row, so F is the only k x k array built here besides f's own
     temporaries.  A result that is not k x k (a column, a row or a
-    constant) is broadcast and copied to one.
+    constant) is broadcast and copied to one.  A value that is not finite
+    raises ValueError naming f: every kernel exp(theta * F) needs finite F.
     """
     t = lattice(k)
     t.setflags(write=False)
@@ -105,6 +105,10 @@ def score_grid(f, k: int) -> np.ndarray:
     shape = (t.size, t.size)  # (0, 0) for k < 1, which the callers reject
     if grid.shape != shape:
         grid = np.array(np.broadcast_to(grid, shape))
+    # min and max are nan if any value is; they hold no k x k array
+    if grid.size and not (np.isfinite(grid.min()) and np.isfinite(grid.max())):
+        name = getattr(f, "name", getattr(f, "__name__", repr(f)))
+        raise ValueError(f"score {name!r} is not finite on the k = {t.size} lattice")
     grid.setflags(write=False)
     return grid
 
@@ -131,10 +135,3 @@ def kl_to_uniform(w: np.ndarray) -> float:
     w_log_w *= w
     return float(np.sum(w_log_w) + 2.0 * np.log(w.shape[0]))
 
-
-def grid_mean(w: np.ndarray, score: np.ndarray) -> float:
-    """<F, w>: the mean of the score grid F = score_grid(f, k) under the cells w.
-
-    One pass over both arrays, with no k x k product array.
-    """
-    return float(np.einsum("ij,ij->", score, w))

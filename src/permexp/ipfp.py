@@ -1,8 +1,8 @@
-"""Sinkhorn/IPFP scaling of positive kernels to doubly stochastic grids.
+"""Sinkhorn/IPFP scaling of the kernel exp(theta * F) to doubly stochastic grids.
 
-``ipfp_scale`` alternates exact row and column renormalization of a
-strictly positive matrix until every row and column sum equals 1/k to
-within a tolerance.  The limit matrix maximizes
+:func:`limit_matrix` alternates exact row and column renormalization of
+exp(theta * F), F the score grid, until every row and column sum equals
+1/k to within a tolerance.  The limit matrix maximizes
 theta * <F, A> - D(A || uniform) over grids with 1/k margins, which
 makes the scaled matrix a grid approximation of the optimal-copula
 density and its variational value an approximation of the limiting
@@ -10,9 +10,8 @@ log-normalizing constant of the associated permutation model.
 
 The accumulated log scale vectors are the discrete analogues of the
 potentials a(.), b(.) in the factorized density
-exp(theta f(x,y) + a(x) + b(y)); :func:`recover_potentials` converts
-them to that normalization; :func:`variational_value`, the one path to
-the variational value, checks it against them.
+exp(theta f(x,y) + a(x) + b(y)); :func:`variational_value`, the one path
+to the variational value, checks it against them in closed form.
 
 One kernel does all scaling: Sinkhorn's scaling vectors (Cuturi 2013),
 two mat-vecs per sweep, stabilized by absorbing the scalings into the
@@ -33,16 +32,18 @@ from . import grids
 from .grids import CopulaGrid, ScoreFunction, kl_to_uniform
 
 __all__ = [
+    "DEFAULT_TOL",
     "IpfpResult",
-    "PotentialGrid",
     "IpfpNonConvergence",
-    "ipfp_scale",
     "limit_matrix",
     "variational_value",
     "w_k",
     "w_k_prime",
-    "recover_potentials",
 ]
+
+# The residual tolerance of every IPFP run that is not given one: the
+# library's, the LD fit's and the CLI's.
+DEFAULT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +51,10 @@ class IpfpResult:
     """Outcome of an IPFP run.
 
     ``score_mean`` is <F, A>, the mean of the score grid F under the
-    scaled grid A (log b0 for :func:`ipfp_scale`), which the run takes
-    from its final scalings without building A.  ``grid`` is built on
-    first read, in the run's working array, as ``A = exp(theta * F +
-    row_log_scales[r] + col_log_scales[s])``, theta * F being the log
-    kernel (log b0, with theta = 1, for :func:`ipfp_scale`), so that
+    scaled grid A, which the run takes from its final scalings without
+    building A.  ``grid`` is built on first read, in the run's working
+    array, as ``A = exp(theta * F + row_log_scales[r] +
+    col_log_scales[s])``, theta * F being the log kernel, so that
     identity holds up to rounding for every cell in float range; the
     result then drops F.  ``residual`` is the final max deviation of any
     row/column sum from 1/k.
@@ -92,18 +92,6 @@ class IpfpResult:
         return grid
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialGrid:
-    """Grid samples of the factorization potentials.
-
-    Gauge-fixed so that sum(a_hat) == sum(b_hat); with that split,
-    -(mean a_hat + mean b_hat) equals the variational value of the run.
-    """
-
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-
-
 class IpfpNonConvergence(RuntimeError):
     """Raised when the sweep budget is exhausted; carries the last state."""
 
@@ -114,25 +102,6 @@ class IpfpNonConvergence(RuntimeError):
             f"IPFP stopped at residual {result.residual:.3e} > tol {tol:.3e} "
             f"after {result.iterations} sweeps"
         )
-
-
-def ipfp_scale(b0: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> IpfpResult:
-    """Scale a strictly positive matrix to row and column sums 1/k.
-
-    One iteration is a full sweep: exact row normalization followed by
-    exact column normalization.  Stops once the residual (max absolute
-    deviation of any row or column sum from 1/k) drops to ``tol``.
-
-    Raises ValueError on nonpositive entries and IpfpNonConvergence
-    (carrying the partial result) when ``max_iter`` sweeps are not
-    enough.  The kernel runs on log b0 times 1.0, which is log b0 exactly.
-    """
-    b0 = np.asarray(b0, dtype=np.float64)
-    if b0.ndim != 2 or b0.shape[0] != b0.shape[1]:
-        raise ValueError("kernel must be a square matrix")
-    if not np.all(np.isfinite(b0)) or np.any(b0 <= 0):
-        raise ValueError("kernel entries must be strictly positive and finite")
-    return _sinkhorn(np.log(b0), 1.0, tol, max_iter)
 
 
 # A half-sweep whose marginal sums leave [e^-200, e^200] (0 included)
@@ -224,17 +193,24 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     return result
 
 
-def limit_matrix(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
+def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEFAULT_TOL,
                  max_iter: int | None = None,
                  score_grid: np.ndarray | None = None) -> IpfpResult:
-    """IPFP limit of the kernel exp(theta * f(r/k, s/k)).
+    """IPFP limit of the kernel exp(theta * F) on the score grid F.
 
-    log A = theta*F + row_log_scales[r] + col_log_scales[s] holds for
-    the returned result.  ``score_grid`` is F = grids.score_grid(f, k),
-    for a caller that also needs F or solves several theta on one grid
-    and builds it once; by default it is built here.  A grid that is not
-    k x k raises ValueError.  The default sweep cap, ceil(10 k (1 + |theta|)),
-    is generous for all tested regimes.
+    The run is on exp(theta * ``score_grid``); ``f`` is read only to build
+    that grid, F = grids.score_grid(f, k), when none is given.  A caller
+    that also needs F, or solves several theta on one grid, builds it once
+    and passes it; a grid that is not k x k raises ValueError.  log A =
+    theta*F + row_log_scales[r] + col_log_scales[s] holds for the returned
+    result.
+
+    The default sweep cap is ceil(10 k (1 + |theta|)).  It stops short of
+    the tolerance at small k and large |theta|.  Over k in {2, 3, 5, 10,
+    30} and |theta| in {100, 250, 500} it stops xy and centered at k = 2
+    from |theta| = 100, k = 3 from 250 and k = 5 at 500; sq at k = 3 and
+    5; and footrule at k = 10, theta = 100 and k = 30, theta = 250.  Those
+    runs raise IpfpNonConvergence.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -257,10 +233,11 @@ def variational_value(result: IpfpResult, theta: float) -> float:
 
     <F, A> is the run's ``score_mean``; only D(A || uniform) reads the grid.
     The value is checked against the potential identity w = -(sum alpha +
-    sum beta) / k - 2 log k, that is -(mean a_hat + mean b_hat) of
-    :func:`recover_potentials`, to a slack that grows with the run's
-    residual (sweep-capped runs included); a larger gap, from a theta other
-    than the run's or a broken invariant, raises RuntimeError.
+    sum beta) / k - 2 log k, that is -(mean a_hat + mean b_hat) of the
+    potentials a_hat = alpha + log k + c, b_hat = beta + log k - c split to
+    equal sums, to a slack that grows with the run's residual (sweep-capped
+    runs included); a larger gap, from a theta other than the run's or a
+    broken invariant, raises RuntimeError.
     """
     value = theta * result.score_mean - kl_to_uniform(result.grid.w)
     alpha, beta = result.row_log_scales, result.col_log_scales
@@ -274,25 +251,7 @@ def variational_value(result: IpfpResult, theta: float) -> float:
     return value
 
 
-def recover_potentials(result: IpfpResult) -> PotentialGrid:
-    """Potentials of the factorized density from the log scale vectors.
-
-    At convergence the grid satisfies A = exp(shifted kernel + alpha_r
-    + beta_s) with margins 1/k; adding log k to each side and splitting
-    the free constant symmetrically gives grid samples a_hat, b_hat
-    with sum(a_hat) == sum(b_hat).
-    """
-    if not result.converged:
-        raise ValueError("potentials require a converged IPFP result")
-    alpha = result.row_log_scales
-    beta = result.col_log_scales
-    k = alpha.size
-    logk = np.log(k)
-    c = (beta.sum() - alpha.sum()) / (2.0 * k)
-    return PotentialGrid(alpha + logk + c, beta + logk - c)
-
-
-def w_k(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
+def w_k(f: ScoreFunction, theta: float, k: int, tol: float = DEFAULT_TOL,
         max_iter: int | None = None) -> float:
     """Grid approximation of the limiting log-normalizing constant.
 
@@ -301,7 +260,7 @@ def w_k(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
     return variational_value(limit_matrix(f, theta, k, tol=tol, max_iter=max_iter), theta)
 
 
-def w_k_prime(f: ScoreFunction, theta: float, k: int, tol: float = 1e-12,
+def w_k_prime(f: ScoreFunction, theta: float, k: int, tol: float = DEFAULT_TOL,
               max_iter: int | None = None) -> float:
     """Derivative of w_k in theta: the grid mean of f under the limit matrix.
 

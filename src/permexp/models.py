@@ -1,4 +1,4 @@
-"""Model definitions, exact small-n oracles, and Kendall closed forms.
+"""Model definitions, the linear statistics of S_n, and Kendall closed forms.
 
 Two one-parameter families on S_n are supported:
 
@@ -26,8 +26,6 @@ __all__ = [
     "KendallModel",
     "Model",
     "BRUTE_FORCE_LIMIT",
-    "brute_logZ",
-    "enumerate_pmf",
     "enumerate_statistics",
     "kendall_logZ",
     "kendall_logZ_prime",
@@ -37,7 +35,7 @@ __all__ = [
     "grid_discordance",
 ]
 
-# Enumeration guard for the exact oracles: 9! = 362880 permutations.
+# Enumeration guard for exact linear ML: 9! = 362880 permutations.
 BRUTE_FORCE_LIMIT = 9
 
 
@@ -93,53 +91,14 @@ def _all_permutations(n: int) -> np.ndarray:
     return perms
 
 
-def _log_weights(model: Model, perms: np.ndarray) -> np.ndarray:
-    n = model.n
-    if isinstance(model, LinearModel):
-        stats = score_grid(model.f, n)[np.arange(n), perms - 1].sum(axis=1)
-        return model.theta * stats
-    inv = np.zeros(perms.shape[0], dtype=np.int64)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            inv += perms[:, i] > perms[:, j]
-    return (model.theta / n) * inv
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log sum e^a: the largest entry plus log1p of the rest's sum relative to it.
-
-    Shifting by the largest entry keeps exp from overflowing; log1p keeps
-    a rest far below it from vanishing in 1 + rest.
-    """
-    top = int(np.argmax(a))
-    rest = np.exp(a - a[top])
-    rest[top] = 0.0
-    return float(a[top] + np.log1p(rest.sum()))
-
-
-def brute_logZ(model: Model) -> float:
-    """log sum of weights over all of S_n by enumeration (n <= 9)."""
-    if model.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_LIMIT}")
-    perms = _all_permutations(model.n)
-    return _logsumexp(_log_weights(model, perms))
-
-
-def enumerate_pmf(model: Model) -> tuple[np.ndarray, np.ndarray]:
-    """All permutations of S_n with their exact probabilities (n <= 9)."""
-    if model.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_LIMIT}")
-    perms = _all_permutations(model.n)
-    lw = _log_weights(model, perms)
-    return perms, np.exp(lw - _logsumexp(lw))
-
-
 def enumerate_statistics(f: ScoreFunction, n: int) -> tuple[np.ndarray, np.ndarray]:
     """All permutations of S_n with their linear statistics (n <= 9)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_LIMIT}")
     perms = _all_permutations(n)
-    return perms, _log_weights(LinearModel(f, 1.0, n), perms)
+    return perms, score_grid(f, n)[np.arange(n), perms - 1].sum(axis=1)
 
 
 def _log_expm1_ratio(x):

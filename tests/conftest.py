@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from permexp.ipfp import DEFAULT_TOL, limit_matrix
 from permexp.mcmc import ChainState, _run_swap
-from permexp.models import enumerate_pmf
+from permexp.models import (
+    BRUTE_FORCE_LIMIT,
+    LinearModel,
+    _all_permutations,
+    enumerate_statistics,
+)
 from permexp.perm import Permutation
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +30,88 @@ def lottery():
     from permexp.io import load_lottery_csv
 
     return load_lottery_csv(LOTTERY_CSV)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def grid_mean(w: np.ndarray, score: np.ndarray) -> float:
+    """<F, w>: the mean of the score grid F = score_grid(f, k) under the cells w.
+
+    One pass over both arrays, with no k x k product array.
+    """
+    return float(np.einsum("ij,ij->", score, w))
+
+
+def kernel_run(b0: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = 10_000):
+    """The IPFP run on the positive kernel b0 itself: log b0 as the score grid, theta = 1."""
+    return limit_matrix(None, 1.0, b0.shape[0], tol=tol, max_iter=max_iter,
+                        score_grid=np.log(b0))
+
+
+def recover_potentials(result) -> tuple[np.ndarray, np.ndarray]:
+    """Potentials (a_hat, b_hat) of the factorized density from a run's log scales.
+
+    At convergence the grid satisfies A = exp(shifted kernel + alpha_r
+    + beta_s) with margins 1/k; adding log k to each side and splitting
+    the free constant symmetrically gives grid samples a_hat, b_hat
+    with sum(a_hat) == sum(b_hat), and -(mean a_hat + mean b_hat) is the
+    variational value of the run.
+    """
+    if not result.converged:
+        raise ValueError("potentials require a converged IPFP result")
+    alpha = result.row_log_scales
+    beta = result.col_log_scales
+    k = alpha.size
+    logk = np.log(k)
+    c = (beta.sum() - alpha.sum()) / (2.0 * k)
+    return alpha + logk + c, beta + logk - c
+
+
+def log_weights(model) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of S_n, in enumeration order, with their log weights (n <= 9).
+
+    A linear model's are theta times the statistics of ``enumerate_statistics``;
+    a Kendall model's are theta / n times the inversion counts.
+    """
+    n = model.n
+    if isinstance(model, LinearModel):
+        perms, stats = enumerate_statistics(model.f, n)
+        return perms, model.theta * stats
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"enumeration limited to n <= {BRUTE_FORCE_LIMIT}")
+    perms = _all_permutations(n)
+    inv = np.zeros(perms.shape[0], dtype=np.int64)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            inv += perms[:, i] > perms[:, j]
+    return perms, (model.theta / n) * inv
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum e^a: the largest entry plus log1p of the rest's sum relative to it.
+
+    Shifting by the largest entry keeps exp from overflowing; log1p keeps
+    a rest far below it from vanishing in 1 + rest.
+    """
+    top = int(np.argmax(a))
+    rest = np.exp(a - a[top])
+    rest[top] = 0.0
+    return float(a[top] + np.log1p(rest.sum()))
+
+
+def brute_logZ(model) -> float:
+    """log sum of weights over all of S_n by enumeration (n <= 9)."""
+    return _logsumexp(log_weights(model)[1])
+
+
+def enumerate_pmf(model) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of S_n with their exact probabilities (n <= 9)."""
+    perms, lw = log_weights(model)
+    return perms, np.exp(lw - _logsumexp(lw))
+
+
+# ---------------------------------------------------------------- helpers
 
 
 def random_permutation(rng: np.random.Generator, n: int) -> Permutation:

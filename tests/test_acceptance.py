@@ -14,13 +14,11 @@ import pytest
 from permexp.estimators import multi_estimate, threshold_test, uniformity_test
 from permexp.grids import get_score, kl_to_uniform, score_grid
 from permexp.io import load_lottery_csv
-from permexp.ipfp import ipfp_scale, limit_matrix, recover_potentials, variational_value, w_k
+from permexp.ipfp import limit_matrix, variational_value, w_k
 from permexp.mcmc import ChainState, auxiliary_gibbs_sweep, make_rng, sample
 from permexp.models import (
     KendallModel,
     LinearModel,
-    brute_logZ,
-    enumerate_pmf,
     grid_discordance,
     kendall_limit_C,
     kendall_limit_density,
@@ -28,7 +26,16 @@ from permexp.models import (
 )
 from permexp.perm import BinMatrix, Permutation, bin_counts, fisher_yates_logpmf, spearman_r
 
-from conftest import LOTTERY_CSV, all_perms, empirical_law, exact_swap_kernel, tv_distance
+from conftest import (
+    LOTTERY_CSV,
+    all_perms,
+    brute_logZ,
+    empirical_law,
+    enumerate_pmf,
+    exact_swap_kernel,
+    recover_potentials,
+    tv_distance,
+)
 
 
 def _report(num: int, text: str) -> None:
@@ -98,17 +105,17 @@ def test_04_ipfp_correctness():
     logres -= res.row_log_scales[:, None] + res.col_log_scales[None, :]
     assert np.abs(logres).max() <= 1e-8
 
-    pots = recover_potentials(res)
+    a_hat, b_hat = recover_potentials(res)
     value = variational_value(res, theta)
-    assert abs(value - (-(pots.a_hat.mean() + pots.b_hat.mean()))) <= 1e-8
+    assert abs(value - (-(a_hat.mean() + b_hat.mean()))) <= 1e-8
     assert abs(w_k(f, theta, k) - value) <= 1e-12
 
     # k = 2 against a one-dimensional scan of the constrained objective:
     # grids with 1/2 margins are [[a, .5-a], [.5-a, a]], so the program
-    # reduces to maximizing theta*a/4 - 2 log 2 - entropy term over a
+    # reduces to maximizing theta*a/4 - 2 log 2 - entropy term over a; the
+    # centered score's kernel there is [[1, 1], [1, e^(theta/4)]]
     theta2 = 5.0
-    b0 = np.array([[1.0, 1.0], [1.0, math.exp(theta2 / 4.0)]])
-    res2 = ipfp_scale(b0, tol=1e-15)
+    res2 = limit_matrix(get_score("centered"), theta2, 2, tol=1e-15, max_iter=10_000)
     fgrid = np.array([[0.0, 0.0], [0.0, 0.25]])
 
     def objective(a):

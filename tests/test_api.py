@@ -1,9 +1,11 @@
+import ast
 import importlib
 import importlib.util
 import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,84 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"permexp.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def _package_uses() -> dict:
+    """(module, name) of each top-level definition of the package -> the (module, name) it uses.
+
+    A definition uses a name of its own module that its body reads, a name
+    its module imports from another permexp module, and ``module.name``
+    for a module imported whole.  ``__init__`` and ``__all__`` use nothing.
+    """
+    uses = {}
+    for path in Path(permexp.__file__).parent.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        defs, imported, modules = {}, {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module:
+                        imported[local] = (node.module, alias.name)
+                    else:
+                        modules[local] = alias.name
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and name.id != "__all__":
+                            defs[name.id] = node
+        for name, node in defs.items():
+            used = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    if sub.id in defs:
+                        used.add((path.stem, sub.id))
+                    elif sub.id in imported:
+                        used.add(imported[sub.id])
+                elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                      and sub.value.id in modules):
+                    used.add((modules[sub.value.id], sub.attr))
+            uses[(path.stem, name)] = used
+    return uses
+
+
+def _paper_quantities() -> set:
+    """The names in the first column of README's Paper quantities table."""
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text.partition("\n## Paper quantities\n")[2].partition("\n## ")[0]
+    return set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M))
+
+
+# the writer of the i,pi format that `fit --data` reads; no package code writes it
+_FORMAT_WRITERS = {("io", "save_permutation_csv")}
+
+
+def test_every_public_name_is_used_or_a_paper_quantity():
+    # a public name is reached from the CLI's functions (the commands are
+    # looked up by name, so every cli function is a root), or is one of the
+    # paper's quantities that README lists with the check of each
+    uses = _package_uses()
+    paper = _paper_quantities()
+    reached = set()
+    stack = [key for key in uses if key[0] == "cli"]
+    while stack:
+        key = stack.pop()
+        if key not in reached:
+            reached.add(key)
+            stack.extend(uses.get(key, ()))
+    public = [(name, attr) for name in MODULES
+              for attr in getattr(importlib.import_module(f"permexp.{name}"), "__all__", ())]
+    unused = [key for key in public
+              if key not in reached | _FORMAT_WRITERS and key[1] not in paper]
+    assert unused == []
+    # each listed quantity is public, and not one the CLI already reaches
+    assert paper <= {attr for _, attr in public}
+    assert not paper & {attr for _, attr in reached}
 
 
 def test_cli_import_loads_no_scipy():

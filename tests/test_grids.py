@@ -8,12 +8,13 @@ from permexp.estimators import pairwise_swap_scores
 from permexp.grids import (
     SCORE_FUNCTIONS,
     get_score,
-    grid_mean,
     kl_to_uniform,
     lattice,
     score_grid,
 )
 from permexp.perm import Permutation, linear_statistic
+
+from conftest import grid_mean
 
 
 class TestKlToUniform:

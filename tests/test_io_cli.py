@@ -1,3 +1,4 @@
+import argparse
 import csv
 import functools
 import io
@@ -9,7 +10,7 @@ import pytest
 from permexp import cli
 from permexp.cli import build_parser, main
 from permexp.estimators import multi_estimate
-from permexp.grids import get_score, grid_mean, score_grid
+from permexp.grids import get_score, score_grid
 from permexp.io import (
     format_json_report,
     load_lottery_csv,
@@ -23,7 +24,7 @@ from permexp.mcmc import sample
 from permexp.models import KendallModel, LinearModel
 from permexp.perm import Permutation
 
-from conftest import random_permutation
+from conftest import grid_mean, random_permutation
 
 
 class TestPermutationCsv:
@@ -734,6 +735,54 @@ class TestCliParser:
         finally:
             cli._parser.cache_clear()
         assert len(builds) == 1
+
+    # the fewest words each command parses
+    MINIMAL = {
+        "fit": ["fit", "--data", "p.csv", "--method", "ld"],
+        "logz": ["logz", "--theta-min", "0", "--theta-max", "1", "--steps", "2"],
+        "density": ["density", "--theta", "1", "--k", "2"],
+        "sample": ["sample", "--theta", "1", "--n", "3"],
+        "lottery": ["lottery", "--data", "lottery.csv"],
+    }
+
+    @staticmethod
+    def _float_flags(parser):
+        """(command, flag, dest) of every float option of every command."""
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        return [(name, action.option_strings[0], action.dest)
+                for name, sub in commands.items() for action in sub._actions
+                if action.type is float]
+
+    @pytest.mark.parametrize("value", ["-1e1", "-1e-3", "-2.5E+2"])
+    def test_every_float_flag_takes_a_negative_exponent_joined_by_equals(self, value):
+        parser = build_parser()
+        flags = self._float_flags(parser)
+        assert {(c, f) for c, f, _ in flags} == {
+            ("fit", "--tol"), ("fit", "--root-tol"), ("logz", "--theta-min"),
+            ("logz", "--theta-max"), ("logz", "--tol"), ("density", "--theta"),
+            ("density", "--tol"), ("sample", "--theta"), ("lottery", "--tol"),
+            ("lottery", "--root-tol")}
+        for command, flag, dest in flags:
+            args = parser.parse_args(self.MINIMAL[command] + [f"{flag}={value}"])
+            assert getattr(args, dest) == float(value)
+        assert "``--theta=-1e1``" in parser.format_help()
+
+    def test_a_negative_exponent_as_its_own_word_parses_or_exits_1(self, capsys):
+        # argparse reads "-1e1" as a number or as an option depending on its
+        # version; either the value arrives, or one error line names the flag
+        parser = build_parser()
+        for command, flag, dest in self._float_flags(parser):
+            try:
+                args = parser.parse_args(self.MINIMAL[command] + [flag, "-1e1"])
+            except SystemExit as exc:
+                assert exc.code == 1
+                err = capsys.readouterr().err
+                errors = [line for line in err.splitlines() if "error:" in line]
+                assert len(errors) == 1 and f"argument {flag}:" in errors[0], err
+                assert "Traceback" not in err
+            else:
+                assert getattr(args, dest) == -10.0
 
 
 class TestCliSample:

@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,18 +20,20 @@ from permexp.grids import (
 )
 from permexp.ipfp import (
     IpfpNonConvergence,
-    ipfp_scale,
     limit_matrix,
-    recover_potentials,
     variational_value,
     w_k,
     w_k_prime,
 )
 
+from conftest import kernel_run, recover_potentials
+
 
 class TestIpfpScale:
+    # runs on given kernels: theta = 0 for all ones, a built-in score where
+    # one has the kernel, else log b0 as the score grid (conftest.kernel_run)
     def test_all_ones_one_sweep(self):
-        res = ipfp_scale(np.ones((3, 3)))
+        res = limit_matrix(get_score("xy"), 0.0, 3)
         assert np.allclose(res.grid.w, 1 / 9)
         assert res.iterations == 1
         assert res.converged
@@ -38,43 +41,37 @@ class TestIpfpScale:
     def test_separable_kernel_gives_uniform(self):
         rng = np.random.default_rng(0)
         g, h = rng.normal(size=5), rng.normal(size=5)
-        res = ipfp_scale(np.exp(g[:, None] + h[None, :]))
+        res = kernel_run(np.exp(g[:, None] + h[None, :]))
         assert np.allclose(res.grid.w, 1 / 25, atol=1e-13)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ipfp_scale(np.array([[1.0, 0.0], [1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            ipfp_scale(np.array([[1.0, -2.0], [1.0, 1.0]]))
 
     def test_rejects_bad_tol(self):
         for tol in (0.0, -1e-12, float("nan"), -float("inf")):
             with pytest.raises(ValueError, match="tol must be positive"):
-                ipfp_scale(np.ones((2, 2)), tol=tol)
+                limit_matrix(get_score("xy"), 0.0, 2, tol=tol)
 
     def test_rejects_infinite_tol(self):
         # an infinite tolerance would stop every run after one sweep
         with pytest.raises(ValueError, match="tol must be finite"):
-            ipfp_scale(np.ones((2, 2)), tol=float("inf"))
+            limit_matrix(get_score("xy"), 0.0, 2, tol=float("inf"))
         with pytest.raises(ValueError, match="tol must be finite"):
             limit_matrix(get_score("xy"), 20.0, 4, tol=float("inf"))
 
     def test_nonconvergence_carries_state_and_retry_works(self):
         b0 = np.exp(8.0 * np.outer(np.arange(4), np.arange(4)) / 9)
         with pytest.raises(IpfpNonConvergence) as exc:
-            ipfp_scale(b0, tol=1e-14, max_iter=2)
+            kernel_run(b0, tol=1e-14, max_iter=2)
         partial = exc.value.result
         assert not partial.converged
         assert partial.iterations == 2
         assert partial.residual > 1e-14
-        res = ipfp_scale(b0, tol=1e-14, max_iter=10_000)
+        res = kernel_run(b0, tol=1e-14, max_iter=10_000)
         assert res.converged
 
     def test_2x2_matches_brute_force_kl_program(self):
-        # kernel for the centered score at theta = 5 on the k=2 lattice
+        # the centered score's kernel at theta = 5 on the k=2 lattice is
+        # [[1, 1], [1, e^(theta/4)]]
         theta = 5.0
-        b0 = np.array([[1.0, 1.0], [1.0, math.exp(theta / 4)]])
-        res = ipfp_scale(b0, tol=1e-15)
+        res = limit_matrix(get_score("centered"), theta, 2, tol=1e-15, max_iter=10_000)
 
         # grids with 1/2 margins are [[a, .5-a], [.5-a, a]]; scan a
         fgrid = np.array([[0.0, 0.0], [0.0, 0.25]])
@@ -94,6 +91,35 @@ class TestIpfpScale:
         want = float(objective(a_star))
         got = theta * np.sum(fgrid * res.grid.w) - kl_to_uniform(res.grid.w)
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def _plus_inf(x, y):
+    return np.where(x > 0.5, np.inf, x * y)
+
+
+def _nan(x, y):
+    return np.where(y > 0.5, np.nan, x * y)
+
+
+def _minus_inf(x, y):
+    return np.where(x < y, -np.inf, x * y)
+
+
+class TestNonFiniteScore:
+    # unchecked, +inf or nan cells run the whole sweep cap to a nan residual
+    # (51,000 sweeps, about 10 s, at k = 100, theta = 50) and -inf cells
+    # give a nan w and w'; the grid build refuses them before any sweep
+    @pytest.mark.parametrize("fn", [_plus_inf, _nan, _minus_inf],
+                             ids=["plus-inf", "nan", "minus-inf"])
+    def test_raises_at_once_naming_the_score(self, fn):
+        f = ScoreFunction(fn.__name__, fn)
+        calls = [lambda: score_grid(f, 100), lambda: limit_matrix(f, 50.0, 100),
+                 lambda: w_k(f, 50.0, 100), lambda: w_k_prime(f, 50.0, 100)]
+        start = time.perf_counter()
+        for call in calls:
+            with pytest.raises(ValueError, match=f"score '{fn.__name__}' is not finite"):
+                call()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLimitMatrix:
@@ -126,7 +152,7 @@ class TestLimitMatrix:
         f = get_score("xy")
         k, theta = 25, 8.0
         log_b0 = theta * score_grid(f, k)
-        res = ipfp_scale(np.exp(log_b0))
+        res = limit_matrix(f, theta, k, max_iter=10_000)
         log_a = log_b0.copy()
         for _ in range(res.iterations):
             log_a -= logsumexp(log_a, axis=1, keepdims=True) + np.log(k)
@@ -197,39 +223,39 @@ class TestLimitMatrix:
 class TestPotentials:
     def test_theta_zero_zero_potentials(self):
         res = limit_matrix(get_score("xy"), 0.0, 12)
-        pots = recover_potentials(res)
-        assert np.abs(pots.a_hat).max() <= 1e-12
-        assert np.abs(pots.b_hat).max() <= 1e-12
+        a_hat, b_hat = recover_potentials(res)
+        assert np.abs(a_hat).max() <= 1e-12
+        assert np.abs(b_hat).max() <= 1e-12
 
     def test_symmetric_score_equal_potentials(self):
         res = limit_matrix(get_score("xy"), 20.0, 80)
-        pots = recover_potentials(res)
-        assert np.abs(pots.a_hat - pots.b_hat).max() <= 1e-8
+        a_hat, b_hat = recover_potentials(res)
+        assert np.abs(a_hat - b_hat).max() <= 1e-8
 
     def test_gauge_and_value_identity(self):
         f = get_score("footrule")
         theta, k = 6.0, 50
         res = limit_matrix(f, theta, k)
-        pots = recover_potentials(res)
-        assert pots.a_hat.sum() == pytest.approx(pots.b_hat.sum(), abs=1e-9)
+        a_hat, b_hat = recover_potentials(res)
+        assert a_hat.sum() == pytest.approx(b_hat.sum(), abs=1e-9)
         value = variational_value(res, theta)
-        assert -(pots.a_hat.mean() + pots.b_hat.mean()) == pytest.approx(value, abs=1e-8)
+        assert -(a_hat.mean() + b_hat.mean()) == pytest.approx(value, abs=1e-8)
 
     def test_marginal_condition(self):
         # exp(theta f + a_r + b_s) has unit row/column means at the grid level
         f = get_score("xy")
         theta, k = 5.0, 40
         res = limit_matrix(f, theta, k)
-        pots = recover_potentials(res)
+        a_hat, b_hat = recover_potentials(res)
         dens = np.exp(theta * score_grid(f, k)
-                      + pots.a_hat[:, None] + pots.b_hat[None, :])
+                      + a_hat[:, None] + b_hat[None, :])
         assert np.abs(dens.mean(axis=1) - 1.0).max() <= 1e-9 * k
         assert np.abs(dens.mean(axis=0) - 1.0).max() <= 1e-9 * k
 
     def test_nonconverged_rejected(self):
         b0 = np.exp(8.0 * np.outer(np.arange(4), np.arange(4)) / 9)
         with pytest.raises(IpfpNonConvergence) as exc:
-            ipfp_scale(b0, tol=1e-15, max_iter=1)
+            kernel_run(b0, tol=1e-15, max_iter=1)
         with pytest.raises(ValueError):
             recover_potentials(exc.value.result)
 
@@ -242,9 +268,9 @@ class TestVariationalValue:
         # -(mean a_hat + mean b_hat) of the recovered potentials
         k = 40
         res = limit_matrix(get_score(name), theta, k)
-        pots = recover_potentials(res)
+        a_hat, b_hat = recover_potentials(res)
         check = -(res.row_log_scales.sum() + res.col_log_scales.sum()) / k - 2 * math.log(k)
-        assert abs(check + (pots.a_hat.mean() + pots.b_hat.mean())) <= 1e-12
+        assert abs(check + (a_hat.mean() + b_hat.mean())) <= 1e-12
         assert abs(variational_value(res, theta) - check) <= 1e-8
 
     def test_theta_of_another_run_raises(self):
@@ -378,7 +404,7 @@ def test_results_hold_the_kernel_grid_read_only():
                     continue  # about 80k sweeps
                 _assert_probability_grid(limit_matrix(f, theta, k), k)
     rng = np.random.default_rng(5)
-    _assert_probability_grid(ipfp_scale(rng.random((7, 7)) + 0.1), 7)
+    _assert_probability_grid(kernel_run(rng.random((7, 7)) + 0.1), 7)
     with pytest.raises(IpfpNonConvergence) as exc:
         limit_matrix(get_score("xy"), 50.0, 20, max_iter=1)
     assert exc.value.result.iterations == 1

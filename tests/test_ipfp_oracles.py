@@ -14,8 +14,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from permexp.grids import CopulaGrid, get_score, grid_mean, lattice, score_grid
-from permexp.ipfp import IpfpNonConvergence, IpfpResult, ipfp_scale, limit_matrix
+from permexp.grids import CopulaGrid, get_score, lattice, score_grid
+from permexp.ipfp import IpfpNonConvergence, IpfpResult, limit_matrix
+
+from conftest import grid_mean, kernel_run
 
 _SUM_LO, _SUM_HI = math.exp(-200.0), math.exp(200.0)
 
@@ -173,7 +175,7 @@ def test_stored_mean_matches_grid_mean(name, theta, k):
 def test_stored_mean_of_ipfp_scale(k):
     # an asymmetric kernel, whose row and column scalings differ
     b0 = np.random.default_rng(k).uniform(1e-3, 1e3, size=(k, k))
-    res = ipfp_scale(b0)
+    res = kernel_run(b0)
     want = grid_mean(res.grid.w, np.log(b0))
     slack = 4e-15 + abs(math.fsum(res.grid.w.ravel()) - 1.0)
     assert abs(res.score_mean - want) <= slack * abs(want)
@@ -182,7 +184,7 @@ def test_stored_mean_of_ipfp_scale(k):
 @pytest.mark.parametrize("k", [1, 2, 100])
 def test_ipfp_scale_matches_former_kernel(k):
     b0 = np.random.default_rng(k).uniform(1e-3, 1e3, size=(k, k))
-    _assert_same_run(ipfp_scale(b0), _oracle_sinkhorn(np.log(b0), 1e-12, 10_000))
+    _assert_same_run(kernel_run(b0), _oracle_sinkhorn(np.log(b0), 1e-12, 10_000))
 
 
 @pytest.mark.parametrize("k", [1, 2, 100, 500])

@@ -22,13 +22,19 @@ from permexp.mcmc import (
 from permexp.models import (
     KendallModel,
     LinearModel,
-    enumerate_pmf,
     kendall_limit_C_prime,
     kendall_logZ_prime,
 )
 from permexp.perm import Permutation, inversions
 
-from conftest import SwapDraws, empirical_law, exact_swap_kernel, swap_bracket, tv_distance
+from conftest import (
+    SwapDraws,
+    empirical_law,
+    enumerate_pmf,
+    exact_swap_kernel,
+    swap_bracket,
+    tv_distance,
+)
 
 
 class TestSwapKernel:

@@ -29,8 +29,10 @@ from permexp.mcmc import (
     make_rng,
     sample,
 )
-from permexp.models import LinearModel, enumerate_pmf
+from permexp.models import LinearModel
 from permexp.perm import Permutation
+
+from conftest import enumerate_pmf
 
 # the oracle's block size fixes its RNG stream
 _ORACLE_BLOCK = 1 << 15
