@@ -47,7 +47,6 @@ from .models import (
     kendall_logZ_prime,
 )
 from .perm import (
-    BinMatrix,
     Permutation,
     bin_counts,
     cdf_distance,

@@ -197,7 +197,7 @@ def cmd_logz(args) -> int:
             res = err.result
             status = "maxiter"
         wp = res.score_mean
-        w = variational_value(res, theta)
+        w = variational_value(res)
         rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")
     with _writing(sys.stdout if args.out == "-" else args.out) as fh:
         fh.write("".join(rows))
@@ -241,7 +241,7 @@ def cmd_sample(args) -> int:
     if args.hist is not None:
         counts = np.zeros((args.hist, args.hist), dtype=np.int64)
         for pi in draws:
-            counts += bin_counts(pi, args.hist).counts
+            counts += bin_counts(pi, args.hist)
         total = sum(pi.n for pi in draws)
         density = counts * (args.hist * args.hist / total)
     save_draws_csv(draws, sys.stdout if args.out == "-" else args.out)
@@ -283,8 +283,8 @@ def cmd_lottery(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     reference = Permutation(rng.permutation(n) + 1)
-    report["tau_bins"] = bin_counts(tau, args.bins).counts.tolist()
-    report["reference_bins"] = bin_counts(reference, args.bins).counts.tolist()
+    report["tau_bins"] = bin_counts(tau, args.bins).tolist()
+    report["reference_bins"] = bin_counts(reference, args.bins).tolist()
     print(format_json_report(report))
     return exit_code
 

@@ -107,10 +107,15 @@ def score_grid(f, k: int) -> np.ndarray:
         grid = np.array(np.broadcast_to(grid, shape))
     # min and max are nan if any value is; they hold no k x k array
     if grid.size and not (np.isfinite(grid.min()) and np.isfinite(grid.max())):
-        name = getattr(f, "name", getattr(f, "__name__", repr(f)))
-        raise ValueError(f"score {name!r} is not finite on the k = {t.size} lattice")
+        raise _not_finite(f, t.size)
     grid.setflags(write=False)
     return grid
+
+
+def _not_finite(f, k: int) -> ValueError:
+    """The error for a score f with a value that is not finite on the k x k lattice."""
+    name = getattr(f, "name", getattr(f, "__name__", repr(f)))
+    return ValueError(f"score {name!r} is not finite on the k = {k} lattice")
 
 
 @dataclass(frozen=True, eq=False)

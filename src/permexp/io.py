@@ -31,7 +31,6 @@ from .perm import Permutation
 
 __all__ = [
     "load_permutation_csv",
-    "save_permutation_csv",
     "save_draws_csv",
     "LotteryData",
     "load_lottery_csv",
@@ -110,13 +109,6 @@ def load_permutation_csv(path: PathLike) -> Permutation:
     if not np.array_equal(idx[order], np.arange(1, n + 1)):
         raise ValueError(f"{path}: index column is not a bijection of 1..{n}")
     return Permutation(img[order])
-
-
-def save_permutation_csv(pi: Permutation, path_or_stream) -> None:
-    """Write one permutation in the ``i,pi`` format."""
-    with _writing(path_or_stream) as fh:
-        fh.write("i,pi\n")
-        _write_int_rows(fh, "", pi.values, _digits(pi.n))
 
 
 def save_draws_csv(draws: Sequence[Permutation], path_or_stream) -> None:

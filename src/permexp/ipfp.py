@@ -50,31 +50,32 @@ DEFAULT_TOL = 1e-12
 class IpfpResult:
     """Outcome of an IPFP run.
 
-    ``score_mean`` is <F, A>, the mean of the score grid F under the
-    scaled grid A, which the run takes from its final scalings without
-    building A.  ``grid`` is built on first read, in the run's working
-    array, as ``A = exp(theta * F + row_log_scales[r] +
-    col_log_scales[s])``, theta * F being the log kernel, so that
-    identity holds up to rounding for every cell in float range; the
-    result then drops F.  ``residual`` is the final max deviation of any
+    ``theta`` is the run's temperature.  ``score_mean`` is <F, A>, the
+    mean of the score grid F under the scaled grid A, which the run takes
+    from its final scalings without building A.  ``grid`` is built on
+    first read, in the run's working array, as ``A = exp(theta * F +
+    row_log_scales[r] + col_log_scales[s])``, theta * F being the log
+    kernel, so that identity holds up to rounding for every cell in float
+    range; the result then drops F.  ``residual`` is the final max deviation of any
     row/column sum from 1/k.
     """
 
+    theta: float
     iterations: int
     residual: float
     row_log_scales: np.ndarray
     col_log_scales: np.ndarray
     converged: bool
     score_mean: float
-    # (F, theta, [working array]) until the grid is first read, then the grid
-    _cells: tuple[np.ndarray, float, list[np.ndarray]] | CopulaGrid = field(repr=False)
+    # (F, [working array]) until the grid is first read, then the grid
+    _cells: tuple[np.ndarray, list[np.ndarray]] | CopulaGrid = field(repr=False)
 
     @property
     def grid(self) -> CopulaGrid:
         cells = self._cells
         if isinstance(cells, CopulaGrid):
             return cells
-        score, theta, spare = cells
+        score, spare = cells
         # the first read takes the run's working array; a read at the same
         # time in another thread builds the same cells in an array of its own
         try:
@@ -82,7 +83,7 @@ class IpfpResult:
         except IndexError:
             w = np.empty(score.shape)
         # exp of the final potentials keeps cells below K's float range exact
-        np.multiply(score, theta, out=w)
+        np.multiply(score, self.theta, out=w)
         w += self.row_log_scales[:, None]
         w += self.col_log_scales
         np.exp(w, out=w)
@@ -141,8 +142,6 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     potentials on first read.
     """
     k = score.shape[0]
-    if k < 1:
-        raise ValueError("grid order must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not math.isfinite(tol):
@@ -186,8 +185,8 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     score_mean = float(u @ (kern @ v))
     alpha += np.log(u)
     beta += np.log(v)
-    result = IpfpResult(iterations, residual, alpha, beta, residual <= tol, score_mean,
-                        (score, theta, [kern]))
+    result = IpfpResult(theta, iterations, residual, alpha, beta, residual <= tol,
+                        score_mean, (score, [kern]))
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
     return result
@@ -228,18 +227,19 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
 _W_IDENTITY_TOL = 1e-8
 
 
-def variational_value(result: IpfpResult, theta: float) -> float:
+def variational_value(result: IpfpResult) -> float:
     """theta * <F, A> - D(A || uniform) for the scaled grid A of a run on theta * F.
 
-    <F, A> is the run's ``score_mean``; only D(A || uniform) reads the grid.
+    theta is the run's own and <F, A> its ``score_mean``; only
+    D(A || uniform) reads the grid.
     The value is checked against the potential identity w = -(sum alpha +
     sum beta) / k - 2 log k, that is -(mean a_hat + mean b_hat) of the
     potentials a_hat = alpha + log k + c, b_hat = beta + log k - c split to
     equal sums, to a slack that grows with the run's residual (sweep-capped
-    runs included); a larger gap, from a theta other than the run's or a
-    broken invariant, raises RuntimeError.
+    runs included); a larger gap, from a broken invariant, raises
+    RuntimeError.
     """
-    value = theta * result.score_mean - kl_to_uniform(result.grid.w)
+    value = result.theta * result.score_mean - kl_to_uniform(result.grid.w)
     alpha, beta = result.row_log_scales, result.col_log_scales
     k = alpha.size
     check = -(alpha.sum() + beta.sum()) / k - 2.0 * math.log(k)
@@ -257,7 +257,7 @@ def w_k(f: ScoreFunction, theta: float, k: int, tol: float = DEFAULT_TOL,
 
     The checked :func:`variational_value` of the IPFP limit matrix.
     """
-    return variational_value(limit_matrix(f, theta, k, tol=tol, max_iter=max_iter), theta)
+    return variational_value(limit_matrix(f, theta, k, tol=tol, max_iter=max_iter))
 
 
 def w_k_prime(f: ScoreFunction, theta: float, k: int, tol: float = DEFAULT_TOL,

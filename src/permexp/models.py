@@ -18,8 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .grids import ScoreFunction, score_grid
-from .perm import Permutation, inversions, linear_statistic
+from .grids import SCORE_FUNCTIONS, ScoreFunction, _not_finite, lattice, score_grid
 
 __all__ = [
     "LinearModel",
@@ -37,6 +36,9 @@ __all__ = [
 
 # Enumeration guard for exact linear ML: 9! = 362880 permutations.
 BRUTE_FORCE_LIMIT = 9
+
+# Lattice cells per block of a custom score's finiteness check.
+_CHECK_CELLS = 1 << 15
 
 
 def _check_parameters(theta: float, n: int) -> None:
@@ -56,9 +58,17 @@ class LinearModel:
 
     def __post_init__(self):
         _check_parameters(self.theta, self.n)
-
-    def log_weight(self, pi: Permutation) -> float:
-        return self.theta * linear_statistic(pi, self.f)
+        # a swap chain reads f on the n x n lattice, never through score_grid;
+        # the built-ins are finite on [0, 1]^2, so only a custom score is
+        # checked, in row blocks that keep no n x n array
+        if any(self.f.fn is g.fn for g in SCORE_FUNCTIONS.values()):
+            return
+        t = lattice(self.n)
+        rows = max(1, _CHECK_CELLS // self.n)
+        for lo in range(0, self.n, rows):
+            block = np.asarray(self.f(t[lo:lo + rows, None], t[None, :]), dtype=np.float64)
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                raise _not_finite(self.f, self.n)
 
 
 @dataclass(frozen=True)
@@ -75,9 +85,6 @@ class KendallModel:
 
     def __post_init__(self):
         _check_parameters(self.theta, self.n)
-
-    def log_weight(self, pi: Permutation) -> float:
-        return (self.theta / self.n) * inversions(pi)
 
 
 Model = Union[LinearModel, KendallModel]

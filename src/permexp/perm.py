@@ -10,7 +10,6 @@ hypergeometric) distribution implemented in :func:`fisher_yates_logpmf`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .grids import lattice
 
 __all__ = [
     "Permutation",
-    "BinMatrix",
     "inversions",
     "linear_statistic",
     "spearman_r",
@@ -34,8 +32,8 @@ class Permutation:
 
     ``values[i-1] == pi(i)``.  Instances are immutable and hashable.
 
-    >>> Permutation([2, 3, 1]).inverse().as_tuple()
-    (3, 1, 2)
+    >>> Permutation([2, 3, 1]).as_tuple()
+    (2, 3, 1)
     """
 
     __slots__ = ("values",)
@@ -70,32 +68,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(np.arange(1, n + 1))
-
-    @classmethod
-    def reverse(cls, n: int) -> "Permutation":
-        return cls(np.arange(n, 0, -1))
-
-    def __call__(self, i: int) -> int:
-        """Image of the 1-based index i."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"index {i} outside 1..{self.n}")
-        return int(self.values[i - 1])
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.values - 1] = np.arange(1, self.n + 1)
-        return Permutation._trusted(inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Right composition: (self o other)(i) = self(other(i))."""
-        if other.n != self.n:
-            raise ValueError("size mismatch in composition")
-        return Permutation._trusted(self.values[other.values - 1])
-
-    def empirical_points(self) -> np.ndarray:
-        """The n points (i/n, pi(i)/n), one per vertical and horizontal band."""
-        t = lattice(self.n)
-        return np.column_stack((t, t[self.values - 1]))
 
     def as_tuple(self) -> tuple:
         return tuple(int(v) for v in self.values)
@@ -167,46 +139,8 @@ def band_counts(n: int, k: int) -> np.ndarray:
     return np.diff(edges).astype(np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class BinMatrix:
-    """k x k integer counts of the points (i/n, pi(i)/n) per grid cell."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("counts must form a square matrix")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    def validate(self) -> None:
-        """Check the structural constraints; raises ValueError on violation."""
-        if np.any(self.counts < 0):
-            raise ValueError("negative cell count")
-        expected = band_counts(self.n, self.k)
-        if int(self.counts.sum()) != self.n:
-            raise ValueError("total count differs from n")
-        if not np.array_equal(self.row_sums(), expected):
-            raise ValueError("row sums differ from the band counts")
-        if not np.array_equal(self.col_sums(), expected):
-            raise ValueError("column sums differ from the band counts")
-
-
-def bin_counts(pi: Permutation, k: int) -> BinMatrix:
-    """Bin the points (i/n, pi(i)/n) into a k x k grid.
+def bin_counts(pi: Permutation, k: int) -> np.ndarray:
+    """The k x k int64 counts of the points (i/n, pi(i)/n) per grid cell.
 
     A coordinate x lands in cell ceil(k*x); cell 1 therefore absorbs
     (0, 1/k] and a point sitting exactly on a grid line r/k belongs to
@@ -219,27 +153,36 @@ def bin_counts(pi: Permutation, k: int) -> BinMatrix:
     idx = np.arange(1, n + 1)
     rows = -(-(k * idx) // n) - 1          # ceil(k*i/n), 0-based
     cols = -(-(k * pi.values) // n) - 1
-    flat = np.bincount(rows * k + cols, minlength=k * k)
-    return BinMatrix(flat.reshape(k, k), n)
+    return np.bincount(rows * k + cols, minlength=k * k).reshape(k, k)
 
 
-def fisher_yates_logpmf(m: BinMatrix) -> float:
-    """Log-probability of a bin matrix under a uniform permutation.
+def fisher_yates_logpmf(counts: np.ndarray) -> float:
+    """Log-probability of a k x k count matrix under a uniform permutation.
 
-    log[ (prod_r M_r!)^2 / (n! * prod_{rs} M_rs!) ], evaluated through
-    log-gamma so that n in the hundreds stays well inside float range.
-    No cell exceeds its band, so one table of log c! for c up to the
-    largest band covers every factorial but n!.
-    Raises ValueError when the row/column sums are not the ones forced
-    by (n, k).
+    n is the total count.  log[ (prod_r M_r!)^2 / (n! * prod_{rs} M_rs!) ],
+    evaluated through log-gamma so that n in the hundreds stays well
+    inside float range.  No cell exceeds its band, so one table of log c!
+    for c up to the largest band covers every factorial but n!.
+    Raises ValueError unless the counts form a non-empty square matrix
+    with no negative cell whose row and column sums are the band counts
+    forced by (n, k).
     """
-    m.validate()
-    bands = band_counts(m.n, m.k)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.size == 0:
+        raise ValueError("counts must form a non-empty square matrix")
+    if np.any(counts < 0):
+        raise ValueError("negative cell count")
+    n = int(counts.sum())
+    bands = band_counts(n, counts.shape[0])
+    if not np.array_equal(counts.sum(axis=1), bands):
+        raise ValueError("row sums differ from the band counts")
+    if not np.array_equal(counts.sum(axis=0), bands):
+        raise ValueError("column sums differ from the band counts")
     log_fac = np.array([math.lgamma(c + 1.0) for c in range(int(bands.max()) + 1)])
     return float(
         2.0 * np.sum(log_fac[bands])
-        - math.lgamma(m.n + 1.0)
-        - np.sum(log_fac[m.counts])
+        - math.lgamma(n + 1.0)
+        - np.sum(log_fac[counts])
     )
 
 

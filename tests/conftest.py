@@ -114,6 +114,15 @@ def enumerate_pmf(model) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------- helpers
 
 
+def save_permutation_csv(pi: Permutation, path_or_stream) -> None:
+    """Write one permutation in the ``i,pi`` format that ``fit --data`` reads."""
+    text = "i,pi\n" + "".join(f"{i},{v}\n" for i, v in enumerate(pi.values.tolist(), start=1))
+    if hasattr(path_or_stream, "write"):
+        path_or_stream.write(text)
+    else:
+        Path(path_or_stream).write_text(text)
+
+
 def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
     return Permutation(rng.permutation(n) + 1)
 

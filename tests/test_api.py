@@ -8,15 +8,15 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import permexp
 import permexp.cli
-from permexp.io import save_permutation_csv
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, save_permutation_csv
 
 MODULES = [info.name for info in pkgutil.iter_modules(permexp.__path__)]
 
@@ -79,31 +79,55 @@ def _paper_quantities() -> set:
     return set(re.findall(r"^\| `(\w+)` \|", section, flags=re.M))
 
 
-# the writer of the i,pi format that `fit --data` reads; no package code writes it
-_FORMAT_WRITERS = {("io", "save_permutation_csv")}
-
-
-def test_every_public_name_is_used_or_a_paper_quantity():
-    # a public name is reached from the CLI's functions (the commands are
-    # looked up by name, so every cli function is a root), or is one of the
-    # paper's quantities that README lists with the check of each
-    uses = _package_uses()
-    paper = _paper_quantities()
+def _reached(uses: dict, roots) -> set:
+    """The definitions that ``roots`` reach through ``uses``, the roots included."""
     reached = set()
-    stack = [key for key in uses if key[0] == "cli"]
+    stack = list(roots)
     while stack:
         key = stack.pop()
         if key not in reached:
             reached.add(key)
             stack.extend(uses.get(key, ()))
+    return reached
+
+
+def test_every_public_name_is_used_or_a_paper_quantity():
+    # a public name is reached from the CLI's functions (the commands are
+    # looked up by name, so every cli function is a root) or from one of
+    # the paper's quantities that README lists with the check of each
+    uses = _package_uses()
+    paper = _paper_quantities()
     public = [(name, attr) for name in MODULES
               for attr in getattr(importlib.import_module(f"permexp.{name}"), "__all__", ())]
-    unused = [key for key in public
-              if key not in reached | _FORMAT_WRITERS and key[1] not in paper]
-    assert unused == []
+    by_cli = _reached(uses, [key for key in uses if key[0] == "cli"])
+    reached = _reached(uses, [*by_cli, *(key for key in public if key[1] in paper)])
+    assert [key for key in public if key not in reached] == []
     # each listed quantity is public, and not one the CLI already reaches
     assert paper <= {attr for _, attr in public}
-    assert not paper & {attr for _, attr in reached}
+    assert not paper & {attr for _, attr in by_cli}
+
+
+def test_every_public_member_is_read():
+    # each public method or property of a public class is read as `.name`
+    # in package code outside its own definition; matching names alone
+    # over-approximates the reads, so a member in use is never flagged
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(permexp.__file__).parent.glob("*.py")}
+    reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    unread = []
+    for name, tree in trees.items():
+        public = getattr(importlib.import_module(f"permexp.{name}"), "__all__", ())
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in public):
+                continue
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    own = sum(isinstance(node, ast.Attribute) and node.attr == member.name
+                              for node in ast.walk(member))
+                    if reads[member.name] == own:
+                        unread.append(f"{name}.{cls.name}.{member.name}")
+    assert unread == []
 
 
 def test_cli_import_loads_no_scipy():

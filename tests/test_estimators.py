@@ -192,8 +192,8 @@ class TestRootFinder:
 
     @pytest.mark.parametrize("perm, f, method, sign, searched", [
         (Permutation.identity(50), get_score("xy"), "pl", "positive", (-1.0, 64.0)),
-        (Permutation.reverse(50), get_score("xy"), "pl", "negative", (-64.0, 1.0)),
-        (Permutation.reverse(100), None, "ld", "positive", (-1.0, 64.0)),
+        (Permutation(np.arange(50, 0, -1)), get_score("xy"), "pl", "negative", (-64.0, 1.0)),
+        (Permutation(np.arange(100, 0, -1)), None, "ld", "positive", (-1.0, 64.0)),
         (Permutation.identity(30), None, "ld", "negative", (-64.0, 1.0)),
     ])
     def test_fit_without_root_names_searched_interval(self, perm, f, method, sign,
@@ -570,7 +570,7 @@ class TestKendallLd:
         # the rate (n - 1)/(2n) lies inside C''s range (0, 1/2)
         n, tol = 20, 1e-8
         rate = (n - 1) / (2 * n)
-        res = multi_estimate([Permutation.reverse(n)], None, "ld", root_tol=tol)
+        res = multi_estimate([Permutation(np.arange(n, 0, -1))], None, "ld", root_tol=tol)
         assert res.theta_hat == pytest.approx(38.281, abs=1e-3)
         assert rate - kendall_limit_C_prime(res.theta_hat - tol) > 0
         assert rate - kendall_limit_C_prime(res.theta_hat + tol) < 0
@@ -580,7 +580,7 @@ class TestKendallLd:
         # lies outside the capped bracket, so the root finder finds no
         # sign change
         with pytest.raises(NoRootError) as exc:
-            multi_estimate([Permutation.reverse(100)], None, "ld")
+            multi_estimate([Permutation(np.arange(100, 0, -1))], None, "ld")
         assert exc.value.sign == "positive"
 
     def test_monte_carlo_at_truth(self):

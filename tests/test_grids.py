@@ -158,6 +158,3 @@ class TestOneLattice:
         i, j = np.triu_indices(n, 1)
         want = table[i, cols[i]] + table[j, cols[j]] - table[i, cols[j]] - table[j, cols[i]]
         assert np.array_equal(pairwise_swap_scores(pi, f), want)
-        pts = pi.empirical_points()
-        assert np.array_equal(pts[:, 0], lattice(n))
-        assert np.array_equal(pts[:, 1], lattice(n)[cols])

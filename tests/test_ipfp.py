@@ -238,7 +238,7 @@ class TestPotentials:
         res = limit_matrix(f, theta, k)
         a_hat, b_hat = recover_potentials(res)
         assert a_hat.sum() == pytest.approx(b_hat.sum(), abs=1e-9)
-        value = variational_value(res, theta)
+        value = variational_value(res)
         assert -(a_hat.mean() + b_hat.mean()) == pytest.approx(value, abs=1e-8)
 
     def test_marginal_condition(self):
@@ -271,13 +271,7 @@ class TestVariationalValue:
         a_hat, b_hat = recover_potentials(res)
         check = -(res.row_log_scales.sum() + res.col_log_scales.sum()) / k - 2 * math.log(k)
         assert abs(check + (a_hat.mean() + b_hat.mean())) <= 1e-12
-        assert abs(variational_value(res, theta) - check) <= 1e-8
-
-    def test_theta_of_another_run_raises(self):
-        res = limit_matrix(get_score("xy"), 3.0, 50)
-        variational_value(res, 3.0)
-        with pytest.raises(RuntimeError, match="identity violated"):
-            variational_value(res, 4.0)
+        assert abs(variational_value(res) - check) <= 1e-8
 
     def test_shifted_row_scales_raise(self):
         res = limit_matrix(get_score("xy"), 3.0, 50)
@@ -285,12 +279,12 @@ class TestVariationalValue:
         moved = dataclasses.replace(res, row_log_scales=res.row_log_scales + 1e-3)
         assert moved.grid is cells
         with pytest.raises(RuntimeError, match="identity violated"):
-            variational_value(moved, 3.0)
+            variational_value(moved)
 
     @pytest.mark.parametrize("theta", [-12.0, 0.5, 30.0])
     def test_w_k_is_the_checked_value_of_the_limit(self, theta):
         f = get_score("footrule")
-        assert w_k(f, theta, 30) == variational_value(limit_matrix(f, theta, 30), theta)
+        assert w_k(f, theta, 30) == variational_value(limit_matrix(f, theta, 30))
 
 
 class TestWk:

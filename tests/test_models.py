@@ -315,7 +315,7 @@ class TestGridDiscordance:
 
 
 class TestSwapLogRatios:
-    """The swap chain's decisions, from chosen draws, against log_weight and the score grid.
+    """The swap chain's decisions, from chosen draws, against theta times the statistic and the score grid.
 
     A step heat-baths a pair (I, J) of a shuffled row; a step that accepts
     with probability sigma(Delta) swaps at U just below sigma(Delta) and
@@ -323,7 +323,7 @@ class TestSwapLogRatios:
     """
 
     def test_linear_ratio_matches_weight_difference(self):
-        # one step from each state, with Delta from log_weight
+        # one step from each state, with Delta from theta * linear_statistic
         rng = np.random.default_rng(4)
         f = get_score("footrule")
         for n in (9, 1100):
@@ -334,9 +334,9 @@ class TestSwapLogRatios:
                 j = jp + (jp >= i)
                 swapped = list(vals)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                delta = model.log_weight(Permutation(swapped)) - model.log_weight(
-                    Permutation(vals)
-                )
+                new, old = (model.theta * linear_statistic(Permutation(v), f)
+                            for v in (swapped, vals))
+                delta = new - old
                 below, above = swap_bracket(float(expit(delta)))
                 assert swap_step(model, vals, i, j, below) == tuple(swapped)
                 if above is not None:
