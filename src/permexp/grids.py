@@ -29,12 +29,8 @@ __all__ = [
 class ScoreFunction:
     """A named score f(x, y) on the unit square.
 
-    ``fn`` takes float arrays, which broadcast against each other, or
-    Python floats, and must give the same float on two Python floats as it
-    gives elementwise on arrays: a swap chain evaluates it on Python floats
-    and must reproduce the values of ``score_grid``.  Every built-in does;
-    so does any fn built from ``+``, ``-``, ``*``, ``/`` and ``abs``, while
-    ``**`` on a Python float calls libm ``pow``, which can round otherwise.
+    ``fn`` takes float arrays, which broadcast against each other, and
+    works elementwise; no package code calls it on anything but arrays.
     """
 
     name: str
@@ -60,8 +56,7 @@ def _footrule(x, y):
 
 
 def _sq(x, y):
-    # d * d, not d ** 2: a Python float's ** calls pow, which need not
-    # round as the square of an array does
+    # squared and negated in place: no array beyond x - y
     d = x - y
     d *= d
     d *= -1.0

@@ -19,8 +19,8 @@ kernels:
   every step keeps the model stationary.  One function, ``_run_swap``, runs
   every swap step of ``sample``, and it alone holds the chain's log ratio.
   A matching of at least ``_MATCHING_MIN_PAIRS`` pairs is heat-bathed by
-  array operations; a smaller one pair by pair on Python floats.  On S_1
-  there is no pair, and a step keeps the one permutation.
+  array operations; a smaller one pair by pair on the score grid's rows.
+  On S_1 there is no pair, and a step keeps the one permutation.
 * an auxiliary-variable sweep for the Spearman (f = xy) family with
   theta > 0: draw one uniform slice variable per position, which turns
   the conditional law of the permutation into the uniform distribution
@@ -53,7 +53,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import SCORE_FUNCTIONS, lattice
+from .grids import SCORE_FUNCTIONS, lattice, score_grid
 from .models import KendallModel, LinearModel, Model
 from .perm import Permutation
 
@@ -72,14 +72,17 @@ __all__ = [
 _BLOCK = 1 << 15
 
 # Matchings of at least this many pairs are heat-bathed by array
-# operations, smaller ones pair by pair in a Python loop.  Both executions
-# give the same draws, so this sets speed only.  An array pass costs about
-# 10 us however small the matching, a loop step 0.3-0.5 us; from h = 48 the
-# arrays are faster for every built-in score (per-step cost at theta = 3 on
-# 2 cores, numpy 2.4.6; the two break even between h = 32 and 48).
-_MATCHING_MIN_PAIRS = 48
+# operations, smaller ones pair by pair in a Python loop over the score
+# grid; both give the same draws, so this sets speed only.  Per-step ns,
+# loop/arrays, at theta = 3 (2 cores, numpy 2.4.6, least of 5 runs of 2e5
+# steps); from h = 88 the arrays win for every built-in score:
+#   h   xy       centered  footrule  sq
+#   72  258/244  267/237   232/235   231/257
+#   80  254/203  262/218   222/218   236/242
+#   88  251/193  247/212   218/212   235/215
+_MATCHING_MIN_PAIRS = 88
 
-# the signs of the four terms of a log ratio, own[i] + own[j] - c - d
+# the signs of the four terms of a log ratio, s_i[a] + s_j[b] - s_i[b] - s_j[a]
 _SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 _SIGNS.setflags(write=False)
 
@@ -291,11 +294,11 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
     A matching of at least ``_MATCHING_MIN_PAIRS`` pairs is heat-bathed in
     one set of array operations: its pairs are disjoint, so every log ratio
     reads the state at the matching's start.  A smaller one runs pair by
-    pair in a Python loop.  Both sum every log ratio from the same floats in
-    the same order, so they give the same chain.  Each block is run as
-    segments that end at the recorded steps and, for the array execution,
-    at the end of each matching, so the work over steps keeps no record
-    bookkeeping.
+    pair in a Python loop over the score grid's rows s_i.  Both sum every
+    log ratio from f's floats on arrays in the same order, so they give the
+    same chain.  Each block is run as segments that end at the recorded
+    steps and, for the array execution, at the end of each matching, so the
+    work over steps keeps no record bookkeeping.
     """
     n = model.n
     values = state.values
@@ -309,21 +312,16 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
     vectorised = h >= _MATCHING_MIN_PAIRS
     span = h if vectorised else per_block
     positions = np.arange(n)[None, :]
-    t = lattice(n)
-    # the lattice at a 1-based value: point[v] = t[v - 1]
-    point = np.concatenate(([0.0], t))
-    fn = model.f.fn
     theta = model.theta
-    if not vectorised:
-        # the chain's terms on Python floats: own[i] = f(t[i], point[values[i]]),
-        # which a swap at i refreshes.  By the contract of ScoreFunction these
-        # are the floats of score_grid(f, n), so own comes from one call of f
-        # on arrays, which costs a chain's start far less than n calls of fn
-        own = np.empty(n)
-        own[:] = fn(t, point[values])  # a score may return a constant
-        own = own.tolist()
-        t = t.tolist()
-        point = point.tolist()
+    if vectorised:
+        fn = model.f.fn
+        t = lattice(n)
+        # the lattice at a 1-based value: point[v] = t[v - 1]
+        point = np.concatenate(([0.0], t))
+    else:
+        # the score grid as rows of Python floats, with a zero column in
+        # front so that a 1-based value indexes it: score[i][v] = f((i + 1)/n, v/n)
+        score = np.concatenate((np.zeros((n, 1)), score_grid(model.f, n)), axis=1).tolist()
         cells = memoryview(values)
     draws: list[Permutation] = []
     accepted = 0
@@ -357,7 +355,7 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
                 sites = idx[r, :, k:k + hi - lo]
                 v = values[sites]  # a, b, b, a
                 # the terms with signs +, +, -, -, added row after row: the
-                # floats of the loop's own[i] + own[j] - c - d
+                # floats of the loop's s_i[a] + s_j[b] - s_i[b] - s_j[a]
                 terms = fn(at[r, :, k:k + hi - lo], point[v]) * _SIGNS
                 swap = logits[lo:hi] < -theta * np.add.reduce(terms, axis=0)
                 values[sites[:2]] = np.where(swap, v[1::-1], v[:2])
@@ -366,13 +364,11 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
                 for i, j, logit in islice(steps, hi - lo):
                     a = cells[i]
                     b = cells[j]
-                    c = fn(t[i], point[b])
-                    d = fn(t[j], point[a])
-                    if logit < -theta * (own[i] + own[j] - c - d):
+                    s_i = score[i]
+                    s_j = score[j]
+                    if logit < -theta * (s_i[a] + s_j[b] - s_i[b] - s_j[a]):
                         cells[i] = b
                         cells[j] = a
-                        own[i] = c
-                        own[j] = d
                         accepted += 1
             lo = hi
             if done + hi == record:

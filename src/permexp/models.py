@@ -129,8 +129,7 @@ def kendall_logZ(n: int, theta: float) -> float:
     x = theta/n, which stays stable uniformly in theta, including the
     theta -> 0 limit log n!.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_parameters(theta, n)
     log_nfac = math.lgamma(n + 1)
     if theta == 0.0:
         return log_nfac
@@ -164,6 +163,7 @@ def kendall_logZ_prime(n: int, theta: float) -> float:
 
     Equals E[Inv]/n^2 under the model; (n-1)/(4n) at theta = 0.
     """
+    _check_parameters(theta, n)
     j = np.arange(1, n + 1, dtype=np.float64)
     x = theta / n
     terms = (j / n) * _inv_expm1_ratio(x * j) - (1.0 / n) * _inv_expm1_ratio(np.full_like(j, x))

@@ -15,6 +15,7 @@ import pytest
 
 import permexp
 import permexp.cli
+import permexp.mcmc
 
 from conftest import REPO_ROOT, save_permutation_csv
 
@@ -156,18 +157,28 @@ def _public_bindings():
     return seen
 
 
-def _load_spans():
-    path = REPO_ROOT / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _load_perfbench(name, monkeypatch):
+    path = REPO_ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass reads its module from sys.modules while it is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_traced_cli_reads_ipfp_results(tmp_path, lottery, capsys):
+def test_benchmark_swap_chains_run_the_array_execution(monkeypatch):
+    # the sample workload's linear swap chains have matchings of n // 2
+    # pairs; a move of the cutoff must not quietly switch them to the loop
+    workloads = _load_perfbench("workloads", monkeypatch)
+    for n in (workloads.FULL.swap_n, workloads.FULL.wide_n):
+        assert n // 2 >= permexp.mcmc._MATCHING_MIN_PAIRS
+
+
+def test_traced_cli_reads_ipfp_results(tmp_path, lottery, capsys, monkeypatch):
     # the benchmark's --trace 1 mode reads res.grid.k of every IPFP result,
     # IpfpNonConvergence.result included, and counts fits at the estimators
-    spans = _load_spans()
+    spans = _load_perfbench("spans", monkeypatch)
     data = tmp_path / "tau.csv"
     save_permutation_csv(lottery.tau(), data)
     before = _public_bindings()
@@ -199,11 +210,11 @@ def test_traced_cli_reads_ipfp_results(tmp_path, lottery, capsys):
     assert all(after[key] is before[key] for key in before)
 
 
-def test_traced_cli_counts_chain_steps(tmp_path):
+def test_traced_cli_counts_chain_steps(tmp_path, monkeypatch):
     # the benchmark's --trace 1 mode counts swap steps per chain kind and
     # auxiliary sweeps at the sample and sweep spans; a chain calls no
     # public function per step, so its spans stay few
-    spans = _load_spans()
+    spans = _load_perfbench("spans", monkeypatch)
     chains = [  # (label, model arguments, n, burn, thin, draws, sampler)
         ("wide", ["--model", "linear", "--f", "xy"], 1100, 2000, 500, 2, "swap"),
         ("kendall", ["--model", "kendall"], 30, 1000, 100, 3, "swap"),

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from permexp.estimators import pairwise_swap_scores
+from permexp.estimators import multi_estimate, pairwise_swap_scores
 from permexp.grids import (
     SCORE_FUNCTIONS,
+    ScoreFunction,
     get_score,
     kl_to_uniform,
     lattice,
     score_grid,
 )
+from permexp.mcmc import sample
+from permexp.models import LinearModel
 from permexp.perm import Permutation, linear_statistic
 
 from conftest import grid_mean
@@ -104,6 +107,25 @@ class TestScoreFunction:
         with pytest.raises(ValueError):
             get_score("hamming")
 
+    def test_fn_only_ever_gets_arrays(self):
+        # the package calls a score on float arrays only: the model's check,
+        # both swap executions (n = 5 and 40 loop, n = 1025 arrays), the PL,
+        # LD and ML fits, the statistic and the pair scores
+        def fn(x, y):
+            assert type(x) is type(y) is np.ndarray, (type(x), type(y))
+            return x * y - abs(x - y)
+
+        f = ScoreFunction("arrays-only", fn)
+        draws = {}
+        for n, burn, thin in ((5, 300, 7), (40, 2_000, 100), (1025, 3_000, 1_000)):
+            draws[n] = sample(LinearModel(f, 2.0, n), 4, burn=burn, thin=thin, seed=n)
+        for perms, method, k in ((draws[40], "pl", None), (draws[40], "ld", 20),
+                                 (draws[5], "ml", None)):
+            assert math.isfinite(multi_estimate(perms, f, method, k=k).theta_hat)
+        pi = draws[1025][0]
+        assert math.isfinite(linear_statistic(pi, f))
+        assert np.all(np.isfinite(pairwise_swap_scores(pi, f)))
+
 
 class TestOneLattice:
     """The score grid, the statistic and the pair scores read one lattice."""
@@ -132,18 +154,6 @@ class TestOneLattice:
         assert grid.shape == (6, 6) and grid.dtype == np.float64
         assert not grid.flags.writeable
         assert np.array_equal(grid, want)
-
-    @pytest.mark.parametrize("name", sorted(SCORE_FUNCTIONS))
-    def test_python_floats_give_the_grid_values(self, name):
-        # a swap chain calls fn on Python floats and must read the grid's
-        # floats; -((x - y) ** 2) once missed in 286 of these cells, as a
-        # Python float's ** calls pow
-        n = 1100
-        f = get_score(name)
-        grid = score_grid(f, n)
-        t = lattice(n).tolist()
-        rows, cols = np.random.default_rng(11).integers(0, n, size=(2, 200_000)).tolist()
-        assert [f.fn(t[r], t[c]) for r, c in zip(rows, cols)] == grid[rows, cols].tolist()
 
     @pytest.mark.parametrize("name", sorted(SCORE_FUNCTIONS))
     @pytest.mark.parametrize("n", [5, 257, 1100])

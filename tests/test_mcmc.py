@@ -157,9 +157,10 @@ class TestMatchingKernel:
         assert np.abs(probs @ kmat - probs).max() <= 1e-12
         rows = 2 * MATCHING_ROWS[n]
         # every check at n = 4; at n = 5, where a run costs about 1 ms, the
-        # per-pair loop runs those from every other start and the array
-        # operations, at about 15 us a matching, those from every tenth, so
-        # that each row meets 60 and 12 states there on both sides
+        # per-pair loop over the score grid's rows runs those from every
+        # other start and the array operations, at about 15 us a matching,
+        # those from every tenth, so that each row meets 60 and 12 states
+        # there on both sides
         for min_pairs, step in ((n, 1 if n == 4 else 2), (1, 1 if n == 4 else 10)):
             monkeypatch.setattr(mcmc, "_MATCHING_MIN_PAIRS", min_pairs)
             for start, uu, records in runs[::step]:

@@ -3,9 +3,10 @@
 ``_oracle_run_swap`` is a plain per-pair reference of the swap chain's
 schedule: blocks of uniform random matchings from ``rng.permuted`` rows,
 then their uniforms, with each pair's log ratio read from the score table
-``score_grid(f, n)``, evaluated on arrays, where the chain calls f on Python
-floats or on a whole matching's arrays.  The swap chains must give the same
-draws, the same counts and leave the generator at the same position.
+``score_grid(f, n)``, item by item, where the chain reads the same grid as
+rows of Python floats or calls f on a whole matching's arrays.  The swap
+chains must give the same draws, the same counts and leave the generator
+at the same position.
 
 ``_oracle_sweep`` is the auxiliary sweep before its picks were computed up
 front and before its assignment became one in-place Fisher-Yates pass.

@@ -126,6 +126,20 @@ class TestKendallLogZ:
         for n in (2, 8, 100):
             assert kendall_logZ_prime(n, 0.0) == pytest.approx((n - 1) / (4 * n))
 
+    @pytest.mark.parametrize("fn", [kendall_logZ, kendall_logZ_prime])
+    @pytest.mark.parametrize("n, theta, match", [
+        (5, math.inf, "theta must be finite"),
+        (5, -math.inf, "theta must be finite"),
+        (5, math.nan, "theta must be finite"),
+        (0, 1.0, "n must be >= 1"),
+        (-3, 0.0, "n must be >= 1"),
+    ])
+    def test_invalid_input_raises(self, fn, n, theta, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                fn(n, theta)
+
     def test_normalized_logz_convex_in_theta(self):
         n = 30
         rng = np.random.default_rng(1)
@@ -345,9 +359,10 @@ class TestSwapLogRatios:
     @pytest.mark.parametrize("name", ["xy", "centered", "footrule", "sq"])
     def test_f_path_reads_as_score_table(self, name):
         # one run of 2000 steps over shuffled rows, with Delta from the score
-        # grid: the chain calls f on Python floats (n = 9) or on arrays
-        # (n = 1100, one pair at a time, as every step is recorded) and must
-        # decide as the grid's floats do, before and after the swaps
+        # grid: the chain reads the grid's rows as Python floats (n = 9) or
+        # calls f on arrays (n = 1100, one pair at a time, as every step is
+        # recorded) and must decide as the grid's floats do, before and
+        # after the swaps
         rng = np.random.default_rng(5)
         theta = -2.5
         steps = 2000

@@ -209,7 +209,27 @@ class TestFisherYates:
         assert fisher_yates_logpmf(m) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def _cdf_distance_oracle(pi):
+    """The sup as the largest two-corner increment of the count CDF, by cumsum."""
+    n = pi.n
+    cum = np.zeros((n + 1, n + 1), dtype=np.int64)
+    cum[np.arange(1, n + 1), pi.values] = 1
+    np.cumsum(cum, axis=0, out=cum)
+    np.cumsum(cum, axis=1, out=cum)
+    return float((cum[1:, 1:] - cum[:-1, :-1]).max()) / n
+
+
 class TestCdfDistance:
+    def test_closed_form_matches_the_cumsum_oracle(self):
+        for n in range(1, 8):
+            for pi in all_perms(n):
+                assert cdf_distance(pi) == _cdf_distance_oracle(pi)
+        rng = np.random.default_rng(8)
+        for n in (50, 500):
+            for _ in range(5):
+                pi = random_permutation(rng, n)
+                assert cdf_distance(pi) == _cdf_distance_oracle(pi) == 2 / n
+
     def test_bound_holds_everywhere_small(self):
         for n in range(1, 6):
             for pi in all_perms(n):
