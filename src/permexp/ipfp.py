@@ -14,8 +14,14 @@ exp(theta f(x,y) + a(x) + b(y)); :func:`variational_value`, the one path
 to the variational value, checks it against them in closed form.
 
 One kernel does all scaling: Sinkhorn's scaling vectors (Cuturi 2013),
-two mat-vecs per sweep, stabilized by absorbing the scalings into the
-log potentials when a marginal sum leaves float range (Schmitzer 2019).
+stabilized by absorbing the scalings into the log potentials when a
+marginal sum leaves float range (Schmitzer 2019).  A sweep makes two
+mat-vecs, two divisions and two products, and one min/max pair over its
+stacked sums gives the residual and the range checks; an a-priori bound
+on the next column sums spares their own check.  Every iterate, sweep
+count, log-domain step and residual is bit for bit that of a kernel that
+checks both sums of every sweep explicitly and takes max |sum - 1/k|
+(the tests keep one as an oracle).
 A run ends with the mean <F, A> of its score grid, taken from the final
 scalings by one more mat-vec; the grid A itself is built on first read,
 so a caller that needs only the mean (w_k_prime, the LD equation) never
@@ -110,10 +116,6 @@ class IpfpNonConvergence(RuntimeError):
 _SUM_LO, _SUM_HI = math.exp(-200.0), math.exp(200.0)
 
 
-def _in_range(sums: np.ndarray) -> bool:
-    return _SUM_LO <= sums.min() and sums.max() <= _SUM_HI
-
-
 def _log_normalize(kern, score, theta, other, axis):
     """Give each line along ``axis`` of exp(theta * score + other + new) mass 1/k.
 
@@ -134,12 +136,28 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
 
     The iterate is diag(u) K diag(v) with K = exp(theta * score + alpha (+)
     beta); alpha = -rowmax(theta * score) leaves an entry of 1 in every
-    row.  Row sums u * (K v) reuse the next sweep's K v, column sums are
-    v * (K^T u).  The log kernel theta * score is written into the one
-    k x k working array wherever it is read, and never stored apart.
-    The run ends by writing K o score over K for the mean <score, A>; the
-    result builds the grid A over that array from score and the final
-    potentials on first read.
+    row.  A sweep sets u = (1/k) / (K v), takes K^T u, sets
+    v = (1/k) / (K^T u), then takes K v; its row sums are u * (K v) and its
+    column sums v * (K^T u).  K v, the row sums, the column sums and K^T u
+    are the four rows of one array, and one np.minimum/np.maximum reduce
+    pair over it gives:
+
+    - the residual, max(max x - 1/k, 1/k - min x) over both sums, which is
+      max |x - 1/k| bit for bit because rounding is monotone;
+    - the next sweep's check of K v;
+    - a bound on the next K^T u.  After a plain row step,
+      K^T u' = sum_i ((1/k) / rows_i) u_i K_i. lies within
+      [min K^T u / max rows, max K^T u / min rows] / k; when that interval
+      sits inside [2 e^-200, e^200 / 2], the factor 2 covering rounding,
+      K^T u' cannot leave range and is not checked.  Otherwise, and after
+      a log-domain row step, K^T u' is checked itself.
+
+    A sum out of range is redone in the log domain (:func:`_log_normalize`).
+    The log kernel theta * score is written into the one k x k working
+    array wherever it is read, and never stored apart.  The run ends by
+    writing K o score over K for the mean <score, A>; the result builds the
+    grid A over that array from score and the final potentials on first
+    read.
     """
     k = score.shape[0]
     if not tol > 0:
@@ -154,31 +172,45 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     beta = np.zeros(k)
     kern += alpha[:, None]
     np.exp(kern, out=kern)
-    u = v = np.ones(k)
-    kv = kern @ v
+    u, v = np.ones(k), np.ones(k)
+    sums = np.empty((4, k))
+    kv, rows, cols, ktu = sums
+    np.matmul(kern, v, out=kv)
+    row_ok = _SUM_LO <= kv.min() and kv.max() <= _SUM_HI
+    col_ok = False
     iterations = 0
     residual = math.inf
     while iterations < max_iter:
-        if _in_range(kv):
-            u = target / kv
+        if row_ok:
+            np.divide(target, kv, out=u)
         else:
             beta += np.log(v)
             alpha = _log_normalize(kern, score, theta, beta, axis=1)
-            u = np.ones(k)
-        ktu = u @ kern
-        if _in_range(ktu):
-            v = target / ktu
+            u.fill(1.0)
+        np.matmul(u, kern, out=ktu)
+        if not col_ok:
+            col_ok = _SUM_LO <= ktu.min() and ktu.max() <= _SUM_HI
+        if col_ok:
+            np.divide(target, ktu, out=v)
         else:
             alpha += np.log(u)
             beta = _log_normalize(kern, score, theta, alpha, axis=0)
-            u = v = np.ones(k)
-            ktu = kern.sum(axis=0)
-        kv = kern @ v
+            u.fill(1.0)
+            v.fill(1.0)
+            np.sum(kern, axis=0, out=ktu)
+        np.matmul(kern, v, out=kv)
+        np.multiply(u, kv, out=rows)
+        np.multiply(v, ktu, out=cols)
+        lo = np.minimum.reduce(sums, axis=1).tolist()
+        hi = np.maximum.reduce(sums, axis=1).tolist()
         iterations += 1
-        residual = max(float(np.abs(u * kv - target).max()),
-                       float(np.abs(v * ktu - target).max()))
+        residual = max(hi[1] - target, target - lo[1], hi[2] - target, target - lo[2])
         if residual <= tol:
             break
+        row_ok = _SUM_LO <= lo[0] and hi[0] <= _SUM_HI
+        # the bound on the next K^T u, multiplied out by the row sums
+        col_ok = (row_ok and 2.0 * _SUM_LO * hi[1] <= target * lo[3]
+                  and target * hi[3] <= 0.5 * _SUM_HI * lo[1])
     # <F, A> = u . ((K o F) v), with K o F written over K; A is built over
     # it from the final potentials only when the grid is first read
     np.multiply(kern, score, out=kern)

@@ -148,6 +148,64 @@ def test_limit_matrix_matches_former_kernel(name, theta, k):
         _assert_same_run(got, want)
 
 
+# Runs through every branch of the sweep: column absorptions (xy at k = 10
+# also after plain sweeps, when the a-priori bound on the column sums
+# fails), a column then a row absorption (xy at k = 4), theta at the edge
+# of float range, small sweep caps, and k = 1000; None is the default cap
+_BRANCH_RUNS = (
+    [(name, theta, k, 200) for name in ("xy", "sq", "centered")
+     for theta in (-1e4, -2000.0, 2000.0, 1e4) for k in (2, 3, 10)]
+    + [("footrule", -2000.0, k, 200) for k in (3, 10)]
+    + [("xy", theta, 4, 200) for theta in (-1e5, -1e4, 1e4, 1e5)]
+    + [(name, theta, 10, 50) for name in ("xy", "centered", "footrule", "sq")
+       for theta in (-1e300, 1e300)]
+    + [(name, 50.0, 100, cap) for name in ("xy", "footrule") for cap in (1, 2, 50)]
+    + [("xy", theta, 1000, cap) for theta in (3.0, 20.0) for cap in (2, None)]
+)
+
+
+@pytest.mark.parametrize("name, theta, k, max_iter", _BRANCH_RUNS)
+def test_limit_matrix_matches_former_kernel_on_every_branch(name, theta, k, max_iter):
+    f = get_score(name)
+    cap = max_iter or int(math.ceil(10 * k * (1.0 + abs(theta))))
+    want = _outcome(lambda: _oracle_sinkhorn(theta * _oracle_score_grid(f, k), 1e-12, cap))
+    got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=max_iter))
+    _assert_same_run(got, want)
+
+
+# Score grids whose column sums leave [e^-200, e^200] only after plain
+# sweeps, so that the bound on the next column sums decides whether a
+# sweep checks them.  "tight": column 3 takes its mass from row 1 alone,
+# and row 1 carries the largest sum, so the bound is exact but for
+# rounding; the third sweep's column sums fall below e^-200 by less than
+# that rounding, and only the bound's factor-2 margin sends the sweep to
+# its check and absorption.  "shrinking": column 4 loses about a factor e
+# a sweep and leaves at the fourth; a bound that ignored the row sums, or
+# swapped their min and max, would skip that absorption.
+_LATE_ABSORPTIONS = {
+    "tight": [[0.0, -0.41522830640165775, -197.6],
+              [0.0, -1.0, -700.0],
+              [-1.0, 0.0, -700.0]],
+    "shrinking": [[0.0, 0.0, 0.0, -194.5],
+                  [0.0, -100.0, -100.0, -300.0],
+                  [0.0, -100.0, -100.0, -300.0],
+                  [0.0, -100.0, -100.0, -300.0]],
+}
+
+
+@pytest.mark.parametrize("max_iter", [4, None])
+@pytest.mark.parametrize("grid", sorted(_LATE_ABSORPTIONS))
+def test_late_column_absorption_matches_former_kernel(grid, max_iter):
+    score = np.array(_LATE_ABSORPTIONS[grid])
+    k = score.shape[0]
+    # theta = 1 runs on exp(score); neither grid converges by the default cap
+    cap = max_iter or int(math.ceil(10 * k * 2.0))
+    want = _outcome(lambda: _oracle_sinkhorn(score, 1e-12, cap))
+    got = _outcome(lambda: limit_matrix(None, 1.0, k, max_iter=max_iter, score_grid=score))
+    _assert_same_run(got, want)
+    assert not got.converged
+
+
 @pytest.mark.parametrize("k", [1, 2, 100])
 @pytest.mark.parametrize("theta", [-500.0, 3.0, 500.0])
 @pytest.mark.parametrize("name", ["xy", "footrule", "sq"])
