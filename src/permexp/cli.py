@@ -182,7 +182,8 @@ def _failure_record(err: NoRootError | AllPairsDegenerateError | IpfpNonConverge
 def cmd_logz(args) -> int:
     f = get_score(args.score or "xy")
     lo, hi = args.theta_min, args.theta_max
-    if args.steps < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    # hi - lo is finite only if both ends are, and np.linspace computes it
+    if args.steps < 2 or not (math.isfinite(hi - lo) and lo < hi):
         raise ValueError("need steps >= 2 and finite theta-min < theta-max")
     rows = ["theta,w_k,w_k_prime,status\n"]
     # one score grid F gives every row's kernel theta * F; each run stores
@@ -237,16 +238,10 @@ def cmd_sample(args) -> int:
     sampler = "auxiliary" if args.sampler == "aux" else "swap"
     draws = sample(model, args.draws, burn=args.burn, thin=args.thin,
                    sampler=sampler, seed=args.seed)
-    density = None
-    if args.hist is not None:
-        counts = np.zeros((args.hist, args.hist), dtype=np.int64)
-        for pi in draws:
-            counts += bin_counts(pi, args.hist)
-        total = sum(pi.n for pi in draws)
-        density = counts * (args.hist * args.hist / total)
     save_draws_csv(draws, sys.stdout if args.out == "-" else args.out)
-    if density is not None:
-        write_grid_csv(density, hist_out)
+    if args.hist is not None:
+        counts = sum(bin_counts(Permutation(row), args.hist) for row in draws)
+        write_grid_csv(counts * (args.hist * args.hist / draws.size), hist_out)
     return EXIT_OK
 
 

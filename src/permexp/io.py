@@ -23,7 +23,7 @@ import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, ContextManager, Sequence, Union
+from typing import IO, ContextManager, Union
 
 import numpy as np
 
@@ -111,13 +111,17 @@ def load_permutation_csv(path: PathLike) -> Permutation:
     return Permutation(img[order])
 
 
-def save_draws_csv(draws: Sequence[Permutation], path_or_stream) -> None:
-    """Write draws in the compact ``draw,i,pi`` multi-draw format; draws may differ in n."""
-    digits = _digits(max((pi.n for pi in draws), default=0))
+def save_draws_csv(draws: np.ndarray, path_or_stream) -> None:
+    """Write an (m, n) integer array, as ``sample`` returns it, in the ``draw,i,pi``
+    format, row d - 1 as draw d; ValueError unless it is 2-D with every value in 1..n."""
+    draws = np.asarray(draws)
+    if draws.ndim != 2 or draws.size and not 1 <= draws.min() <= draws.max() <= draws.shape[1]:
+        raise ValueError("draws must form a 2-D array whose values lie in 1..n, n the row length")
+    digits = _digits(draws.shape[1])
     with _writing(path_or_stream) as fh:
         fh.write("draw,i,pi\n")
-        for d, pi in enumerate(draws, start=1):
-            _write_int_rows(fh, f"{d},", pi.values, digits)
+        for d, row in enumerate(draws, start=1):
+            _write_int_rows(fh, f"{d},", row, digits)
 
 
 def _digits(top: int) -> np.ndarray:

@@ -241,7 +241,8 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
     30} and |theta| in {100, 250, 500} it stops xy and centered at k = 2
     from |theta| = 100, k = 3 from 250 and k = 5 at 500; sq at k = 3 and
     5; and footrule at k = 10, theta = 100 and k = 30, theta = 250.  Those
-    runs raise IpfpNonConvergence.
+    runs raise IpfpNonConvergence.  Where the cap overflows a float,
+    ValueError asks for ``max_iter``.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -252,7 +253,10 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
     elif score_grid.shape != (k, k):
         raise ValueError(f"score_grid has shape {score_grid.shape}, not ({k}, {k})")
     if max_iter is None:
-        max_iter = int(math.ceil(10 * k * (1.0 + abs(theta))))
+        cap = 10 * k * (1.0 + abs(theta))
+        if not math.isfinite(cap):
+            raise ValueError(f"the default sweep cap overflows at theta = {theta:g}; pass max_iter")
+        max_iter = math.ceil(cap)
     return _sinkhorn(score_grid, theta, tol, max_iter)
 
 

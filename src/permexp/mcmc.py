@@ -33,9 +33,9 @@ depend on the steps before (the matchings, the logits, the sweep's
 floors, pool sizes and picks).  What is left is stepped through as plain
 Python ints and floats, read and written through memoryviews or lists,
 where a numpy call would cost more than the model arithmetic: the sweep's
-picks, and the pairs of small matchings.  Recorded draws are read-only
-copies of the state, which ``ChainState`` checks once when it is made,
-so they skip ``Permutation``'s checks.
+picks, and the pairs of small matchings.  Each branch of ``sample``
+writes its draws into the rows of one int64 array, copied from a chain
+state that ``ChainState`` checks once when it is made.
 
 The default burn-ins of the linear chains are fixed step and sweep
 counts; no check shows that a chain has reached equilibrium after them,
@@ -119,10 +119,6 @@ class ChainState:
     def uniform_start(cls, n: int, rng: np.random.Generator) -> "ChainState":
         return cls(rng.permutation(n).astype(np.int64) + 1)
 
-    def permutation(self) -> Permutation:
-        """A read-only copy of the state; the bijection is not re-checked."""
-        return Permutation._trusted(self.values)
-
 
 def supports_auxiliary(model: Model) -> bool:
     """Whether the auxiliary sweep draws ``model``: the built-in xy score at theta > 0.
@@ -202,8 +198,11 @@ def _slice_scale(n: int, theta: float) -> np.ndarray:
 
 def sample(model: Model, n_samples: int, burn: int | None = None,
            thin: int | None = None, sampler: str = "swap",
-           seed: int = 0) -> list[Permutation]:
-    """Draw permutations from the model.
+           seed: int = 0) -> np.ndarray:
+    """Draw permutations from the model, as the rows of one array.
+
+    Returns a read-only, C-contiguous int64 array of shape (n_samples, n),
+    one draw pi(1), ..., pi(n) a row, that shares no memory with a chain.
 
     A Kendall model is drawn exactly: the draws are i.i.d., and ``burn``,
     ``thin`` and ``sampler="swap"`` are validated but have no effect.  A
@@ -227,24 +226,29 @@ def sample(model: Model, n_samples: int, burn: int | None = None,
                          "use sampler='swap'")
     rng = make_rng(seed)
     if isinstance(model, KendallModel):
-        return [_kendall_draw(model, rng) for _ in range(n_samples)]
-    state = ChainState.uniform_start(model.n, rng)
-    if sampler == "swap":
+        draws = np.empty((n_samples, model.n), dtype=np.int64)
+        for row in draws:
+            _kendall_draw(model, rng, row)
+    elif sampler == "swap":
+        state = ChainState.uniform_start(model.n, rng)
         burn = 10 * model.n * model.n if burn is None else burn
         thin = max(1, model.n * model.n) if thin is None else thin
-        return _run_swap(state, model, rng, n_samples, burn, thin)
-    for _ in range(10 if burn is None else burn):
-        auxiliary_gibbs_sweep(state, model, rng)
-    draws = []
-    for _ in range(n_samples):
-        for _ in range(1 if thin is None else thin):
+        draws = _run_swap(state, model, rng, n_samples, burn, thin)
+    else:
+        state = ChainState.uniform_start(model.n, rng)
+        for _ in range(10 if burn is None else burn):
             auxiliary_gibbs_sweep(state, model, rng)
-        draws.append(state.permutation())
+        draws = np.empty((n_samples, model.n), dtype=np.int64)
+        for row in draws:
+            for _ in range(1 if thin is None else thin):
+                auxiliary_gibbs_sweep(state, model, rng)
+            row[:] = state.values
+    draws.setflags(write=False)
     return draws
 
 
-def _kendall_draw(model: KendallModel, rng: np.random.Generator) -> Permutation:
-    """One exact draw of the Kendall model from ``rng.random(n)``.
+def _kendall_draw(model: KendallModel, rng: np.random.Generator, row: np.ndarray) -> None:
+    """One exact draw of the Kendall model from ``rng.random(n)``, written into ``row``.
 
     With c = theta/n, the code coordinate V_j has P(V_j = v) proportional
     to e^{cv} on {0..j-1}: the floor of a variable with density
@@ -275,15 +279,15 @@ def _kendall_draw(model: KendallModel, rng: np.random.Generator) -> Permutation:
     if c <= 0:
         np.subtract(j - 1.0, x, out=x)
     free = list(range(1, n + 1))
-    values = [free.pop(i) for i in reversed(x.astype(np.int64).tolist())]
-    return Permutation._trusted(values[::-1])
+    row[::-1] = [free.pop(i) for i in reversed(x.astype(np.int64).tolist())]
 
 
 def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
-              n_samples: int, burn: int, thin: int) -> list[Permutation]:
+              n_samples: int, burn: int, thin: int) -> np.ndarray:
     """Run burn + n_samples * thin swap steps on ``state``; return the draws.
 
-    The draws are the states after steps burn + thin, burn + 2 thin, ...
+    The draws are the rows of an int64 (n_samples, n) array: the states
+    after steps burn + thin, burn + 2 thin, ...
     The pairs come from uniform random perfect matchings of the positions,
     used in order: with h = n // 2, one ``rng.permuted`` row gives the h
     disjoint pairs (row[2k], row[2k + 1]), and for odd n its last position
@@ -306,10 +310,11 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
     if n < 2:
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
-        return [state.permutation() for _ in range(n_samples)]
+        return np.ones((n_samples, n), dtype=np.int64)
     h = n // 2
     per_block = max(1, _BLOCK // h) * h
     vectorised = h >= _MATCHING_MIN_PAIRS
+    draws = np.empty((n_samples, n), dtype=np.int64)
     span = h if vectorised else per_block
     positions = np.arange(n)[None, :]
     theta = model.theta
@@ -323,7 +328,7 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
         # front so that a 1-based value indexes it: score[i][v] = f((i + 1)/n, v/n)
         score = np.concatenate((np.zeros((n, 1)), score_grid(model.f, n)), axis=1).tolist()
         cells = memoryview(values)
-    draws: list[Permutation] = []
+    recorded = 0
     accepted = 0
     record = burn + thin if n_samples > 0 else total + 1
     done = 0
@@ -372,8 +377,9 @@ def _run_swap(state: ChainState, model: LinearModel, rng: np.random.Generator,
                         accepted += 1
             lo = hi
             if done + hi == record:
-                draws.append(state.permutation())
-                record += thin if len(draws) < n_samples else total + 1
+                draws[recorded] = values
+                recorded += 1
+                record += thin if recorded < n_samples else total + 1
         done += m
         # drop the iterator over this block, so that drawing the next block
         # frees its arrays

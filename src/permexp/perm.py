@@ -48,16 +48,6 @@ class Permutation:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def _trusted(cls, values: np.ndarray) -> "Permutation":
-        """Read-only int64 copy of ``values``, which the caller guarantees
-        is a bijection of {1..n}: none of ``__init__``'s checks run."""
-        arr = np.array(values, dtype=np.int64)
-        arr.setflags(write=False)
-        pi = object.__new__(cls)
-        object.__setattr__(pi, "values", arr)
-        return pi
-
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Permutation is immutable")
 

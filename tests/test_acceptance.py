@@ -158,7 +158,7 @@ def test_06_sampler_exactness():
     assert db_gap <= 1e-12
 
     draws = sample(model, 200_000, burn=2_000, thin=5, sampler="swap", seed=101)
-    emp_swap = empirical_law((d.as_tuple() for d in draws), states)
+    emp_swap = empirical_law(map(tuple, draws.tolist()), states)
     tv_swap = tv_distance(emp_swap, probs)
     assert tv_swap < 0.02
 
@@ -217,8 +217,8 @@ def test_08_root_n_consistency():
         errs = []
         roots = []
         for _ in range(replicates):
-            draw = sample(LinearModel(f, theta, n), 1, burn=80, thin=1,
-                          sampler="auxiliary", seed=next(seed))[0]
+            draw = Permutation(sample(LinearModel(f, theta, n), 1, burn=80, thin=1,
+                                      sampler="auxiliary", seed=next(seed))[0])
             root = multi_estimate([draw], f, "pl", root_tol=1e-6).theta_hat
             roots.append(root)
             errs.append((root - theta) ** 2)
@@ -263,8 +263,8 @@ def test_09_threshold_test_consistency():
 
     rejections_alt = 0
     for rep in range(100):
-        draw = sample(LinearModel(fxy, 2 * theta1, n), 1, burn=80, thin=1,
-                      sampler="auxiliary", seed=5000 + rep)[0]
+        draw = Permutation(sample(LinearModel(fxy, 2 * theta1, n), 1, burn=80, thin=1,
+                                  sampler="auxiliary", seed=5000 + rep)[0])
         est = multi_estimate([draw], fsq, "ld", k=k, root_tol=root_tol)
         rejections_alt += threshold_test(est.theta_hat, 0.0, theta1)
     power = rejections_alt / 100.0

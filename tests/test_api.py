@@ -131,6 +131,17 @@ def test_every_public_member_is_read():
     assert unread == []
 
 
+def test_no_instance_skips_its_constructor():
+    # Permutation.__init__ checks that its values are a bijection; an
+    # instance made by object.__new__ (or any other __new__) would skip it
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(permexp.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__"]
+    assert calls == []
+
+
 def test_cli_import_loads_no_scipy():
     # importing scipy would add about 0.5 s to every command; only the
     # tests use it, as an oracle

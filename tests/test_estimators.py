@@ -519,7 +519,7 @@ class TestMlExact:
         roots = []
         for d in draws:
             try:
-                roots.append(multi_estimate([d], None, "ml").theta_hat)
+                roots.append(multi_estimate([Permutation(d)], None, "ml").theta_hat)
             except NoRootError:
                 pass
         assert abs(np.median(roots) - 1.5) <= 1.0
@@ -586,7 +586,7 @@ class TestKendallLd:
     def test_monte_carlo_at_truth(self):
         model = KendallModel(2.0, 500)
         draws = sample(model, 1, burn=400_000, thin=1, sampler="swap", seed=5)
-        res = multi_estimate(draws, None, "ld")
+        res = multi_estimate([Permutation(d) for d in draws], None, "ld")
         assert res.method == "Kendall-LD"
         assert abs(res.theta_hat - 2.0) <= 0.5
 
@@ -595,7 +595,7 @@ class TestKendallLd:
         model = KendallModel(1.0, 500)
         draws = sample(model, 12, burn=300_000, thin=30_000, sampler="swap", seed=17)
         diffs = []
-        for d in draws:
+        for d in map(Permutation, draws):
             ld = multi_estimate([d], None, "ld").theta_hat
             ml = multi_estimate([d], None, "ml").theta_hat
             diffs.append(abs(ld - ml))
@@ -678,8 +678,8 @@ class TestMultiSample:
         # m copies of one sample sum to m times its equation: the same root
         f = None if f_name is None else get_score(f_name)
         n = 7 if method == "ml" else 60
-        pi = sample(LinearModel(get_score("xy"), 2.0, n), 1, burn=60, thin=1,
-                    sampler="auxiliary", seed=21)[0]
+        pi = Permutation(sample(LinearModel(get_score("xy"), 2.0, n), 1, burn=60, thin=1,
+                                sampler="auxiliary", seed=21)[0])
         k = 60 if f is not None and method == "ld" else None
         root_tol = 1e-8
         single = multi_estimate([pi], f, method, root_tol=root_tol, k=k)
@@ -708,8 +708,9 @@ class TestMultiSample:
         n, m = 100, 20
         singles, pooled = [], []
         for rep in range(30):
-            draws = sample(LinearModel(f, 2.0, n), m, burn=60, thin=3,
-                           sampler="auxiliary", seed=100 + rep)
+            rows = sample(LinearModel(f, 2.0, n), m, burn=60, thin=3,
+                          sampler="auxiliary", seed=100 + rep)
+            draws = [Permutation(d) for d in rows]
             singles.append(multi_estimate(draws[:1], f, "pl").theta_hat)
             pooled.append(multi_estimate(draws, f, "pl").theta_hat)
         assert np.std(pooled) < 0.5 * np.std(singles)

@@ -118,7 +118,8 @@ class TestScoreFunction:
         f = ScoreFunction("arrays-only", fn)
         draws = {}
         for n, burn, thin in ((5, 300, 7), (40, 2_000, 100), (1025, 3_000, 1_000)):
-            draws[n] = sample(LinearModel(f, 2.0, n), 4, burn=burn, thin=thin, seed=n)
+            rows = sample(LinearModel(f, 2.0, n), 4, burn=burn, thin=thin, seed=n)
+            draws[n] = [Permutation(d) for d in rows]
         for perms, method, k in ((draws[40], "pl", None), (draws[40], "ld", 20),
                                  (draws[5], "ml", None)):
             assert math.isfinite(multi_estimate(perms, f, method, k=k).theta_hat)

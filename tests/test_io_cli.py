@@ -3,6 +3,7 @@ import csv
 import functools
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,31 +266,48 @@ class TestGridCsvProperty:
         assert _assert_per_value(counts).startswith("3\n0,1.23456789e+11,")
 
 
+def _random_draws(rng, count: int, n: int) -> np.ndarray:
+    """``count`` uniform permutations of 1..n as the rows of one int64 array."""
+    return np.array([rng.permutation(n) + 1 for _ in range(count)]).reshape(count, n)
+
+
 class TestDrawsCsv:
     def test_format(self):
         buf = io.StringIO()
-        save_draws_csv([Permutation([2, 1]), Permutation([1, 2])], buf)
+        save_draws_csv(np.array([[2, 1], [1, 2]]), buf)
         assert buf.getvalue() == (
             "draw,i,pi\n1,1,2\n1,2,1\n2,1,1\n2,2,2\n"
         )
 
     def test_matches_per_row_formatting(self):
+        # n = 300: the i and pi columns hold numbers of one to three digits
         rng = np.random.default_rng(12)
-        draws = [random_permutation(rng, n) for n in (1, 9, 12, 300)]
+        draws = _random_draws(rng, 4, 300)
         buf = io.StringIO()
         save_draws_csv(draws, buf)
         want = "draw,i,pi\n" + "".join(
             f"{d},{i},{int(v)}\n"
-            for d, pi in enumerate(draws, start=1)
-            for i, v in enumerate(pi.values, start=1)
+            for d, row in enumerate(draws, start=1)
+            for i, v in enumerate(row, start=1)
         )
         assert buf.getvalue() == want
+
+    @pytest.mark.parametrize("draws", [
+        [], [1, 2], [[[1]]], [Permutation([1, 2]), Permutation([2, 1])],
+        np.array([[1, 3]]), np.array([[0, 1]]), np.array([[-1, 2]]),
+    ], ids=["empty-list", "1-d", "3-d", "permutations", "above-n", "zero", "negative"])
+    def test_rejects_anything_but_a_2d_array_of_1_to_n(self, draws):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="draws must form a 2-D array whose values lie in"):
+            save_draws_csv(draws, buf)
+        assert buf.getvalue() == ""
 
 
 def _fstring_draws(draws) -> str:
     """The multi-draw CSV as the writer made it row by row with f-strings."""
-    return "draw,i,pi\n" + "".join([f"{d},{i},{v}\n" for d, pi in enumerate(draws, start=1)
-                                    for i, v in enumerate(pi.values.tolist(), start=1)])
+    return "draw,i,pi\n" + "".join([f"{d},{i},{v}\n"
+                                    for d, row in enumerate(draws.tolist(), start=1)
+                                    for i, v in enumerate(row, start=1)])
 
 
 def _assert_same_text(got: str, want: str) -> None:
@@ -307,25 +325,24 @@ class TestIntRowsAgainstFStrings:
     @pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 10_000])
     def test_every_digit_width(self, tmp_path, n):
         rng = np.random.default_rng(n)
-        draws = [Permutation.identity(n), Permutation(np.arange(n, 0, -1)),
-                 random_permutation(rng, n)]
+        draws = np.array([np.arange(1, n + 1), np.arange(n, 0, -1), rng.permutation(n) + 1])
         path = tmp_path / "draws.csv"
         save_draws_csv(draws, path)
         _assert_same_text(path.read_bytes().decode("ascii"), _fstring_draws(draws))
 
-    @pytest.mark.parametrize("count", [9, 10, 99, 100])
+    @pytest.mark.parametrize("count", [9, 10, 99, 100, 10_000])
     def test_draw_column_widens(self, count):
+        # n = 3: from 10 draws on, the draw column is the widest; 10^4 draws
+        # span blocks of 1820 lines, which end inside a draw
         rng = np.random.default_rng(count)
-        # mixed n, with the largest draw last
-        draws = [random_permutation(rng, 1 + d % 12) for d in range(count - 1)]
-        draws.append(random_permutation(rng, 15))
+        draws = _random_draws(rng, count, 3)
         buf = io.StringIO()
         save_draws_csv(draws, buf)
         _assert_same_text(buf.getvalue(), _fstring_draws(draws))
 
     def test_no_draws(self):
         buf = io.StringIO()
-        save_draws_csv([], buf)
+        save_draws_csv(np.empty((0, 3), dtype=np.int64), buf)
         assert buf.getvalue() == "draw,i,pi\n"
 
     def test_sample_to_stdout(self, capsys):
@@ -445,8 +462,9 @@ class TestCliFit:
         assert single["theta_hat"] == pooled["theta_hat"]
 
     def test_kendall_pools_files(self, tmp_path, capsys):
-        draws = sample(KendallModel(1.0, 60), 2, burn=20_000, thin=5_000,
-                       sampler="swap", seed=3)
+        rows = sample(KendallModel(1.0, 60), 2, burn=20_000, thin=5_000,
+                      sampler="swap", seed=3)
+        draws = [Permutation(d) for d in rows]
         paths = []
         for i, d in enumerate(draws):
             path = tmp_path / f"k{i}.csv"
@@ -493,8 +511,9 @@ class TestCliFit:
 
     def test_multi_pools_two_files(self, tmp_path, capsys):
         f = get_score("xy")
-        draws = sample(LinearModel(f, 2.0, 80), 2, burn=60, thin=5,
-                       sampler="auxiliary", seed=33)
+        rows = sample(LinearModel(f, 2.0, 80), 2, burn=60, thin=5,
+                      sampler="auxiliary", seed=33)
+        draws = [Permutation(d) for d in rows]
         paths = []
         for i, d in enumerate(draws):
             path = tmp_path / f"d{i}.csv"
@@ -645,8 +664,35 @@ class TestCliLogz:
             "error: need steps >= 2 and finite theta-min < theta-max\n")
         assert out.read_text() == "earlier output\n"
 
+    def test_range_too_wide_for_a_float(self, tmp_path, capsys):
+        # both ends are finite, but hi - lo overflows inside np.linspace
+        out = tmp_path / "curve.csv"
+        out.write_text("earlier output\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["logz", "--theta-min=-1e308", "--theta-max=1e308", "--steps", "2",
+                         "--k", "3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: need steps >= 2 and finite theta-min < theta-max\n")
+        assert out.read_text() == "earlier output\n"
+
 
 class TestCliDensity:
+    @pytest.mark.parametrize("iters, message", [
+        ([], "error: the default sweep cap overflows at theta = 1e+308; pass max_iter\n"),
+        (["--iters", "5"], "error: IPFP stopped at residual 3.337e-01 > tol 1.000e-12 "
+                           "after 5 sweeps\n"),
+    ], ids=["default-cap", "given-cap"])
+    def test_theta_near_float_max(self, tmp_path, capsys, iters, message):
+        out = tmp_path / "d.csv"
+        out.write_text("earlier output\n")
+        code = main(["density", "--f", "xy", "--theta=1e308", "--k", "3",
+                     "--out", str(out)] + iters)
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert out.read_text() == "earlier output\n"
+
     def test_theta_zero_flat(self, tmp_path):
         out = tmp_path / "d.csv"
         assert main(["density", "--f", "xy", "--theta", "0", "--k", "8",

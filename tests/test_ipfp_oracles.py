@@ -230,7 +230,7 @@ def test_stored_mean_matches_grid_mean(name, theta, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 100])
-def test_stored_mean_of_ipfp_scale(k):
+def test_stored_mean_of_custom_kernel(k):
     # an asymmetric kernel, whose row and column scalings differ
     b0 = np.random.default_rng(k).uniform(1e-3, 1e3, size=(k, k))
     res = kernel_run(b0)
@@ -240,7 +240,7 @@ def test_stored_mean_of_ipfp_scale(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 100])
-def test_ipfp_scale_matches_former_kernel(k):
+def test_custom_kernel_matches_former_kernel(k):
     b0 = np.random.default_rng(k).uniform(1e-3, 1e3, size=(k, k))
     _assert_same_run(kernel_run(b0), _oracle_sinkhorn(np.log(b0), 1e-12, 10_000))
 

@@ -42,7 +42,7 @@ class TestSwapKernel:
         model = LinearModel(get_score("xy"), 0.0, 10)
         rng = make_rng(12)
         state = ChainState.uniform_start(10, rng)
-        assert _run_swap(state, model, rng, 0, 100_000, 1) == []
+        assert _run_swap(state, model, rng, 0, 100_000, 1).shape == (0, 10)
         assert state.steps == 100_000
         assert abs(state.swaps_accepted / state.steps - 0.5) <= 0.01
 
@@ -166,7 +166,7 @@ class TestMatchingKernel:
             for start, uu, records in runs[::step]:
                 state = ChainState(np.array(start, dtype=np.int64))
                 draws = _run_swap(state, model, SwapDraws(n, rows, uu), len(rows), 0, n // 2)
-                assert np.array_equal([d.values for d in draws], records)
+                assert np.array_equal(draws, records)
                 assert state.steps == len(rows) * (n // 2)
 
 
@@ -174,7 +174,7 @@ def _swap_run(model, seed, n_samples, burn, thin):
     rng = make_rng(seed)
     state = ChainState.uniform_start(model.n, rng)
     draws = _run_swap(state, model, rng, n_samples, burn, thin)
-    return ([d.as_tuple() for d in draws], state.values.tolist(), state.steps,
+    return (draws.tolist(), state.values.tolist(), state.steps,
             state.swaps_accepted, rng.random())
 
 
@@ -247,7 +247,7 @@ class TestGoldenChains:
     ], ids=["linear-n40", "linear-n1100", "kendall", "kendall-above-table"])
     def test_sample(self, model, draws, burn, thin, seed, want):
         out = sample(model, draws, burn=burn, thin=thin, sampler="swap", seed=seed)
-        assert _digest(d.values for d in out) == want
+        assert _digest(out) == want
 
     def test_single_steps(self):
         state, snapshots = _step_snapshots(LinearModel(get_score("footrule"), 3.0, 30), 34)
@@ -264,7 +264,7 @@ class TestGoldenChains:
     def test_auxiliary(self, n, draws, burn, thin, seed, want):
         model = LinearModel(get_score("xy"), 20.0, n)
         out = sample(model, draws, burn=burn, thin=thin, sampler="auxiliary", seed=seed)
-        assert _digest(d.values for d in out) == want
+        assert _digest(out) == want
 
 
 class TestAuxiliarySweep:
@@ -328,29 +328,62 @@ class TestAuxiliarySweep:
         assert np.abs(freq - 1 / 6).max() < 0.03
 
 
+def _chain_starts(monkeypatch) -> list:
+    """The states of the chains that ``sample`` starts from now on, in order."""
+    states = []
+    start = ChainState.uniform_start
+
+    def spy(n, rng):
+        states.append(start(n, rng))
+        return states[-1]
+
+    monkeypatch.setattr(ChainState, "uniform_start", staticmethod(spy))
+    return states
+
+
 class TestSample:
-    def test_draw_is_a_read_only_copy(self):
+    def test_draw_is_a_read_only_copy(self, monkeypatch):
         model = LinearModel(get_score("xy"), 0.0, 6)
-        rng = make_rng(9)
-        state = ChainState.uniform_start(6, rng)
-        draw = state.permutation()
-        recorded = draw.as_tuple()
+        states = _chain_starts(monkeypatch)
+        draws = sample(model, 1, burn=0, thin=1, seed=9)
+        recorded = draws.tolist()
+        (state,) = states
+        rng = make_rng(10)
         for _ in range(50):
             _run_swap(state, model, rng, 0, 1, 1)
-        assert tuple(state.values) != recorded
-        assert draw.as_tuple() == recorded
-        assert not draw.values.flags.writeable
-        assert not np.shares_memory(draw.values, state.values)
-        assert draw == Permutation(recorded)
-        assert hash(draw) == hash(Permutation(recorded))
+        assert [state.values.tolist()] != recorded
+        assert draws.tolist() == recorded
+        assert not draws.flags.writeable
+        assert not np.shares_memory(draws, state.values)
+
+    @pytest.mark.parametrize("m", [0, 1, 4])
+    @pytest.mark.parametrize("model, sampler", [
+        (LinearModel(get_score("footrule"), 2.0, 1), "swap"),
+        (LinearModel(get_score("footrule"), 2.0, 7), "swap"),
+        (LinearModel(get_score("xy"), 2.0, 1), "auxiliary"),
+        (LinearModel(get_score("xy"), 2.0, 7), "auxiliary"),
+        (KendallModel(2.0, 1), "swap"),
+        (KendallModel(2.0, 7), "swap"),
+    ], ids=["swap-n1", "swap-n7", "aux-n1", "aux-n7", "kendall-n1", "kendall-n7"])
+    def test_draws_are_one_read_only_array(self, monkeypatch, model, sampler, m):
+        states = _chain_starts(monkeypatch)
+        draws = sample(model, m, burn=3, thin=2, sampler=sampler, seed=5)
+        assert draws.shape == (m, model.n) and draws.dtype == np.int64
+        assert draws.flags.c_contiguous and not draws.flags.writeable
+        assert np.array_equal(np.sort(draws, axis=1),
+                              np.broadcast_to(np.arange(1, model.n + 1), draws.shape))
+        assert len(states) == (0 if isinstance(model, KendallModel) else 1)
+        assert not any(np.shares_memory(draws, state.values) for state in states)
+        with pytest.raises(ValueError, match="read-only"):
+            draws[...] = 1
 
     def test_fixed_seed_reproducible(self):
         model = LinearModel(get_score("xy"), 1.0, 8)
         a = sample(model, 5, burn=200, thin=20, sampler="swap", seed=42)
         b = sample(model, 5, burn=200, thin=20, sampler="swap", seed=42)
-        assert a == b
+        assert np.array_equal(a, b)
         c = sample(model, 5, burn=200, thin=20, sampler="swap", seed=43)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_sampler_model_mismatch(self):
         with pytest.raises(ValueError):
@@ -383,14 +416,14 @@ class TestSample:
         # theta = 0: E Inv = n(n-1)/4 = 95 at n = 20
         model = LinearModel(get_score("xy"), 0.0, 20)
         draws = sample(model, 10_000, burn=5_000, thin=50, sampler="swap", seed=7)
-        mean_inv = np.mean([inversions(p) for p in draws])
+        mean_inv = np.mean([inversions(Permutation(p)) for p in draws])
         assert abs(mean_inv - 95.0) <= 3.0
 
     def test_kendall_chain_tracks_limit_derivative(self):
         n, theta = 300, 2.0
         model = KendallModel(theta, n)
         draws = sample(model, 80, burn=60_000, thin=3_000, sampler="swap", seed=11)
-        rate = np.mean([inversions(p) for p in draws]) / (n * n)
+        rate = np.mean([inversions(Permutation(p)) for p in draws]) / (n * n)
         assert abs(rate - kendall_limit_C_prime(theta)) <= 0.01
 
 
@@ -429,6 +462,13 @@ class _Uniforms:
         return np.array(self.u, dtype=np.float64)
 
 
+def _decode(model, u):
+    """The Kendall draw that the uniforms ``u`` give, as a tuple."""
+    row = np.zeros(model.n, dtype=np.int64)
+    _kendall_draw(model, _Uniforms(u), row)
+    return tuple(row.tolist())
+
+
 EXACT_THETAS = [-7.5, 0.0, 3.0, 40.0]
 
 
@@ -456,7 +496,7 @@ class TestKendallExact:
             for j, v in enumerate(_insertion_code(p), start=1):
                 x = _code_value(theta, j, v)
                 u.append(0.5 * (edges[j - 1][x] + edges[j - 1][x + 1]))
-            assert _kendall_draw(model, _Uniforms(u)).as_tuple() == p
+            assert _decode(model, u) == p
 
     @pytest.mark.parametrize("n", [1, 5, 50])
     def test_end_uniforms_give_the_end_codes(self, n):
@@ -468,8 +508,8 @@ class TestKendallExact:
         for theta in np.concatenate([-np.logspace(-12, 0, 60), [0.0],
                                      np.logspace(-12, 0, 60)]).tolist():
             model = KendallModel(theta, n)
-            low = _kendall_draw(model, _Uniforms([0.0] * n)).as_tuple()
-            high = _kendall_draw(model, _Uniforms([top] * n)).as_tuple()
+            low = _decode(model, [0.0] * n)
+            high = _decode(model, [top] * n)
             assert (low, high) == ((rev, ident) if theta > 0 else (ident, rev))
 
     @pytest.mark.parametrize("theta", [1e4, -1e4, 0.0, 5e-324])
@@ -479,10 +519,10 @@ class TestKendallExact:
             warnings.simplefilter("error")
             draws = sample(KendallModel(theta, n), 20, seed=19)
         for d in draws:
-            assert np.array_equal(np.sort(d.values), np.arange(1, n + 1))
+            assert np.array_equal(np.sort(d), np.arange(1, n + 1))
         if abs(theta) == 1e4:
             want = np.arange(n, 0, -1) if theta > 0 else np.arange(1, n + 1)
-            assert all(np.array_equal(d.values, want) for d in draws)
+            assert all(np.array_equal(d, want) for d in draws)
 
     @pytest.mark.parametrize("theta", [-20.0, 5.0, 50.0])
     @pytest.mark.parametrize("n", [200, 1000])
@@ -500,13 +540,13 @@ class TestKendallExact:
             var += w @ (v - mean) ** 2
         tol = 4.0 * math.sqrt(var / m) / (n * n)
         draws = sample(KendallModel(theta, n), m, seed=23)
-        rate = np.mean([inversions(d) for d in draws]) / (n * n)
+        rate = np.mean([inversions(Permutation(d)) for d in draws]) / (n * n)
         assert abs(rate - kendall_logZ_prime(n, theta)) <= tol
 
     def test_burn_thin_and_sampler_are_checked_and_ignored(self):
         model = KendallModel(2.0, 30)
         want = sample(model, 4, seed=3)
-        assert sample(model, 4, burn=500, thin=7, sampler="swap", seed=3) == want
+        assert np.array_equal(sample(model, 4, burn=500, thin=7, sampler="swap", seed=3), want)
         with pytest.raises(ValueError, match="burn must be >= 0"):
             sample(model, 4, burn=-1, seed=3)
         with pytest.raises(ValueError, match="thin must be >= 1"):
@@ -521,7 +561,7 @@ class TestLongRunLaws:
         perms, probs = enumerate_pmf(model)
         states = [tuple(p) for p in perms]
         draws = sample(model, 60_000, burn=2_000, thin=5, sampler="swap", seed=5)
-        emp = empirical_law((d.as_tuple() for d in draws), states)
+        emp = empirical_law(map(tuple, draws.tolist()), states)
         assert tv_distance(emp, probs) < 0.05
 
     def test_samplers_agree_s4(self):
@@ -529,8 +569,8 @@ class TestLongRunLaws:
         a = sample(model, 60_000, burn=2_000, thin=5, sampler="swap", seed=6)
         b = sample(model, 60_000, burn=30, thin=1, sampler="auxiliary", seed=7)
         states = [tuple(p) for p in itertools.permutations(range(1, 5))]
-        emp_a = empirical_law((d.as_tuple() for d in a), states)
-        emp_b = empirical_law((d.as_tuple() for d in b), states)
+        emp_a = empirical_law(map(tuple, a.tolist()), states)
+        emp_b = empirical_law(map(tuple, b.tolist()), states)
         assert tv_distance(emp_a, emp_b) < 0.03
 
 
@@ -552,7 +592,7 @@ class TestDistributionalSymmetry:
         model = LinearModel(get_score("xy"), 1.5, 5)
         states = [tuple(p) for p in itertools.permutations(range(1, 6))]
         draws = sample(model, 100_000, burn=2_000, thin=5, sampler="swap", seed=8)
-        emp = empirical_law((d.as_tuple() for d in draws), states)
-        emp_inv = empirical_law((tuple((np.argsort(d.values) + 1).tolist()) for d in draws),
-                                states)
+        emp = empirical_law(map(tuple, draws.tolist()), states)
+        inverses = np.argsort(draws, axis=1) + 1
+        emp_inv = empirical_law(map(tuple, inverses.tolist()), states)
         assert tv_distance(emp, emp_inv) < 0.05

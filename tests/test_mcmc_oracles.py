@@ -4,9 +4,9 @@
 schedule: blocks of uniform random matchings from ``rng.permuted`` rows,
 then their uniforms, with each pair's log ratio read from the score table
 ``score_grid(f, n)``, item by item, where the chain reads the same grid as
-rows of Python floats or calls f on a whole matching's arrays.  The swap
-chains must give the same draws, the same counts and leave the generator
-at the same position.
+rows of Python floats or calls f on a whole matching's arrays.  It returns
+its draws as a list of rows.  The swap chains must give the same draws,
+the same counts and leave the generator at the same position.
 
 ``_oracle_sweep`` is the auxiliary sweep before its picks were computed up
 front and before its assignment became one in-place Fisher-Yates pass.
@@ -31,7 +31,6 @@ from permexp.mcmc import (
     sample,
 )
 from permexp.models import LinearModel
-from permexp.perm import Permutation
 
 from conftest import enumerate_pmf
 
@@ -52,13 +51,13 @@ def _oracle_run_swap(state, model, rng, n_samples, burn, thin):
     if n < 2:
         # S_1 has no pair to swap: every step keeps its one permutation
         state.steps += total
-        return [state.permutation() for _ in range(n_samples)]
+        return [values.tolist() for _ in range(n_samples)]
     # Python floats from the table's items, summed in the chain's order;
     # a nested list of the table would hold 4e6 floats at n = 2000
     score = _score_table(model.f, n).item
     theta = model.theta
     h = n // 2
-    draws: list[Permutation] = []
+    draws: list[list[int]] = []
     next_record = burn + thin if n_samples > 0 else total + 1
     done = 0
     while done < total:
@@ -79,7 +78,7 @@ def _oracle_run_swap(state, model, rng, n_samples, burn, thin):
                 state.swaps_accepted += 1
             done += 1
             if done == next_record:
-                draws.append(state.permutation())
+                draws.append(values.tolist())
                 next_record = done + thin if len(draws) < n_samples else total + 1
     state.steps += total
     return draws
@@ -138,7 +137,7 @@ def _assert_same(model, seed, n_samples, burn, thin):
     (state, rng), (want_state, want_rng) = _chains(model, seed)
     draws = _run_swap(state, model, rng, n_samples, burn, thin)
     want = _oracle_run_swap(want_state, model, want_rng, n_samples, burn, thin)
-    assert [d.as_tuple() for d in draws] == [d.as_tuple() for d in want]
+    assert draws.tolist() == want
     assert np.array_equal(state.values, want_state.values)
     assert (state.steps, state.swaps_accepted) == (want_state.steps, want_state.swaps_accepted)
     assert rng.random() == want_rng.random()
@@ -199,7 +198,7 @@ class TestRecordBookkeeping:
         rng = make_rng(42)
         want = _oracle_run_swap(ChainState.uniform_start(model.n, rng), model, rng, 3, 900, 800)
         draws = sample(model, 3, 900, 800, "swap", seed=42)
-        assert [d.as_tuple() for d in draws] == [d.as_tuple() for d in want]
+        assert draws.tolist() == want
 
 
 class _Stream:
