@@ -62,8 +62,10 @@ class IpfpResult:
     first read, in the run's working array, as ``A = exp(theta * F +
     row_log_scales[r] + col_log_scales[s])``, theta * F being the log
     kernel, so that identity holds up to rounding for every cell in float
-    range; the result then drops F.  ``residual`` is the final max deviation of any
-    row/column sum from 1/k.
+    range; the result then drops F.  The cells are summed from the gauged
+    log kernel and the potentials less the gauge, which stay small where
+    the scales are near float max.  ``residual`` is the final max
+    deviation of any row/column sum from 1/k.
     """
 
     theta: float
@@ -73,15 +75,16 @@ class IpfpResult:
     col_log_scales: np.ndarray
     converged: bool
     score_mean: float
-    # (F, [working array]) until the grid is first read, then the grid
-    _cells: tuple[np.ndarray, list[np.ndarray]] | CopulaGrid = field(repr=False)
+    # (F, gauge, row and column potentials less the gauge, [working array])
+    # until the grid is first read, then the grid
+    _cells: tuple | CopulaGrid = field(repr=False)
 
     @property
     def grid(self) -> CopulaGrid:
         cells = self._cells
         if isinstance(cells, CopulaGrid):
             return cells
-        score, spare = cells
+        score, gauge, alpha, beta, spare = cells
         # the first read takes the run's working array; a read at the same
         # time in another thread builds the same cells in an array of its own
         try:
@@ -89,9 +92,9 @@ class IpfpResult:
         except IndexError:
             w = np.empty(score.shape)
         # exp of the final potentials keeps cells below K's float range exact
-        np.multiply(score, self.theta, out=w)
-        w += self.row_log_scales[:, None]
-        w += self.col_log_scales
+        _log_kernel(w, score, self.theta, gauge)
+        w += alpha[:, None]
+        w += beta
         np.exp(w, out=w)
         w.setflags(write=False)
         grid = CopulaGrid(w)
@@ -116,12 +119,20 @@ class IpfpNonConvergence(RuntimeError):
 _SUM_LO, _SUM_HI = math.exp(-200.0), math.exp(200.0)
 
 
-def _log_normalize(kern, score, theta, other, axis):
-    """Give each line along ``axis`` of exp(theta * score + other + new) mass 1/k.
+def _log_kernel(out, score, theta, gauge):
+    """Write the gauged log kernel theta * score[r, s] + gauge[s] + gauge[r] into ``out``."""
+    np.multiply(score, theta, out=out)
+    out += gauge
+    out += gauge[:, None]
+    return out
+
+
+def _log_normalize(kern, score, theta, gauge, other, axis):
+    """Give each line along ``axis`` of exp(gauged log kernel + other + new) mass 1/k.
 
     Writes that kernel into ``kern`` and returns the log potential ``new``.
     """
-    np.multiply(score, theta, out=kern)
+    _log_kernel(kern, score, theta, gauge)
     kern += np.expand_dims(other, 1 - axis)
     top = kern.max(axis=axis, keepdims=True)
     kern -= top
@@ -134,9 +145,19 @@ def _log_normalize(kern, score, theta, other, axis):
 def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> IpfpResult:
     """The scaling kernel on exp(theta * score); see the module docstring.
 
-    The iterate is diag(u) K diag(v) with K = exp(theta * score + alpha (+)
-    beta); alpha = -rowmax(theta * score) leaves an entry of 1 in every
-    row.  A sweep sets u = (1/k) / (K v), takes K^T u, sets
+    Every run starts from the diagonal gauge g = -(theta / 2) diag(score)
+    on rows and columns.  The limit does not see a separable term, and for
+    a symmetric score the gauged log kernel theta * score + g (+) g is
+    -(theta / 2) times the squared distance of the lattice points, e.g.
+    -theta (x - y)^2 / 2 for xy: the distance kernel, on which xy and
+    centered take about 4x fewer sweeps than on exp(theta * score).  A
+    zero diagonal (sq, footrule) has a zero gauge, and its runs are those
+    of the ungauged kernel bit for bit.
+
+    The iterate is diag(u) K diag(v) with K = exp(gauged log kernel +
+    alpha (+) beta); alpha = -rowmax(gauged log kernel) leaves an entry of
+    1 in every row.  alpha and beta are the potentials less the gauge; the
+    result's log scales add it back.  A sweep sets u = (1/k) / (K v), takes K^T u, sets
     v = (1/k) / (K^T u), then takes K v; its row sums are u * (K v) and its
     column sums v * (K^T u).  K v, the row sums, the column sums and K^T u
     are the four rows of one array, and one np.minimum/np.maximum reduce
@@ -153,8 +174,8 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
       a log-domain row step, K^T u' is checked itself.
 
     A sum out of range is redone in the log domain (:func:`_log_normalize`).
-    The log kernel theta * score is written into the one k x k working
-    array wherever it is read, and never stored apart.  The run ends by
+    The gauged log kernel is written into the one k x k working array
+    wherever it is read, and never stored apart.  The run ends by
     writing K o score over K for the mean <score, A>; the result builds the
     grid A over that array from score and the final potentials on first
     read.
@@ -167,7 +188,9 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     target = 1.0 / k
-    kern = np.multiply(score, theta)
+    # 0.0 - x: the gauge of a zero diagonal is +0, which adds nothing
+    gauge = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
+    kern = _log_kernel(np.empty(score.shape), score, theta, gauge)
     alpha = -kern.max(axis=1)
     beta = np.zeros(k)
     kern += alpha[:, None]
@@ -185,7 +208,7 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
             np.divide(target, kv, out=u)
         else:
             beta += np.log(v)
-            alpha = _log_normalize(kern, score, theta, beta, axis=1)
+            alpha = _log_normalize(kern, score, theta, gauge, beta, axis=1)
             u.fill(1.0)
         np.matmul(u, kern, out=ktu)
         if not col_ok:
@@ -194,7 +217,7 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
             np.divide(target, ktu, out=v)
         else:
             alpha += np.log(u)
-            beta = _log_normalize(kern, score, theta, alpha, axis=0)
+            beta = _log_normalize(kern, score, theta, gauge, alpha, axis=0)
             u.fill(1.0)
             v.fill(1.0)
             np.sum(kern, axis=0, out=ktu)
@@ -217,8 +240,8 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     score_mean = float(u @ (kern @ v))
     alpha += np.log(u)
     beta += np.log(v)
-    result = IpfpResult(theta, iterations, residual, alpha, beta, residual <= tol,
-                        score_mean, (score, [kern]))
+    result = IpfpResult(theta, iterations, residual, gauge + alpha, gauge + beta,
+                        residual <= tol, score_mean, (score, gauge, alpha, beta, [kern]))
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
     return result

@@ -575,7 +575,7 @@ def test_invalid_work_size_exits_1(argv, message, tmp_path, lottery, lottery_pat
 
 @pytest.mark.parametrize("argv, message", [
     (["density", "--theta", "50", "--k", "50", "--iters", "1"],
-     "IPFP stopped at residual 2.021e-01 > tol 1.000e-12 after 1 sweeps"),
+     "IPFP stopped at residual 1.678e-03 > tol 1.000e-12 after 1 sweeps"),
     (["sample", "--f", "footrule", "--sampler", "aux", "--theta", "1", "--n", "5"],
      "auxiliary sampler requires the Linear xy model with theta > 0; use sampler='swap'"),
 ], ids=["density-maxiter", "sample-aux-footrule"])
@@ -680,14 +680,14 @@ class TestCliLogz:
 
 class TestCliDensity:
     @pytest.mark.parametrize("iters, message", [
-        ([], "error: the default sweep cap overflows at theta = 1e+308; pass max_iter\n"),
-        (["--iters", "5"], "error: IPFP stopped at residual 3.337e-01 > tol 1.000e-12 "
+        ([], "error: the default sweep cap overflows at theta = -1e+308; pass max_iter\n"),
+        (["--iters", "5"], "error: IPFP stopped at residual 3.333e-02 > tol 1.000e-12 "
                            "after 5 sweeps\n"),
     ], ids=["default-cap", "given-cap"])
     def test_theta_near_float_max(self, tmp_path, capsys, iters, message):
         out = tmp_path / "d.csv"
         out.write_text("earlier output\n")
-        code = main(["density", "--f", "xy", "--theta=1e308", "--k", "3",
+        code = main(["density", "--f", "xy", "--theta=-1e308", "--k", "3",
                      "--out", str(out)] + iters)
         assert code == 1
         assert capsys.readouterr().err == message
@@ -956,17 +956,17 @@ class TestCliLottery:
                                         "evaluations"}
 
     def test_ipfp_stop_in_a_fit_keeps_the_report(self, tmp_path, capsys):
-        # 100 sweeps do not reach tol at an extreme bracket probe of the LD fit
+        # 30 sweeps do not reach tol at an extreme bracket probe of the LD fit
         code = main(["lottery", "--data", self._reverse_data(tmp_path), "--k", "50",
-                     "--iters", "100"])
+                     "--iters", "30"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == ""
         rep = json.loads(captured.out)
         assert rep["pl"]["error"] == "no_root" and rep["pl"]["sign"] == "negative"
         assert rep["ld"] == {"error": "ipfp_maxiter",
-                             "detail": "IPFP stopped at residual 8.711e-10 > tol "
-                                       "1.000e-12 after 100 sweeps"}
+                             "detail": "IPFP stopped at residual 2.511e-11 > tol "
+                                       "1.000e-12 after 30 sweeps"}
         assert rep["tau_bins"] and rep["reference_bins"]
 
     def test_shuffled_data_looks_null(self, tmp_path, capsys):

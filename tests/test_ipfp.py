@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from permexp import ipfp
 from permexp.grids import (
     SCORE_FUNCTIONS,
     ScoreFunction,
@@ -148,12 +149,14 @@ class TestLimitMatrix:
             limit_matrix(f, 3.0, 50, score_grid=np.zeros(shape))
 
     def test_log_domain_matches_plain(self):
-        # oracle: textbook log-domain Sinkhorn, run for the same sweeps
+        # oracle: textbook log-domain Sinkhorn from the same diagonal gauge,
+        # run for the same sweeps
         f = get_score("xy")
         k, theta = 25, 8.0
         log_b0 = theta * score_grid(f, k)
         res = limit_matrix(f, theta, k, max_iter=10_000)
-        log_a = log_b0.copy()
+        gauge = -0.5 * np.diagonal(log_b0)
+        log_a = log_b0 + gauge + gauge[:, None]
         for _ in range(res.iterations):
             log_a -= logsumexp(log_a, axis=1, keepdims=True) + np.log(k)
             log_a -= logsumexp(log_a, axis=0, keepdims=True) + np.log(k)
@@ -165,9 +168,9 @@ class TestLimitMatrix:
         assert np.all(np.isfinite(res.grid.w))
 
     @pytest.mark.parametrize("name, theta, k, sweeps", [
-        ("xy", 500.0, 100, 1202),
+        ("xy", 500.0, 100, 219),
         ("footrule", 60.0, 100, 716),
-        ("xy", 20.0, 1000, 42),
+        ("xy", 20.0, 1000, 11),
     ])
     def test_sweep_counts(self, name, theta, k, sweeps):
         res = limit_matrix(get_score(name), theta, k)
@@ -175,12 +178,18 @@ class TestLimitMatrix:
         assert res.residual <= 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_scalings_beyond_float_range_are_absorbed(self):
-        # kernel entries reach e^-1980 of their row maximum, below float range
+    def test_scalings_beyond_float_range_are_absorbed(self, monkeypatch):
+        # gauged kernel entries reach e^-980 of their row maximum, below float
+        # range, and the scalings leave it: the run takes a log-domain step
         f = get_score("xy")
-        theta, k = 2000.0, 100
+        theta, k = -2000.0, 100
+        steps = []
+        log_normalize = ipfp._log_normalize
+        monkeypatch.setattr(ipfp, "_log_normalize",
+                            lambda *args, **kw: steps.append(1) or log_normalize(*args, **kw))
         res = limit_matrix(f, theta, k)
-        assert res.converged and res.iterations == 4806
+        assert res.converged and res.iterations == 1202
+        assert steps
         assert np.all(np.isfinite(res.grid.w))
         assert np.all(np.isfinite(res.row_log_scales))
         assert np.all(np.isfinite(res.col_log_scales))
@@ -192,10 +201,10 @@ class TestLimitMatrix:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonconvergence_beyond_float_range_keeps_finite_state(self):
         with pytest.raises(IpfpNonConvergence) as exc:
-            limit_matrix(get_score("xy"), 1e5, 50, max_iter=300)
+            limit_matrix(get_score("xy"), -1e4, 3, max_iter=300)
         partial = exc.value.result
         assert not partial.converged and partial.iterations == 300
-        assert partial.residual == pytest.approx(0.6399994682, rel=1e-9)
+        assert partial.residual == pytest.approx(7.407407407e-4, rel=1e-9)
         assert np.all(np.isfinite(partial.grid.w))
         assert np.all(np.isfinite(partial.row_log_scales))
         assert np.all(np.isfinite(partial.col_log_scales))

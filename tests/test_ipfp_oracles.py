@@ -4,9 +4,12 @@
 kernel log B0 as an array of its own, and ``_oracle_score_grid`` built F
 by calling f on two k x k meshgrids.  The kernel now writes theta * F
 into its working array wherever log B0 was read, and f gets read-only
-broadcast views; grids, residuals, sweep counts and both log-scale
-vectors must come out bit for bit the same.  The oracle built its grid
-at the end of the run; a result now builds it when it is first read.
+broadcast views; grids, score means, residuals, sweep counts and both
+log-scale vectors must come out bit for bit the same.  The oracle built
+its grid at the end of the run; a result now builds it when it is first
+read.  Both start from the diagonal gauge; the oracle's zero start, the
+kernel's former one, shows that a score with a zero diagonal (sq,
+footrule) runs bit for bit as it did from that start.
 """
 import math
 from typing import NamedTuple
@@ -49,15 +52,25 @@ class _OracleRun(NamedTuple):
     row_log_scales: np.ndarray
     col_log_scales: np.ndarray
     converged: bool
+    score_mean: float
 
 
-def _oracle_sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> _OracleRun:
-    """The scaling kernel on exp(log_b0); see the module docstring.
+def _oracle_sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
+                     gauge: bool = True) -> _OracleRun:
+    """The scaling kernel on exp(log_b0), log_b0 = theta * score; see the module docstring.
 
     The iterate is diag(u) K diag(v) with K = exp(log_b0 + alpha (+) beta);
-    alpha = -rowmax(log_b0) leaves an entry of 1 in every row.  Row sums
-    u * (K v) reuse the next sweep's K v, column sums are v * (K^T u).
+    log_b0 carries the diagonal gauge g = -(theta / 2) diag(score) on rows
+    and columns (none when ``gauge`` is false), and the run returns g +
+    alpha and g + beta.  alpha = -rowmax(log_b0) leaves an entry of 1 in
+    every row.  Row sums u * (K v) reuse the next sweep's K v, column sums
+    are v * (K^T u).
     """
+    log_b0 = theta * score
+    g = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
+    if gauge:
+        log_b0 += g
+        log_b0 += g[:, None]
     k = log_b0.shape[0]
     if k < 1:
         raise ValueError("grid order must be >= 1")
@@ -95,15 +108,18 @@ def _oracle_sinkhorn(log_b0: np.ndarray, tol: float, max_iter: int) -> _OracleRu
                        float(np.abs(v * ktu - target).max()))
         if residual <= tol:
             break
+    score_mean = float(u @ ((kern * score) @ v))
     # exp of the final potentials keeps cells below K's float range exact
     alpha += np.log(u)
     beta += np.log(v)
     np.add(log_b0, alpha[:, None], out=kern)
     kern += beta
     np.exp(kern, out=kern)
+    if gauge:
+        alpha, beta = g + alpha, g + beta
     kern.setflags(write=False)
     result = _OracleRun(CopulaGrid(kern), iterations, residual, alpha, beta,
-                        residual <= tol)
+                        residual <= tol, score_mean)
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
     return result
@@ -132,6 +148,7 @@ def _assert_same_run(got: IpfpResult, want: _OracleRun) -> None:
     assert got.converged == want.converged
     assert np.array_equal(got.row_log_scales, want.row_log_scales)
     assert np.array_equal(got.col_log_scales, want.col_log_scales)
+    assert got.score_mean == want.score_mean
 
 
 @pytest.mark.parametrize("k", [1, 2, 100])
@@ -142,10 +159,29 @@ def test_limit_matrix_matches_former_kernel(name, theta, k):
     # 2000 sweeps stop the runs that need more (footrule at 500, k = 100,
     # takes 79545) at a partial state, which must match as well
     for max_iter in (2, 2000):
-        want = _outcome(lambda: _oracle_sinkhorn(theta * _oracle_score_grid(f, k), 1e-12,
+        want = _outcome(lambda: _oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12,
                                                  max_iter))
         got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=max_iter))
         _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 100])
+@pytest.mark.parametrize("theta", [-500.0, -3.0, 0.0, 3.0, 50.0, 500.0])
+@pytest.mark.parametrize("name", ["footrule", "sq"])
+def test_zero_diagonal_runs_as_from_the_zero_gauge(name, theta, k):
+    # the diagonal gauge of a zero diagonal is 0: every byte of the run, signed
+    # zeros included, is that of the former zero start
+    f = get_score(name)
+    for max_iter in (2, 2000):
+        want = _outcome(lambda: _oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12,
+                                                 max_iter, gauge=False))
+        got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=max_iter))
+        assert (got.iterations, got.residual, got.converged) == (
+            want.iterations, want.residual, want.converged)
+        assert np.float64(got.score_mean).tobytes() == np.float64(want.score_mean).tobytes()
+        assert got.row_log_scales.tobytes() == want.row_log_scales.tobytes()
+        assert got.col_log_scales.tobytes() == want.col_log_scales.tobytes()
+        assert got.grid.w.tobytes() == want.grid.w.tobytes()
 
 
 # Runs through every branch of the sweep: column absorptions (xy at k = 10
@@ -168,28 +204,32 @@ _BRANCH_RUNS = (
 def test_limit_matrix_matches_former_kernel_on_every_branch(name, theta, k, max_iter):
     f = get_score(name)
     cap = max_iter or int(math.ceil(10 * k * (1.0 + abs(theta))))
-    want = _outcome(lambda: _oracle_sinkhorn(theta * _oracle_score_grid(f, k), 1e-12, cap))
+    want = _outcome(lambda: _oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12, cap))
     got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=max_iter))
     _assert_same_run(got, want)
 
 
 # Score grids whose column sums leave [e^-200, e^200] only after plain
 # sweeps, so that the bound on the next column sums decides whether a
-# sweep checks them.  "tight": column 3 takes its mass from row 1 alone,
-# and row 1 carries the largest sum, so the bound is exact but for
-# rounding; the third sweep's column sums fall below e^-200 by less than
-# that rounding, and only the bound's factor-2 margin sends the sweep to
-# its check and absorption.  "shrinking": column 4 loses about a factor e
-# a sweep and leaves at the fourth; a bound that ignored the row sums, or
-# swapped their min and max, would skip that absorption.
+# sweep checks them.  Each row is shifted to a 0 on the diagonal, so the
+# diagonal gauge is 0 and the row maxima give the kernel K of the rows
+# "tight" [0, -0.415.., -197.6], [0, -1, -700], [-1, 0, -700] and
+# "shrinking" [0, 0, 0, -194.5], 3 x [0, -100, -100, -300].  "tight":
+# column 3 takes its mass from row 1 alone, and row 1 carries the largest
+# sum, so the bound is exact but for rounding; the third sweep's column
+# sums fall below e^-200 by less than that rounding, and only the bound's
+# factor-2 margin sends the sweep to its check and absorption.
+# "shrinking": column 4 loses about a factor e a sweep and leaves at the
+# fourth; a bound that ignored the row sums, or swapped their min and
+# max, would skip that absorption.
 _LATE_ABSORPTIONS = {
     "tight": [[0.0, -0.41522830640165775, -197.6],
-              [0.0, -1.0, -700.0],
-              [-1.0, 0.0, -700.0]],
+              [1.0, 0.0, -699.0],
+              [699.0, 700.0, 0.0]],
     "shrinking": [[0.0, 0.0, 0.0, -194.5],
-                  [0.0, -100.0, -100.0, -300.0],
-                  [0.0, -100.0, -100.0, -300.0],
-                  [0.0, -100.0, -100.0, -300.0]],
+                  [100.0, 0.0, 0.0, -200.0],
+                  [100.0, 0.0, 0.0, -200.0],
+                  [300.0, 200.0, 200.0, 0.0]],
 }
 
 
@@ -200,7 +240,7 @@ def test_late_column_absorption_matches_former_kernel(grid, max_iter):
     k = score.shape[0]
     # theta = 1 runs on exp(score); neither grid converges by the default cap
     cap = max_iter or int(math.ceil(10 * k * 2.0))
-    want = _outcome(lambda: _oracle_sinkhorn(score, 1e-12, cap))
+    want = _outcome(lambda: _oracle_sinkhorn(score, 1.0, 1e-12, cap))
     got = _outcome(lambda: limit_matrix(None, 1.0, k, max_iter=max_iter, score_grid=score))
     _assert_same_run(got, want)
     assert not got.converged
@@ -226,7 +266,7 @@ def test_stored_mean_matches_grid_mean(name, theta, k):
     got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=2000))
     assert math.isfinite(got.score_mean)
     _assert_same_run(got, _outcome(lambda: _oracle_sinkhorn(
-        theta * _oracle_score_grid(f, k), 1e-12, 2000)))
+        _oracle_score_grid(f, k), theta, 1e-12, 2000)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 100])
@@ -242,7 +282,7 @@ def test_stored_mean_of_custom_kernel(k):
 @pytest.mark.parametrize("k", [1, 2, 100])
 def test_custom_kernel_matches_former_kernel(k):
     b0 = np.random.default_rng(k).uniform(1e-3, 1e3, size=(k, k))
-    _assert_same_run(kernel_run(b0), _oracle_sinkhorn(np.log(b0), 1e-12, 10_000))
+    _assert_same_run(kernel_run(b0), _oracle_sinkhorn(np.log(b0), 1.0, 1e-12, 10_000))
 
 
 @pytest.mark.parametrize("k", [1, 2, 100, 500])
