@@ -13,6 +13,12 @@ potentials a(.), b(.) in the factorized density
 exp(theta f(x,y) + a(x) + b(y)); :func:`variational_value`, the one path
 to the variational value, checks it against them in closed form.
 
+Every run starts from the diagonal gauge, the separable term
+-(theta / 2) (F[r, r] + F[s, s]) added to the log kernel; the scalings
+absorb it, so the limit is the same (Sinkhorn 1967), and for xy and
+centered it makes the kernel the distance kernel exp(-theta (x - y)^2 / 2),
+on which they take about 4x fewer sweeps.
+
 One kernel does all scaling: Sinkhorn's scaling vectors (Cuturi 2013),
 stabilized by absorbing the scalings into the log potentials when a
 marginal sum leaves float range (Schmitzer 2019).  A sweep makes two
@@ -156,10 +162,10 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
 
     The iterate is diag(u) K diag(v) with K = exp(gauged log kernel +
     alpha (+) beta); alpha = -rowmax(gauged log kernel) leaves an entry of
-    1 in every row.  alpha and beta are the potentials less the gauge; the
-    result's log scales add it back.  A sweep sets u = (1/k) / (K v), takes K^T u, sets
-    v = (1/k) / (K^T u), then takes K v; its row sums are u * (K v) and its
-    column sums v * (K^T u).  K v, the row sums, the column sums and K^T u
+    1 in every row.  alpha and beta are the potentials less the gauge, and
+    the result's log scales add it back.  A sweep sets u = (1/k) / (K v),
+    takes K^T u, sets v = (1/k) / (K^T u), then takes K v; its row sums are
+    u * (K v) and its column sums v * (K^T u).  K v, the row sums, the column sums and K^T u
     are the four rows of one array, and one np.minimum/np.maximum reduce
     pair over it gives:
 
@@ -188,7 +194,7 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     target = 1.0 / k
-    # 0.0 - x: the gauge of a zero diagonal is +0, which adds nothing
+    # 0.0 - x keeps the gauge of a zero diagonal (sq, footrule) at +0
     gauge = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
     kern = _log_kernel(np.empty(score.shape), score, theta, gauge)
     alpha = -kern.max(axis=1)
@@ -260,12 +266,13 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
     result.
 
     The default sweep cap is ceil(10 k (1 + |theta|)).  It stops short of
-    the tolerance at small k and large |theta|.  Over k in {2, 3, 5, 10,
-    30} and |theta| in {100, 250, 500} it stops xy and centered at k = 2
-    from |theta| = 100, k = 3 from 250 and k = 5 at 500; sq at k = 3 and
-    5; and footrule at k = 10, theta = 100 and k = 30, theta = 250.  Those
-    runs raise IpfpNonConvergence.  Where the cap overflows a float,
-    ValueError asks for ``max_iter``.
+    the tolerance at small k and large |theta|.  Over k in {2, 3, 4, 5, 10,
+    30} and |theta| in {100, 250, 500} it stops xy and centered at k = 3
+    and 4 for theta <= -250 and at k = 5 for |theta| = 500; sq at k = 3
+    to 5 for theta <= -250, at k = 3 for |theta| = 100 and at k = 5,
+    theta = 250; and footrule at k = 10, theta = 100 and k = 30,
+    theta = 250.  Those runs raise IpfpNonConvergence.  Where the cap
+    overflows a float, ValueError asks for ``max_iter``.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")

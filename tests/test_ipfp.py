@@ -6,10 +6,11 @@ import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from permexp import ipfp
 from permexp.grids import (
@@ -227,6 +228,72 @@ class TestLimitMatrix:
         assert np.abs(d - d[::-1, ::-1].T).max() <= 1e-8  # about x + y = 1
         assert d.diagonal().min() >= d[0, -1]
         assert d.diagonal().max() == pytest.approx(d.max())
+
+
+class TestDiagonalGauge:
+    """Runs that the diagonal gauge brings to the tolerance by the default cap."""
+
+    @pytest.mark.parametrize("theta", [-1e4, -500.0, -50.0, -3.0, 3.0, 50.0, 500.0, 1e4, 1e300])
+    @pytest.mark.parametrize("name", ["xy", "centered"])
+    def test_order_two_matches_the_closed_form(self, name, theta):
+        # at k = 2 the limit is 1/2 [[s, 1 - s], [1 - s, s]], s = sigma(theta
+        # Delta / 2), Delta = F11 + F22 - F12 - F21 = 1/4 for both scores
+        res = limit_matrix(get_score(name), theta, 2)
+        assert res.converged and res.iterations == 1
+        s = expit(theta / 8.0)
+        want = 0.5 * np.array([[s, expit(-theta / 8.0)], [expit(-theta / 8.0), s]])
+        assert np.all(np.abs(res.grid.w - want) <= 1e-12 * want)
+
+    # measured against the 80-digit limit below: the largest relative cell
+    # error of runs that stop at the default cap from the ungauged start; the
+    # worst cells sit below tol / k, where the marginals cannot see them
+    @pytest.mark.parametrize("theta, k, bound", [
+        (250.0, 3, 5e-7),
+        (500.0, 3, 1e-12),
+        (250.0, 4, 1e-8),
+        (500.0, 4, 1e-7),
+    ])
+    @pytest.mark.parametrize("name", ["xy", "centered"])
+    def test_small_orders_match_an_80_digit_limit(self, name, theta, k, bound):
+        res = limit_matrix(get_score(name), theta, k)
+        assert res.converged
+        want = _mp_limit(name, theta, k, res)
+        assert np.all(np.abs(res.grid.w - want) <= bound * want)
+
+
+def _mp_limit(name, theta, k, res):
+    """The limit grid on the exact lattice score, to 80 digits, as floats.
+
+    Newton steps on the potentials, from the run's own, until every row and
+    column sum is 1/k to 1e-70.
+    """
+    with mpmath.workdps(80):
+        t = [mpmath.mpf(r) / k for r in range(1, k + 1)]
+        half = mpmath.mpf(1) / 2
+        f = {"xy": lambda x, y: x * y, "centered": lambda x, y: (x - half) * (y - half)}[name]
+        log_b0 = [[mpmath.mpf(theta) * f(x, y) for y in t] for x in t]
+        a = [mpmath.mpf(float(x)) for x in res.row_log_scales]
+        b = [mpmath.mpf(float(x)) for x in res.col_log_scales]
+        # b[0] stays fixed: the potentials are unique up to a constant
+        for _ in range(20):
+            cells = [[mpmath.exp(log_b0[r][s] + a[r] + b[s]) for s in range(k)]
+                     for r in range(k)]
+            rows = [mpmath.fsum(row) for row in cells]
+            cols = [mpmath.fsum(row[s] for row in cells) for s in range(k)]
+            gap = [x - mpmath.mpf(1) / k for x in rows + cols[1:]]
+            if max(abs(x) for x in gap) < mpmath.mpf(10) ** -70:
+                return np.array([[float(c) for c in row] for row in cells])
+            jac = mpmath.zeros(2 * k - 1)
+            for r in range(k):
+                jac[r, r] = rows[r]
+                for s in range(1, k):
+                    jac[r, k + s - 1] = jac[k + s - 1, r] = cells[r][s]
+            for s in range(1, k):
+                jac[k + s - 1, k + s - 1] = cols[s]
+            step = mpmath.lu_solve(jac, mpmath.matrix(gap))
+            a = [a[r] - step[r] for r in range(k)]
+            b = [b[0]] + [b[s] - step[k + s - 1] for s in range(1, k)]
+    raise AssertionError("Newton did not reach the 80-digit limit")
 
 
 class TestPotentials:

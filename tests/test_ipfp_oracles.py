@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from permexp.grids import CopulaGrid, get_score, lattice, score_grid
+from permexp.grids import CopulaGrid, get_score, kl_to_uniform, lattice, score_grid
 from permexp.ipfp import IpfpNonConvergence, IpfpResult, limit_matrix
 
 from conftest import grid_mean, kernel_run
@@ -182,6 +182,28 @@ def test_zero_diagonal_runs_as_from_the_zero_gauge(name, theta, k):
         assert got.row_log_scales.tobytes() == want.row_log_scales.tobytes()
         assert got.col_log_scales.tobytes() == want.col_log_scales.tobytes()
         assert got.grid.w.tobytes() == want.grid.w.tobytes()
+
+
+@pytest.mark.parametrize("theta, k", [
+    (theta, k) for k in (10, 100) for theta in (-503.0, -50.0, 3.0, 20.0, 50.0, 503.0)
+] + [(3.0, 1000), (20.0, 1000)])
+def test_gauge_start_is_no_less_accurate(theta, k):
+    # w', w and the largest cell error against a run to tol 1e-14, for the
+    # run at the default tol from the diagonal gauge and from the zero start
+    f = get_score("xy")
+    ref = limit_matrix(f, theta, k, tol=1e-14)
+    cap = int(math.ceil(10 * k * (1.0 + abs(theta))))
+    runs = [limit_matrix(f, theta, k),
+            _oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12, cap, gauge=False)]
+
+    def errors(run):
+        return (abs(run.score_mean - ref.score_mean),
+                abs(theta * (run.score_mean - ref.score_mean)
+                    - kl_to_uniform(run.grid.w) + kl_to_uniform(ref.grid.w)),
+                float(np.abs(run.grid.w - ref.grid.w).max()))
+
+    gauged, zero = map(errors, runs)
+    assert all(g <= z for g, z in zip(gauged, zero)), (gauged, zero)
 
 
 # Runs through every branch of the sweep: column absorptions (xy at k = 10
