@@ -69,9 +69,9 @@ class IpfpResult:
     row_log_scales[r] + col_log_scales[s])``, theta * F being the log
     kernel, so that identity holds up to rounding for every cell in float
     range; the result then drops F.  The cells are summed from the gauged
-    log kernel and the potentials less the gauge, which stay small where
-    the scales are near float max.  ``residual`` is the final max
-    deviation of any row/column sum from 1/k.
+    log kernel and the potentials less the gauge, so that a gauge near
+    float max does not round the scalings away.  ``residual`` is the final
+    max deviation of any row/column sum from 1/k.
     """
 
     theta: float

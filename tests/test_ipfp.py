@@ -186,8 +186,12 @@ class TestLimitMatrix:
         theta, k = -2000.0, 100
         steps = []
         log_normalize = ipfp._log_normalize
-        monkeypatch.setattr(ipfp, "_log_normalize",
-                            lambda *args, **kw: steps.append(1) or log_normalize(*args, **kw))
+
+        def counted(*args, **kwargs):
+            steps.append(kwargs["axis"])
+            return log_normalize(*args, **kwargs)
+
+        monkeypatch.setattr(ipfp, "_log_normalize", counted)
         res = limit_matrix(f, theta, k)
         assert res.converged and res.iterations == 1202
         assert steps
@@ -240,13 +244,13 @@ class TestDiagonalGauge:
         # Delta / 2), Delta = F11 + F22 - F12 - F21 = 1/4 for both scores
         res = limit_matrix(get_score(name), theta, 2)
         assert res.converged and res.iterations == 1
-        s = expit(theta / 8.0)
-        want = 0.5 * np.array([[s, expit(-theta / 8.0)], [expit(-theta / 8.0), s]])
+        s, t = expit(theta / 8.0), expit(-theta / 8.0)
+        want = 0.5 * np.array([[s, t], [t, s]])
         assert np.all(np.abs(res.grid.w - want) <= 1e-12 * want)
 
-    # measured against the 80-digit limit below: the largest relative cell
-    # error of runs that stop at the default cap from the ungauged start; the
-    # worst cells sit below tol / k, where the marginals cannot see them
+    # the largest relative cell error, as measured against the 80-digit limit
+    # below, of runs that stop at the default cap from the ungauged start; the
+    # worst cells are off by less than tol / k, which no row or column sum sees
     @pytest.mark.parametrize("theta, k, bound", [
         (250.0, 3, 5e-7),
         (500.0, 3, 1e-12),

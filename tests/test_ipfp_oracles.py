@@ -2,8 +2,8 @@
 
 ``_oracle_sinkhorn`` is the scaling kernel as it was when it took the log
 kernel log B0 as an array of its own, and ``_oracle_score_grid`` built F
-by calling f on two k x k meshgrids.  The kernel now writes theta * F
-into its working array wherever log B0 was read, and f gets read-only
+by calling f on two k x k meshgrids.  The kernel now writes the gauged
+log kernel into its working array wherever log B0 was read, and f gets read-only
 broadcast views; grids, score means, residuals, sweep counts and both
 log-scale vectors must come out bit for bit the same.  The oracle built
 its grid at the end of the run; a result now builds it when it is first
@@ -67,8 +67,8 @@ def _oracle_sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
     are v * (K^T u).
     """
     log_b0 = theta * score
-    g = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
     if gauge:
+        g = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
         log_b0 += g
         log_b0 += g[:, None]
     k = log_b0.shape[0]
