@@ -36,6 +36,7 @@ builds it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +84,8 @@ class IpfpResult:
     score_mean: float
     # (F, gauge, row and column potentials less the gauge, [working array])
     # until the grid is first read, then the grid
-    _cells: tuple | CopulaGrid = field(repr=False)
+    _cells: (tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]
+             | CopulaGrid) = field(repr=False)
 
     @property
     def grid(self) -> CopulaGrid:
@@ -123,6 +125,8 @@ class IpfpNonConvergence(RuntimeError):
 # A half-sweep whose marginal sums leave [e^-200, e^200] (0 included)
 # is redone in the log domain, so the scalings never overflow or underflow.
 _SUM_LO, _SUM_HI = math.exp(-200.0), math.exp(200.0)
+
+_EPS = sys.float_info.epsilon
 
 
 def _log_kernel(out, score, theta, gauge):
@@ -250,6 +254,14 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
                         residual <= tol, score_mean, (score, gauge, alpha, beta, [kern]))
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
+    # the grid sums exp(log kernel + alpha (+) beta); rounding potentials of
+    # size m moves its cells by up to about eps * m relative, and so a row or
+    # column sum by eps * m / k, which must stay within tol
+    size = max(float(np.abs(alpha).max()), float(np.abs(beta).max()))
+    if _EPS * size > k * tol:
+        raise ValueError(
+            f"theta = {theta:g} needs potentials of size {size:.3g} at k = {k}, whose "
+            f"rounding moves the grid's sums by more than tol {tol:.3e}")
     return result
 
 
@@ -273,6 +285,13 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
     theta = 250; and footrule at k = 10, theta = 100 and k = 30,
     theta = 250.  Those runs raise IpfpNonConvergence.  Where the cap
     overflows a float, ValueError asks for ``max_iter``.
+
+    The grid's row and column sums are within tol of 1/k up to the
+    rounding of its potentials (less the gauge), at most eps * max|potential|
+    / k.  A converged run where that bound exceeds tol raises ValueError:
+    for theta < 0 the potentials are of order |theta|, which at k = 2 and
+    the default tol refuses xy and centered below theta = -7.2e4, sq below
+    -3.6e4 and footrule below -1.8e4.
     """
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -302,8 +321,9 @@ def variational_value(result: IpfpResult) -> float:
     sum beta) / k - 2 log k, that is -(mean a_hat + mean b_hat) of the
     potentials a_hat = alpha + log k + c, b_hat = beta + log k - c split to
     equal sums, to a slack that grows with the run's residual (sweep-capped
-    runs included); a larger gap, from a broken invariant, raises
-    RuntimeError.
+    runs included) and with eps * k times the largest potential, for the
+    rounding of theta * <F, A> and of the potentials' sums; a larger gap,
+    from a broken invariant, raises RuntimeError.
     """
     value = result.theta * result.score_mean - kl_to_uniform(result.grid.w)
     alpha, beta = result.row_log_scales, result.col_log_scales
@@ -311,7 +331,10 @@ def variational_value(result: IpfpResult) -> float:
     check = -(alpha.sum() + beta.sum()) / k - 2.0 * math.log(k)
     gap = abs(value - check)
     scale = max(1.0, float(np.abs(alpha).max()), float(np.abs(beta).max()))
-    slack = max(_W_IDENTITY_TOL, 10.0 * k * result.residual * scale)
+    # the residual's share, and rounding: of the sums of k potentials of size
+    # scale, and of theta * <F, A>, where theta * F = log A - alpha (+) beta
+    # is about 2 scale on every cell with mass
+    slack = max(_W_IDENTITY_TOL, 10.0 * k * result.residual * scale + 4.0 * _EPS * k * scale)
     if gap > slack:
         raise RuntimeError(f"variational/potential identity violated by {gap:.3e}")
     return value

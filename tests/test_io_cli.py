@@ -576,9 +576,12 @@ def test_invalid_work_size_exits_1(argv, message, tmp_path, lottery, lottery_pat
 @pytest.mark.parametrize("argv, message", [
     (["density", "--theta", "50", "--k", "50", "--iters", "1"],
      "IPFP stopped at residual 1.678e-03 > tol 1.000e-12 after 1 sweeps"),
+    (["density", "--f", "xy", "--theta=-1e20", "--k", "2"],
+     "theta = -1e+20 needs potentials of size 1.25e+19 at k = 2, whose rounding moves "
+     "the grid's sums by more than tol 1.000e-12"),
     (["sample", "--f", "footrule", "--sampler", "aux", "--theta", "1", "--n", "5"],
      "auxiliary sampler requires the Linear xy model with theta > 0; use sampler='swap'"),
-], ids=["density-maxiter", "sample-aux-footrule"])
+], ids=["density-maxiter", "density-potentials-beyond-precision", "sample-aux-footrule"])
 def test_command_failure_prints_one_error_line(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -618,6 +621,16 @@ class TestCliLogz:
         primes = [float(r[2]) for r in rows]
         assert all(a < b for a, b in zip(primes, primes[1:]))
         assert all(r[3] == "ok" for r in rows)
+
+    def test_theta_far_beyond_one_is_checked_to_its_rounding(self, tmp_path):
+        # xy at k = 2 converges at any theta; w = 5 theta / 8 - log 2 there
+        out = tmp_path / "curve.csv"
+        code = main(["logz", "--f", "xy", "--theta-min=1e12", "--theta-max=1000000000001",
+                     "--steps", "2", "--k", "2", "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == ("theta,w_k,w_k_prime,status\n"
+                                   "1e+12,6.25e+11,0.625,ok\n"
+                                   "1e+12,6.25e+11,0.625,ok\n")
 
     def test_iteration_capped_rows_flagged(self, tmp_path):
         out = tmp_path / "curve.csv"

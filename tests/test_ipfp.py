@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import expit, logsumexp
+from scipy.special import expit, logsumexp, xlogy
 
 from permexp import ipfp
 from permexp.grids import (
@@ -203,6 +203,15 @@ class TestLimitMatrix:
         normal = res.grid.w >= np.finfo(np.float64).tiny
         assert np.abs(np.log(res.grid.w[normal]) - logres[normal]).max() <= 1e-8
 
+    @pytest.mark.parametrize("theta", [-1e12, -1e20, -1e300])
+    @pytest.mark.parametrize("name", ["xy", "centered", "sq", "footrule"])
+    def test_potentials_beyond_float_precision_are_refused(self, name, theta):
+        # at k = 2 these runs meet tol in a sweep or two, but their potentials
+        # are of order |theta| and rounding them swallows the scalings: the
+        # grid would miss the 1/2 margins (xy at theta = -1e20: cells 0 and 4)
+        with pytest.raises(ValueError, match="rounding moves the grid's sums by more than tol"):
+            limit_matrix(get_score(name), theta, 2)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonconvergence_beyond_float_range_keeps_finite_state(self):
         with pytest.raises(IpfpNonConvergence) as exc:
@@ -247,6 +256,19 @@ class TestDiagonalGauge:
         s, t = expit(theta / 8.0), expit(-theta / 8.0)
         want = 0.5 * np.array([[s, t], [t, s]])
         assert np.all(np.abs(res.grid.w - want) <= 1e-12 * want)
+        for axis in (0, 1):
+            assert np.abs(res.grid.w.sum(axis=axis) - 0.5).max() <= 1e-12
+
+    @pytest.mark.parametrize("theta", [1e12, 1e16])
+    @pytest.mark.parametrize("name", ["xy", "centered"])
+    def test_order_two_value_matches_the_closed_form(self, name, theta):
+        # w = theta <F, A> - D(A || uniform) on the closed-form grid; the
+        # potential identity's slack has to cover the rounding of theta <F, A>
+        f = get_score(name)
+        s, t = expit(theta / 8.0), expit(-theta / 8.0)
+        a = 0.5 * np.array([[s, t], [t, s]])
+        want = theta * float((a * score_grid(f, 2)).sum()) - float(xlogy(a, 4.0 * a).sum())
+        assert w_k(f, theta, 2) == pytest.approx(want, rel=1e-15)
 
     # the largest relative cell error, as measured against the 80-digit limit
     # below, of runs that stop at the default cap from the ungauged start; the
