@@ -36,7 +36,13 @@ from .estimators import (
     uniformity_test,
 )
 from .grids import SCORE_FUNCTIONS, get_score, score_grid
-from .ipfp import DEFAULT_TOL, IpfpNonConvergence, limit_matrix, variational_value
+from .ipfp import (
+    DEFAULT_TOL,
+    IpfpNonConvergence,
+    _PotentialsTooLarge,
+    limit_matrix,
+    variational_value,
+)
 from .io import (
     _fmt,
     _writing,
@@ -197,6 +203,9 @@ def cmd_logz(args) -> int:
         except IpfpNonConvergence as err:
             res = err.result
             status = "maxiter"
+        except _PotentialsTooLarge:
+            rows.append(f"{_fmt(theta)},,,refused\n")
+            continue
         wp = res.score_mean
         w = variational_value(res)
         rows.append(f"{_fmt(theta)},{_fmt(w)},{_fmt(wp)},{status}\n")

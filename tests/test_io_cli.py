@@ -632,6 +632,18 @@ class TestCliLogz:
                                    "1e+12,6.25e+11,0.625,ok\n"
                                    "1e+12,6.25e+11,0.625,ok\n")
 
+    def test_rows_refused_for_their_potentials_keep_the_rest(self, tmp_path):
+        # footrule at k = 2 is refused below theta = -1.8e4, where rounding its
+        # potentials could move a margin by more than tol; exit 0, as for maxiter
+        out = tmp_path / "curve.csv"
+        code = main(["logz", "--f", "footrule", "--theta-min=-1e5", "--theta-max=0",
+                     "--steps", "3", "--k", "2", "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == ("theta,w_k,w_k_prime,status\n"
+                                   "-100000,,,refused\n"
+                                   "-50000,,,refused\n"
+                                   "0,-0,-0.25,ok\n")
+
     def test_iteration_capped_rows_flagged(self, tmp_path):
         out = tmp_path / "curve.csv"
         code = main(["logz", "--f", "xy", "--theta-min", "-500", "--theta-max",

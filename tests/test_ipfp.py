@@ -169,13 +169,17 @@ class TestLimitMatrix:
         assert np.all(np.isfinite(res.grid.w))
 
     @pytest.mark.parametrize("name, theta, k, sweeps", [
-        ("xy", 500.0, 100, 219),
-        ("footrule", 60.0, 100, 716),
+        ("xy", 500.0, 100, 53),
+        ("footrule", 60.0, 100, 53),
         ("xy", 20.0, 1000, 11),
     ])
     def test_sweep_counts(self, name, theta, k, sweeps):
+        # the sweeps alone took 219 and 716 at k = 100; there Newton steps
+        # follow sweeps 50, 51 and 52, the last of which settles the run, and
+        # k = 1000 takes none
         res = limit_matrix(get_score(name), theta, k)
         assert res.iterations == sweeps
+        assert res.newton_steps == (3 if k <= 100 else 0)
         assert res.residual <= 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -193,7 +197,8 @@ class TestLimitMatrix:
 
         monkeypatch.setattr(ipfp, "_log_normalize", counted)
         res = limit_matrix(f, theta, k)
-        assert res.converged and res.iterations == 1202
+        # the sweeps alone took 1202
+        assert res.converged and (res.iterations, res.newton_steps) == (62, 12)
         assert steps
         assert np.all(np.isfinite(res.grid.w))
         assert np.all(np.isfinite(res.row_log_scales))
@@ -214,11 +219,14 @@ class TestLimitMatrix:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonconvergence_beyond_float_range_keeps_finite_state(self):
-        with pytest.raises(IpfpNonConvergence) as exc:
+        # the sweeps alone stopped at the cap of 300 at residual 7.407e-4; the
+        # Newton steps meet tol, but cannot settle the potentials, and stop
+        with pytest.raises(IpfpNonConvergence, match="Newton steps that did not settle it") as exc:
             limit_matrix(get_score("xy"), -1e4, 3, max_iter=300)
         partial = exc.value.result
-        assert not partial.converged and partial.iterations == 300
-        assert partial.residual == pytest.approx(7.407407407e-4, rel=1e-9)
+        assert not partial.converged
+        assert (partial.iterations, partial.newton_steps) == (83, 33)
+        assert partial.residual == pytest.approx(5.051514762e-15, rel=1e-9)
         assert np.all(np.isfinite(partial.grid.w))
         assert np.all(np.isfinite(partial.row_log_scales))
         assert np.all(np.isfinite(partial.col_log_scales))
@@ -246,6 +254,7 @@ class TestLimitMatrix:
 class TestDiagonalGauge:
     """Runs that the diagonal gauge brings to the tolerance by the default cap."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("theta", [-1e4, -500.0, -50.0, -3.0, 3.0, 50.0, 500.0, 1e4, 1e300])
     @pytest.mark.parametrize("name", ["xy", "centered"])
     def test_order_two_matches_the_closed_form(self, name, theta):
@@ -254,6 +263,20 @@ class TestDiagonalGauge:
         res = limit_matrix(get_score(name), theta, 2)
         assert res.converged and res.iterations == 1
         s, t = expit(theta / 8.0), expit(-theta / 8.0)
+        want = 0.5 * np.array([[s, t], [t, s]])
+        assert np.all(np.abs(res.grid.w - want) <= 1e-12 * want)
+        for axis in (0, 1):
+            assert np.abs(res.grid.w.sum(axis=axis) - 0.5).max() <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta", [-500.0, -250.0, -100.0, 100.0, 250.0, 500.0])
+    @pytest.mark.parametrize("name, delta", [("sq", 0.5), ("footrule", 1.0)])
+    def test_order_two_of_a_zero_diagonal_matches_the_closed_form(self, name, delta, theta):
+        # no gauge; Delta = -F12 - F21 is 1/2 for sq and 1 for footrule, and
+        # the off-diagonal or diagonal cells reach e^-250 / 2
+        res = limit_matrix(get_score(name), theta, 2)
+        assert res.converged
+        s, t = expit(theta * delta / 2.0), expit(-theta * delta / 2.0)
         want = 0.5 * np.array([[s, t], [t, s]])
         assert np.all(np.abs(res.grid.w - want) <= 1e-12 * want)
         for axis in (0, 1):
@@ -273,30 +296,64 @@ class TestDiagonalGauge:
     # the largest relative cell error, as measured against the 80-digit limit
     # below, of runs that stop at the default cap from the ungauged start; the
     # worst cells are off by less than tol / k, which no row or column sum sees
-    @pytest.mark.parametrize("theta, k, bound", [
-        (250.0, 3, 5e-7),
-        (500.0, 3, 1e-12),
-        (250.0, 4, 1e-8),
-        (500.0, 4, 1e-7),
-    ])
-    @pytest.mark.parametrize("name", ["xy", "centered"])
+    _CONVERGED_FROM_THE_GAUGE = [
+        (name, theta, k, bound) for name in ("xy", "centered")
+        for theta, k, bound in ((250.0, 3, 5e-7), (500.0, 3, 1e-12), (250.0, 4, 1e-8),
+                                (500.0, 4, 1e-7))
+    ]
+    # 22 of the 23 runs of the sweep-cap grid (the four scores, k in {2, 3, 4,
+    # 5, 10, 30}, |theta| in {100, 250, 500}) that stop at the default cap
+    # without Newton steps; with them each converges, every cell within 1e-8
+    # (the largest error is 1e-13); the 23rd is test_unsettled_runs_stop
+    _CONVERGED_BY_NEWTON = [
+        (name, theta, k, 1e-8) for name, theta, k in (
+            [(name, theta, k) for name in ("xy", "centered")
+             for theta, k in ((-250.0, 3), (-500.0, 3), (-250.0, 4), (-500.0, 4),
+                              (-500.0, 5), (500.0, 5))]
+            + [("sq", -250.0, k) for k in (3, 4, 5)] + [("sq", -500.0, k) for k in (4, 5)]
+            + [("sq", -100.0, 3), ("sq", 100.0, 3), ("sq", 250.0, 5)]
+            + [("footrule", 100.0, 10), ("footrule", 250.0, 30)])
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, theta, k, bound",
+                             _CONVERGED_FROM_THE_GAUGE + _CONVERGED_BY_NEWTON)
     def test_small_orders_match_an_80_digit_limit(self, name, theta, k, bound):
         res = limit_matrix(get_score(name), theta, k)
         assert res.converged
         want = _mp_limit(name, theta, k, res)
         assert np.all(np.abs(res.grid.w - want) <= bound * want)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, theta", [("sq", -500.0), ("xy", -1e4)])
+    def test_unsettled_runs_stop(self, name, theta):
+        # at k = 3 the limit puts 1/3 on the anti-diagonal and 2.5e-25 (sq,
+        # theta = -500) or less on the four cells beside the centre; a row sum
+        # cannot see how a row and a column split that mass, the Newton steps
+        # leave it orders of magnitude off, and the run stops without
+        # converging, as the sweeps alone did
+        with pytest.raises(IpfpNonConvergence, match="Newton steps that did not settle it") as exc:
+            limit_matrix(get_score(name), theta, 3)
+        assert exc.value.result.residual <= 1e-12 and not exc.value.result.converged
+
+
+# 80 digits where the Newton system is small; footrule at k = 10 and 30 is
+# refined to 40, which is still 25 orders below the 1e-8 bound
+_MP_DIGITS = {10: 40, 30: 40}
+
 
 def _mp_limit(name, theta, k, res):
-    """The limit grid on the exact lattice score, to 80 digits, as floats.
+    """The limit grid on the exact lattice score, to 80 digits (40 at k >= 10), as floats.
 
     Newton steps on the potentials, from the run's own, until every row and
-    column sum is 1/k to 1e-70.
+    column sum is 1/k to 10 digits short of the working precision.
     """
-    with mpmath.workdps(80):
+    digits = _MP_DIGITS.get(k, 80)
+    with mpmath.workdps(digits):
         t = [mpmath.mpf(r) / k for r in range(1, k + 1)]
         half = mpmath.mpf(1) / 2
-        f = {"xy": lambda x, y: x * y, "centered": lambda x, y: (x - half) * (y - half)}[name]
+        f = {"xy": lambda x, y: x * y, "centered": lambda x, y: (x - half) * (y - half),
+             "sq": lambda x, y: -(x - y) ** 2, "footrule": lambda x, y: -abs(x - y)}[name]
         log_b0 = [[mpmath.mpf(theta) * f(x, y) for y in t] for x in t]
         a = [mpmath.mpf(float(x)) for x in res.row_log_scales]
         b = [mpmath.mpf(float(x)) for x in res.col_log_scales]
@@ -307,7 +364,7 @@ def _mp_limit(name, theta, k, res):
             rows = [mpmath.fsum(row) for row in cells]
             cols = [mpmath.fsum(row[s] for row in cells) for s in range(k)]
             gap = [x - mpmath.mpf(1) / k for x in rows + cols[1:]]
-            if max(abs(x) for x in gap) < mpmath.mpf(10) ** -70:
+            if max(abs(x) for x in gap) < mpmath.mpf(10) ** (10 - digits):
                 return np.array([[float(c) for c in row] for row in cells])
             jac = mpmath.zeros(2 * k - 1)
             for r in range(k):
@@ -319,7 +376,7 @@ def _mp_limit(name, theta, k, res):
             step = mpmath.lu_solve(jac, mpmath.matrix(gap))
             a = [a[r] - step[r] for r in range(k)]
             b = [b[0]] + [b[s] - step[k + s - 1] for s in range(1, k)]
-    raise AssertionError("Newton did not reach the 80-digit limit")
+    raise AssertionError(f"Newton did not reach the {digits}-digit limit")
 
 
 class TestPotentials:

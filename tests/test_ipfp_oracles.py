@@ -9,7 +9,9 @@ log-scale vectors must come out bit for bit the same.  The oracle built
 its grid at the end of the run; a result now builds it when it is first
 read.  Both start from the diagonal gauge; the oracle's zero start, the
 kernel's former one, shows that a score with a zero diagonal (sq,
-footrule) runs bit for bit as it did from that start.
+footrule) runs bit for bit as it did from that start.  Both take their
+Newton steps on the same schedule, through the kernel's own
+``ipfp._newton_step``, so that what is pinned here is the sweep.
 """
 import math
 from typing import NamedTuple
@@ -17,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from permexp import ipfp
 from permexp.grids import CopulaGrid, get_score, kl_to_uniform, lattice, score_grid
 from permexp.ipfp import IpfpNonConvergence, IpfpResult, limit_matrix
 
@@ -48,6 +51,7 @@ class _OracleRun(NamedTuple):
 
     grid: CopulaGrid
     iterations: int
+    newton_steps: int
     residual: float
     row_log_scales: np.ndarray
     col_log_scales: np.ndarray
@@ -56,7 +60,7 @@ class _OracleRun(NamedTuple):
 
 
 def _oracle_sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
-                     gauge: bool = True) -> _OracleRun:
+                     gauge: bool = True, newton: bool = True) -> _OracleRun:
     """The scaling kernel on exp(log_b0), log_b0 = theta * score; see the module docstring.
 
     The iterate is diag(u) K diag(v) with K = exp(log_b0 + alpha (+) beta);
@@ -64,13 +68,22 @@ def _oracle_sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
     and columns (none when ``gauge`` is false), and the run returns g +
     alpha and g + beta.  alpha = -rowmax(log_b0) leaves an entry of 1 in
     every row.  Row sums u * (K v) reuse the next sweep's K v, column sums
-    are v * (K^T u).
+    are v * (K^T u).  At k <= ipfp._NEWTON_MAX_K, after every
+    ipfp._NEWTON_EVERY sweeps short of the tolerance and the cap, u and v
+    are folded into the potentials and ipfp._newton_step sets K to the
+    grid at the potentials it returns, with u = v = 1; until a step settles
+    the run, one follows every sweep, and the run does not end at the
+    tolerance.  A step it refuses ends the run's Newton steps, and the run
+    itself if it is not settled.  With ``newton`` false the run takes
+    none, as the kernel did before it took them.
     """
     log_b0 = theta * score
+    g = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
     if gauge:
-        g = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
         log_b0 += g
         log_b0 += g[:, None]
+    else:
+        g.fill(0.0)
     k = log_b0.shape[0]
     if k < 1:
         raise ValueError("grid order must be >= 1")
@@ -85,7 +98,9 @@ def _oracle_sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
     np.exp(kern, out=kern)
     u = v = np.ones(k)
     kv = kern @ v
-    iterations = 0
+    iterations = newton_steps = 0
+    newton = newton and k <= ipfp._NEWTON_MAX_K
+    settled = True
     residual = math.inf
     while iterations < max_iter:
         if _in_range(kv):
@@ -106,8 +121,21 @@ def _oracle_sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
         iterations += 1
         residual = max(float(np.abs(u * kv - target).max()),
                        float(np.abs(v * ktu - target).max()))
-        if residual <= tol:
+        if residual <= tol and settled:
             break
+        if (newton and (iterations % ipfp._NEWTON_EVERY == 0 or not settled)
+                and iterations < max_iter):
+            alpha += np.log(u)
+            beta += np.log(v)
+            step = ipfp._newton_step(kern, score, theta, g, alpha, beta)
+            newton = step is not None
+            if newton:
+                alpha, beta, settled = step
+                newton_steps += 1
+            u = v = np.ones(k)
+            if not (newton or settled):
+                break
+            kv = kern @ v
     score_mean = float(u @ ((kern * score) @ v))
     # exp of the final potentials keeps cells below K's float range exact
     alpha += np.log(u)
@@ -118,8 +146,8 @@ def _oracle_sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
     if gauge:
         alpha, beta = g + alpha, g + beta
     kern.setflags(write=False)
-    result = _OracleRun(CopulaGrid(kern), iterations, residual, alpha, beta,
-                        residual <= tol, score_mean)
+    result = _OracleRun(CopulaGrid(kern), iterations, newton_steps, residual, alpha, beta,
+                        residual <= tol and settled, score_mean)
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
     return result
@@ -145,6 +173,7 @@ def _assert_same_run(got: IpfpResult, want: _OracleRun) -> None:
     assert np.array_equal(got.grid.w, want.grid.w)
     assert got.residual == want.residual
     assert got.iterations == want.iterations
+    assert got.newton_steps == want.newton_steps
     assert got.converged == want.converged
     assert np.array_equal(got.row_log_scales, want.row_log_scales)
     assert np.array_equal(got.col_log_scales, want.col_log_scales)
@@ -184,26 +213,48 @@ def test_zero_diagonal_runs_as_from_the_zero_gauge(name, theta, k):
         assert got.grid.w.tobytes() == want.grid.w.tobytes()
 
 
+def _errors(run, ref) -> tuple:
+    """w', w and the largest cell of ``run`` less those of ``ref``, in absolute value."""
+    theta = ref.theta
+    return (abs(run.score_mean - ref.score_mean),
+            abs(theta * (run.score_mean - ref.score_mean)
+                - kl_to_uniform(run.grid.w) + kl_to_uniform(ref.grid.w)),
+            float(np.abs(run.grid.w - ref.grid.w).max()))
+
+
 @pytest.mark.parametrize("theta, k", [
     (theta, k) for k in (10, 100) for theta in (-503.0, -50.0, 3.0, 20.0, 50.0, 503.0)
 ] + [(3.0, 1000), (20.0, 1000)])
 def test_gauge_start_is_no_less_accurate(theta, k):
     # w', w and the largest cell error against a run to tol 1e-14, for the
-    # run at the default tol from the diagonal gauge and from the zero start
+    # run at the default tol from the diagonal gauge and for the former
+    # kernel's run from the zero start, which took no Newton steps
     f = get_score("xy")
     ref = limit_matrix(f, theta, k, tol=1e-14)
     cap = int(math.ceil(10 * k * (1.0 + abs(theta))))
-    runs = [limit_matrix(f, theta, k),
-            _oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12, cap, gauge=False)]
-
-    def errors(run):
-        return (abs(run.score_mean - ref.score_mean),
-                abs(theta * (run.score_mean - ref.score_mean)
-                    - kl_to_uniform(run.grid.w) + kl_to_uniform(ref.grid.w)),
-                float(np.abs(run.grid.w - ref.grid.w).max()))
-
-    gauged, zero = map(errors, runs)
+    gauged = _errors(limit_matrix(f, theta, k), ref)
+    zero = _errors(_oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12, cap,
+                                    gauge=False, newton=False), ref)
     assert all(g <= z for g, z in zip(gauged, zero)), (gauged, zero)
+
+
+@pytest.mark.parametrize("name, theta, k", [
+    ("xy", theta, k) for theta in (-503.0, 503.0) for k in (10, 100)
+] + [
+    ("footrule", theta, k) for theta, k in ((60.0, 10), (60.0, 30), (60.0, 100), (250.0, 100))
+] + [("sq", theta, k) for k in (10, 30, 100) for theta in (-503.0, -250.0, -60.0, 60.0,
+                                                             250.0, 503.0)])
+def test_newton_steps_are_no_less_accurate(name, theta, k):
+    # the same errors for a run that takes Newton steps and for the sweeps
+    # alone, each at the default tol
+    f = get_score(name)
+    ref = limit_matrix(f, theta, k, tol=1e-14)
+    run = limit_matrix(f, theta, k)
+    assert run.newton_steps > 0
+    newton = _errors(run, ref)
+    sweeps = _errors(_oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12, 10**6,
+                                      newton=False), ref)
+    assert all(n <= w for n, w in zip(newton, sweeps)), (newton, sweeps)
 
 
 # Runs through every branch of the sweep: column absorptions (xy at k = 10
@@ -260,12 +311,50 @@ _LATE_ABSORPTIONS = {
 def test_late_column_absorption_matches_former_kernel(grid, max_iter):
     score = np.array(_LATE_ABSORPTIONS[grid])
     k = score.shape[0]
-    # theta = 1 runs on exp(score); neither grid converges by the default cap
+    # theta = 1 runs on exp(score); neither grid converges in 4 sweeps, and by
+    # the default cap only "shrinking" does, with Newton steps (the sweeps
+    # alone took 152)
     cap = max_iter or int(math.ceil(10 * k * 2.0))
     want = _outcome(lambda: _oracle_sinkhorn(score, 1.0, 1e-12, cap))
     got = _outcome(lambda: limit_matrix(None, 1.0, k, max_iter=max_iter, score_grid=score))
     _assert_same_run(got, want)
-    assert not got.converged
+    assert got.converged == (grid == "shrinking" and max_iter is None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shift", [-700.0, 700.0])
+def test_sweep_after_a_newton_step_checks_both_sums(monkeypatch, shift):
+    # the bound that spares a sweep its check of K^T u holds only after a
+    # plain row step.  A first Newton step that moves column 0's potential
+    # by +-700 (the kernel's own step, shifted) leaves that column's K^T u
+    # out of float range at the next sweep, which must check it and take a
+    # log-domain column step, as the oracle does
+    newton_step = ipfp._newton_step
+
+    def shift_first_step():
+        first = [True]
+
+        def shifted(kern, score, theta, gauge, alpha, beta):
+            step = newton_step(kern, score, theta, gauge, alpha, beta)
+            if step is None or not first[0]:
+                return step
+            first[0] = False
+            a, b, _ = step
+            b = b.copy()
+            b[0] += shift
+            log_a = ipfp._log_kernel(np.empty_like(kern), score, theta, gauge)
+            kern[:, 0] = np.exp(log_a[:, 0] + a + b[0])
+            return a, b, False
+
+        monkeypatch.setattr(ipfp, "_newton_step", shifted)
+
+    f = get_score("footrule")
+    shift_first_step()
+    got = _outcome(lambda: limit_matrix(f, 60.0, 100))
+    shift_first_step()
+    want = _outcome(lambda: _oracle_sinkhorn(_oracle_score_grid(f, 100), 60.0, 1e-12, 61_000))
+    _assert_same_run(got, want)
+    assert got.converged
 
 
 @pytest.mark.parametrize("k", [1, 2, 100])
@@ -278,7 +367,9 @@ def test_stored_mean_matches_grid_mean(name, theta, k):
     score = score_grid(f, k)
     res = _outcome(lambda: limit_matrix(f, theta, k, score_grid=score))
     mean = res.score_mean
-    want = grid_mean(res.grid.w, score)
+    # the products summed exactly: an unordered sum of the k^2 products is
+    # itself off by up to 4.5e-15 (sq, k = 100, theta = 500)
+    want = math.fsum((res.grid.w * score).ravel())
     # the grid's mass is off 1 by the rounding of its potentials (4.9e-15
     # at footrule, k = 100, theta = -500), and its mean with it
     slack = 4e-15 + abs(math.fsum(res.grid.w.ravel()) - 1.0)
