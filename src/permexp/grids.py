@@ -71,6 +71,12 @@ SCORE_FUNCTIONS = {
 }
 
 
+def _is_builtin(f) -> bool:
+    """Whether f computes one of the built-in scores, told by its function's identity."""
+    fn = getattr(f, "fn", None)
+    return any(fn is g.fn for g in SCORE_FUNCTIONS.values())
+
+
 def get_score(name: str) -> ScoreFunction:
     try:
         return SCORE_FUNCTIONS[name]

@@ -39,6 +39,23 @@ steps stop lowering the deviation before that stops without converging.
 ``IpfpResult.newton_steps`` counts the steps; ``iterations`` still counts
 sweeps.  Runs at k > 100, and runs that converge within 50 sweeps, are
 those of the sweeps alone, bit for bit.
+
+The two mat-vecs of a sweep come from one of two sources, chosen once per
+run by :func:`limit_matrix`: the dense k x k kernel, or a convolution.
+After the gauge every built-in score's log kernel depends on r - s alone,
+theta * Phi(r - s), and at theta >= 0 it peaks on the diagonal, so K v is
+a convolution with the symbol exp(theta * Phi), which an FFT applies in
+O(k log k) time and O(k) memory (convolutional Sinkhorn: Solomon et al.
+2015; Peyre and Cuturi 2019, ch. 4).  A run takes it when its score is a
+built-in (told by function identity), theta >= 0 and k >= 450; every
+other run, theta < 0, a custom score or a smaller k, takes the dense
+kernel, bit for bit as before.  The convolution has no log domain: a sum
+that leaves float range on it raises ValueError, and the run is not
+redone densely.  It keeps the sweep loop, its residual, its range checks,
+its tolerance and cap and the check of the potentials' size; its iterates
+differ from the dense ones by rounding alone (same sweep counts, w' within
+1e-13, cells within 1e-12 relative: the tests hold both to the dense
+oracle).
 A run ends with the mean <F, A> of its score grid, taken from the final
 scalings by one more mat-vec; the grid A itself is built on first read,
 so a caller that needs only the mean (w_k_prime, the LD equation) never
@@ -77,7 +94,8 @@ class IpfpResult:
     ``theta`` is the run's temperature.  ``score_mean`` is <F, A>, the
     mean of the score grid F under the scaled grid A, which the run takes
     from its final scalings without building A.  ``grid`` is built on
-    first read, in the run's working array, as ``A = exp(theta * F +
+    first read, in the run's working array (a fresh k x k array after a
+    run on the convolution, which has none), as ``A = exp(theta * F +
     row_log_scales[r] + col_log_scales[s])``, theta * F being the log
     kernel, so that identity holds up to rounding for every cell in float
     range; the result then drops F.  The cells are summed from the gauged
@@ -96,8 +114,8 @@ class IpfpResult:
     col_log_scales: np.ndarray
     converged: bool
     score_mean: float
-    # (F, gauge, row and column potentials less the gauge, [working array])
-    # until the grid is first read, then the grid
+    # (F, gauge, row and column potentials less the gauge, [working array],
+    # or [] after a convolution run) until the grid is first read, then the grid
     _cells: (tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]
              | CopulaGrid) = field(repr=False)
 
@@ -307,7 +325,87 @@ def _newton_step(kern, score, theta, gauge, alpha, beta):
     return None
 
 
-def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> IpfpResult:
+# A run of a built-in score at theta >= 0 and k >= _CONVOLUTION_MIN_K takes
+# its mat-vecs from _Convolution.  Its FFTs cost 25 us a mat-vec at k = 400
+# and 40 us at k = 1000, mostly fixed, so the dense product wins at small k
+# on runs of many sweeps.
+# Whole runs on a given F, dense | convolution, ms, median of 7 alternating
+# (2 cores, numpy 2.4; the sweep counts are equal):
+#
+#   k     xy 3         xy 50        xy 500        sq 50        footrule 3   footrule 60
+#   200   0.29 | 0.29  0.83 | 1.15   4.81 | 12.07  1.52 | 3.33  0.50 | 0.68  12.72 | 25.85
+#   300   0.58 | 0.35  1.09 | 1.35   7.54 |  9.93  1.65 | 2.34  0.67 | 0.52  18.08 | 30.81
+#   400   0.96 | 0.36  2.04 | 1.35  12.52 |  9.91  2.97 | 2.37  1.17 | 0.55  33.89 | 30.17
+#   450   1.31 | 0.40  2.60 | 1.33  15.32 |  9.94  4.27 | 2.41  1.53 | 0.57  46.68 | 30.04
+#   500   1.76 | 0.40  3.62 | 1.34  24.63 | 10.16  6.01 | 2.52  2.21 | 0.59  65.63 | 31.56
+#   1000  6.89 | 0.65 14.62 | 2.16  82.02 | 15.44 23.62 | 3.89  8.80 | 0.98 238.37 | 55.25
+#
+# In two repeats of that table the convolution lost xy 500 at k = 400 once
+# (13.36 | 16.89), and won every row from k = 450 up.  The cut lies above
+# _NEWTON_MAX_K: no convolution run takes Newton steps, which need the
+# k x k array.
+_CONVOLUTION_MIN_K = 450
+
+
+class _ConvolutionOutOfRange(ValueError):
+    """A marginal sum left float range on the convolution path, which has no log domain."""
+
+    def __init__(self, theta, k, line):
+        super().__init__(f"a {line} sum left float range at theta = {theta:g}, k = {k} "
+                         "on the convolution path")
+
+
+class _Convolution:
+    """K v and K^T u by FFT, for a gauged log kernel G[r, s] that depends on r - s alone.
+
+    Every built-in score has F[r, s] = Phi(r - s) + (F[r, r] + F[s, s]) / 2,
+    so G = theta * Phi(r - s), and at theta >= 0 its largest value is
+    G[r, r] = 0.  The symbol t[d] = exp(G[r, s]) for d = r - s is read from
+    F's first column (d >= 0) and first row (d < 0), each cell summed in
+    the order of :func:`_log_kernel`, and stored circularly in n >= 2k - 1
+    points, so that K v is the first k points of the circular convolution
+    of t with v, and K^T u that of the reversed t, whose spectrum is the
+    conjugate.  A third spectrum, of t o Phi, gives the mean <F, A> of
+    diag(u) K diag(v) as u . ((K o Phi) v) + (rows . diag(F) + cols . diag(F)) / 2.
+    Only arrays of n points are held.
+    """
+
+    def __init__(self, score, theta, gauge):
+        k = score.shape[0]
+        self.k, self.n = k, 1 << (2 * k - 2).bit_length()
+        self.diag = np.diagonal(score)
+        col, row = score[:, 0], score[0, :0:-1]  # d = 0 .. k-1, then d = 1-k .. -1
+        log_t = np.concatenate(((theta * col + gauge[0]) + gauge,
+                                (theta * row + gauge[:0:-1]) + gauge[0]))
+        d0 = self.diag[0]
+        phi = np.concatenate((col - 0.5 * (self.diag + d0), row - 0.5 * (d0 + self.diag[:0:-1])))
+        # t and t o Phi, at circular points 0 .. k-1 and n+1-k .. n-1
+        sym = np.stack((np.exp(log_t), phi))
+        sym[1] *= sym[0]
+        circ = np.zeros((2, self.n))
+        circ[:, :k] = sym[:, :k]
+        circ[:, self.n - k + 1:] = sym[:, k:]
+        self.kernel, self.mean_kernel = np.fft.rfft(circ)
+        self.transposed = self.kernel.conj()
+
+    def _apply(self, spectrum, x, out):
+        np.copyto(out, np.fft.irfft(spectrum * np.fft.rfft(x, self.n), self.n)[:self.k])
+        return out
+
+    def matvec(self, v, out):
+        return self._apply(self.kernel, v, out)
+
+    def rmatvec(self, u, out):
+        return self._apply(self.transposed, u, out)
+
+    def score_mean(self, u, v, rows, cols):
+        """<F, A> for A = diag(u) K diag(v) with row sums ``rows`` and column sums ``cols``."""
+        kphi_v = self._apply(self.mean_kernel, v, np.empty(self.k))
+        return float(u @ kphi_v + 0.5 * (rows @ self.diag + cols @ self.diag))
+
+
+def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
+              convolve: bool) -> IpfpResult:
     """The scaling kernel on exp(theta * score); see the module docstring.
 
     Every run starts from the diagonal gauge g = -(theta / 2) diag(score)
@@ -324,9 +422,9 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     1 in every row.  alpha and beta are the potentials less the gauge, and
     the result's log scales add it back.  A sweep sets u = (1/k) / (K v),
     takes K^T u, sets v = (1/k) / (K^T u), then takes K v; its row sums are
-    u * (K v) and its column sums v * (K^T u).  K v, the row sums, the column sums and K^T u
-    are the four rows of one array, and one np.minimum/np.maximum reduce
-    pair over it gives:
+    u * (K v) and its column sums v * (K^T u).  K v, the row sums, the
+    column sums and K^T u are the four rows of one array, and one
+    np.minimum/np.maximum reduce pair over it gives:
 
     - the residual, max(max x - 1/k, 1/k - min x) over both sums, which is
       max |x - 1/k| bit for bit because rounding is monotone;
@@ -346,6 +444,13 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     writing K o score over K for the mean <score, A>; the result builds the
     grid A over that array from score and the final potentials on first
     read.
+
+    With ``convolve`` the two mat-vecs come from :class:`_Convolution`
+    instead, and no k x k array is made: K has its largest entry, 1, on
+    the diagonal, so alpha starts at 0; the run takes no Newton step (its
+    k is above _NEWTON_MAX_K) and no log-domain step, for which a sum out of
+    range raises _ConvolutionOutOfRange; the mean comes from the
+    convolution, and the result builds its grid in a fresh array.
     """
     k = score.shape[0]
     if not tol > 0:
@@ -357,15 +462,27 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     target = 1.0 / k
     # 0.0 - x keeps the gauge of a zero diagonal (sq, footrule) at +0
     gauge = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
-    kern = _log_kernel(np.empty(score.shape), score, theta, gauge)
-    alpha = -kern.max(axis=1)
     beta = np.zeros(k)
-    kern += alpha[:, None]
-    np.exp(kern, out=kern)
+    if convolve:
+        conv = _Convolution(score, theta, gauge)
+        matvec, rmatvec = conv.matvec, conv.rmatvec
+        # the symbol's largest value is exp(0), on the diagonal
+        alpha = np.zeros(k)
+    else:
+        kern = _log_kernel(np.empty(score.shape), score, theta, gauge)
+        alpha = -kern.max(axis=1)
+        kern += alpha[:, None]
+        np.exp(kern, out=kern)
+
+        def matvec(x, out):
+            return np.matmul(kern, x, out=out)
+
+        def rmatvec(x, out):
+            return np.matmul(x, kern, out=out)
     u, v = np.ones(k), np.ones(k)
     sums = np.empty((4, k))
     kv, rows, cols, ktu = sums
-    np.matmul(kern, v, out=kv)
+    matvec(v, kv)
     row_ok = _SUM_LO <= kv.min() and kv.max() <= _SUM_HI
     col_ok = False
     iterations = newton_steps = 0
@@ -376,22 +493,26 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
     while iterations < max_iter:
         if row_ok:
             np.divide(target, kv, out=u)
+        elif convolve:
+            raise _ConvolutionOutOfRange(theta, k, "row")
         else:
             beta += np.log(v)
             alpha = _log_normalize(kern, score, theta, gauge, beta, axis=1)
             u.fill(1.0)
-        np.matmul(u, kern, out=ktu)
+        rmatvec(u, ktu)
         if not col_ok:
             col_ok = _SUM_LO <= ktu.min() and ktu.max() <= _SUM_HI
         if col_ok:
             np.divide(target, ktu, out=v)
+        elif convolve:
+            raise _ConvolutionOutOfRange(theta, k, "column")
         else:
             alpha += np.log(u)
             beta = _log_normalize(kern, score, theta, gauge, alpha, axis=0)
             u.fill(1.0)
             v.fill(1.0)
             np.sum(kern, axis=0, out=ktu)
-        np.matmul(kern, v, out=kv)
+        matvec(v, kv)
         np.multiply(u, kv, out=rows)
         np.multiply(v, ktu, out=cols)
         lo = np.minimum.reduce(sums, axis=1).tolist()
@@ -419,18 +540,24 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int) -> Ipf
             if not (newton or settled):
                 # no sweep settles what the Newton steps left
                 break
-            np.matmul(kern, v, out=kv)
+            matvec(v, kv)
             row_ok = _SUM_LO <= kv.min() and kv.max() <= _SUM_HI
             col_ok = False
-    # <F, A> = u . ((K o F) v), with K o F written over K; A is built over
-    # it from the final potentials only when the grid is first read
-    np.multiply(kern, score, out=kern)
-    score_mean = float(u @ (kern @ v))
+    if convolve:
+        # the grid is built in an array of its own on first read
+        score_mean = conv.score_mean(u, v, rows, cols)
+        spare = []
+    else:
+        # <F, A> = u . ((K o F) v), with K o F written over K; A is built over
+        # it from the final potentials only when the grid is first read
+        np.multiply(kern, score, out=kern)
+        score_mean = float(u @ (kern @ v))
+        spare = [kern]
     alpha += np.log(u)
     beta += np.log(v)
     result = IpfpResult(theta, iterations, newton_steps, residual, gauge + alpha, gauge + beta,
                         residual <= tol and settled, score_mean,
-                        (score, gauge, alpha, beta, [kern]))
+                        (score, gauge, alpha, beta, spare))
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
     # the grid sums exp(log kernel + alpha (+) beta); rounding potentials of
@@ -456,10 +583,14 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
     theta*F + row_log_scales[r] + col_log_scales[s] holds for the returned
     result.
 
-    At k <= 100 a run that has not converged after 50 sweeps takes Newton
-    steps (see the module docstring; ``newton_steps`` counts them).  A run
-    that stops short of the tolerance by the sweep cap, or whose Newton
-    steps cannot settle it, raises IpfpNonConvergence.  The default sweep
+    A built-in ``f`` (told by its function's identity) at theta >= 0 and
+    k >= 450 runs on the convolution source (see the module docstring), and
+    ``score_grid``, when given, must then be f's own grid, as every caller
+    passes it; every other run is on the dense kernel.  At k <= 100 a
+    run that has not converged after 50 sweeps takes Newton steps (see the
+    module docstring; ``newton_steps`` counts them).  A run that stops
+    short of the tolerance by the sweep cap, or whose Newton steps cannot
+    settle it, raises IpfpNonConvergence.  The default sweep
     cap is ceil(10 k (1 + |theta|)).  Over the four built-in scores, k in
     {2, 3, 4, 5, 10, 30} and |theta| in {100, 250, 500}, 143 of the 144
     runs converge by it, in at most 80 sweeps and 30 Newton steps; sq at
@@ -487,7 +618,8 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
         if not math.isfinite(cap):
             raise ValueError(f"the default sweep cap overflows at theta = {theta:g}; pass max_iter")
         max_iter = math.ceil(cap)
-    return _sinkhorn(score_grid, theta, tol, max_iter)
+    convolve = theta >= 0 and k >= _CONVOLUTION_MIN_K and grids._is_builtin(f)
+    return _sinkhorn(score_grid, theta, tol, max_iter, convolve)
 
 
 _W_IDENTITY_TOL = 1e-8
@@ -506,7 +638,8 @@ def variational_value(result: IpfpResult) -> float:
     rounding of theta * <F, A> and of the potentials' sums; a larger gap,
     from a broken invariant, raises RuntimeError.
     """
-    value = result.theta * result.score_mean - kl_to_uniform(result.grid.w)
+    # + 0.0 turns the -0.0 of theta = 0 times a negative mean, less a KL of 0, to 0
+    value = result.theta * result.score_mean - kl_to_uniform(result.grid.w) + 0.0
     alpha, beta = result.row_log_scales, result.col_log_scales
     k = alpha.size
     check = -(alpha.sum() + beta.sum()) / k - 2.0 * math.log(k)

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .grids import SCORE_FUNCTIONS, ScoreFunction, _not_finite, lattice, score_grid
+from .grids import ScoreFunction, _is_builtin, _not_finite, lattice, score_grid
 
 __all__ = [
     "LinearModel",
@@ -61,7 +61,7 @@ class LinearModel:
         # a swap chain reads f on the n x n lattice, never through score_grid;
         # the built-ins are finite on [0, 1]^2, so only a custom score is
         # checked, in row blocks that keep no n x n array
-        if any(self.f.fn is g.fn for g in SCORE_FUNCTIONS.values()):
+        if _is_builtin(self.f):
             return
         t = lattice(self.n)
         rows = max(1, _CHECK_CELLS // self.n)

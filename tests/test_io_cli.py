@@ -642,7 +642,16 @@ class TestCliLogz:
         assert out.read_text() == ("theta,w_k,w_k_prime,status\n"
                                    "-100000,,,refused\n"
                                    "-50000,,,refused\n"
-                                   "0,-0,-0.25,ok\n")
+                                   "0,0,-0.25,ok\n")
+
+    @pytest.mark.parametrize("f, mean", [("footrule", "-0.25"), ("sq", "-0.125")])
+    def test_w_at_theta_zero_is_unsigned(self, tmp_path, f, mean):
+        # theta * w' = 0 * (a negative mean) is -0.0, less a KL of 0; w = 0 there
+        out = tmp_path / "curve.csv"
+        code = main(["logz", "--f", f, "--theta-min=-1", "--theta-max=0",
+                     "--steps", "2", "--k", "2", "--out", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines()[2] == f"0,0,{mean},ok"
 
     def test_iteration_capped_rows_flagged(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -11,7 +11,10 @@ read.  Both start from the diagonal gauge; the oracle's zero start, the
 kernel's former one, shows that a score with a zero diagonal (sq,
 footrule) runs bit for bit as it did from that start.  Both take their
 Newton steps on the same schedule, through the kernel's own
-``ipfp._newton_step``, so that what is pinned here is the sweep.
+``ipfp._newton_step``, so that what is pinned here is the sweep.  A
+built-in score at theta >= 0 and k >= ``ipfp._CONVOLUTION_MIN_K`` takes
+its mat-vecs from an FFT convolution instead; those runs are held to the
+same oracle within rounding, with equal sweep counts.
 """
 import math
 from typing import NamedTuple
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from permexp import ipfp
-from permexp.grids import CopulaGrid, get_score, kl_to_uniform, lattice, score_grid
+from permexp.grids import CopulaGrid, ScoreFunction, get_score, kl_to_uniform, lattice, score_grid
 from permexp.ipfp import IpfpNonConvergence, IpfpResult, limit_matrix
 
 from conftest import grid_mean, kernel_run
@@ -277,9 +280,93 @@ _BRANCH_RUNS = (
 def test_limit_matrix_matches_former_kernel_on_every_branch(name, theta, k, max_iter):
     f = get_score(name)
     cap = max_iter or int(math.ceil(10 * k * (1.0 + abs(theta))))
-    want = _outcome(lambda: _oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12, cap))
-    got = _outcome(lambda: limit_matrix(f, theta, k, max_iter=max_iter))
+    score = _oracle_score_grid(f, k)
+    want = _outcome(lambda: _oracle_sinkhorn(score, theta, 1e-12, cap))
+    # the grid without f keeps every run on the dense kernel; xy at k = 1000
+    # and theta >= 0 would take the convolution, held to this oracle below
+    got = _outcome(lambda: limit_matrix(None, theta, k, max_iter=max_iter, score_grid=score))
     _assert_same_run(got, want)
+
+
+def _convolutions(monkeypatch) -> list:
+    """The order k of each run that takes the convolution source from now on."""
+    made = []
+
+    class Counted(ipfp._Convolution):
+        def __init__(self, score, theta, gauge):
+            made.append(score.shape[0])
+            super().__init__(score, theta, gauge)
+
+    monkeypatch.setattr(ipfp, "_Convolution", Counted)
+    return made
+
+
+# Every built-in at k in {the cut, 1000} and theta >= 0; footrule, whose
+# sweeps grow fastest in theta, up to 60 (431 sweeps at theta = 50, k = 1000)
+_PARITY_RUNS = [
+    (name, theta, k) for k in (ipfp._CONVOLUTION_MIN_K, 1000)
+    for name in ("xy", "centered", "sq", "footrule")
+    for theta in ((0.0, 0.5, 3.0, 20.0, 50.0, 60.0) if name == "footrule"
+                  else (0.0, 0.5, 3.0, 20.0, 50.0, 500.0))
+]
+
+
+@pytest.mark.parametrize("name, theta, k", _PARITY_RUNS)
+def test_convolution_matches_dense_oracle(monkeypatch, name, theta, k):
+    # the convolution's iterates differ from the dense kernel's by rounding
+    # alone: the same sweeps, and w', w and every cell to within 1e-13, 1e-12
+    # and 1e-12 relative.  None of these runs raises _ConvolutionOutOfRange
+    f = get_score(name)
+    made = _convolutions(monkeypatch)
+    got = limit_matrix(f, theta, k)
+    want = _oracle_sinkhorn(_oracle_score_grid(f, k), theta, 1e-12,
+                            int(math.ceil(10 * k * (1.0 + theta))))
+    assert made == [k]
+    assert got.converged and got.newton_steps == 0
+    assert got.iterations == want.iterations
+    assert abs(got.score_mean - want.score_mean) <= 1e-13
+    w_got = ipfp.variational_value(got)
+    w_want = theta * want.score_mean - kl_to_uniform(want.grid.w)
+    assert abs(w_got - w_want) <= 1e-12
+    assert np.all(np.abs(got.grid.w - want.grid.w) <= 1e-12 * want.grid.w)
+
+
+@pytest.mark.parametrize("name, theta", [("xy", -3.0), ("custom xy", 3.0)])
+def test_dense_runs_at_large_k_stay_bit_for_bit(monkeypatch, name, theta):
+    # theta < 0, and a score that computes xy but is not the built-in, stay
+    # on the dense kernel at k = 1000, bit for bit the former kernel's
+    f = get_score("xy") if name == "xy" else ScoreFunction(name, lambda x, y: x * y)
+    made = _convolutions(monkeypatch)
+    got = limit_matrix(f, theta, 1000)
+    want = _oracle_sinkhorn(_oracle_score_grid(f, 1000), theta, 1e-12, 40_000)
+    assert made == []
+    _assert_same_run(got, want)
+
+
+def test_convolution_starts_at_the_cut(monkeypatch):
+    f = get_score("footrule")
+    made = _convolutions(monkeypatch)
+    cut = ipfp._CONVOLUTION_MIN_K
+    assert cut > ipfp._NEWTON_MAX_K
+    for k in (cut - 1, cut):
+        limit_matrix(f, 3.0, k)
+    limit_matrix(f, -0.0, cut)
+    assert made == [cut, cut]
+
+
+def test_sum_out_of_range_on_the_convolution_is_an_error(monkeypatch):
+    # with the range's top at 1 the first K v (sums up to about k / 2) leaves
+    # it: the dense kernel absorbs the scalings into its potentials, and the
+    # convolution, which has no log domain, raises rather than run densely
+    f = get_score("xy")
+    score = score_grid(f, 1000)
+    made = _convolutions(monkeypatch)
+    monkeypatch.setattr(ipfp, "_SUM_HI", 1.0)
+    dense = limit_matrix(None, 3.0, 1000, score_grid=score)
+    assert dense.converged
+    with pytest.raises(ipfp._ConvolutionOutOfRange, match="row sum left float range"):
+        limit_matrix(f, 3.0, 1000, score_grid=score)
+    assert made == [1000]
 
 
 # Score grids whose column sums leave [e^-200, e^200] only after plain

@@ -4,15 +4,18 @@ Each fit holds its big array once: the m * C(n,2) pair scores of a PL
 fit, and for LD the score grid F plus one k x k working kernel.  The
 bounds are written as multiples of those arrays; the former code
 peaked at twice each of them.  The Kendall limit density, which builds
-its k x k output from four k x k arrays, is bounded the same way.
+its k x k output from four k x k arrays, is bounded the same way.  An
+IPFP run on the convolution source holds no k x k array beyond F.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from permexp import ipfp
 from permexp.estimators import PAIR_BLOCK, estimating_equation, multi_estimate
 from permexp.grids import get_score, score_grid
+from permexp.ipfp import limit_matrix
 from permexp.models import kendall_limit_density
 from permexp.perm import Permutation
 
@@ -24,6 +27,9 @@ PAIR_BUILD_ARRAYS = 4
 SCORE_GRID_ARRAYS = 1.1
 LD_EVALUATION_ARRAYS = 1.1
 KENDALL_DENSITY_ARRAYS = 4.1
+# floats per grid row of a run on the convolution, beyond F: its spectra and
+# FFT buffers of n < 4k points (measured 20.5 at k = 1000, 2000 and 4000)
+CONVOLUTION_ROW_FLOATS = 32
 
 
 def _peak_bytes(run) -> int:
@@ -73,3 +79,14 @@ def test_ld_evaluation_holds_one_kernel(theta):
     peak = _peak_bytes(lambda: score(theta))
     # the former evaluation held theta * F beside the kernel: 2 k^2 floats
     assert peak <= LD_EVALUATION_ARRAYS * k * k * 8
+
+
+def test_convolution_run_holds_no_kernel():
+    k = 2000
+    f = get_score("xy")
+    # loads numpy.fft outside the measured run
+    limit_matrix(f, 3.0, ipfp._CONVOLUTION_MIN_K)
+    grid = score_grid(f, k)
+    peak = _peak_bytes(lambda: limit_matrix(f, 3.0, k, score_grid=grid))
+    # a dense run adds a k x k kernel, k / 32 = 62 times this bound
+    assert peak <= CONVOLUTION_ROW_FLOATS * k * 8
