@@ -13,10 +13,8 @@ with no n x n array), and each evaluation streams them through a scratch
 buffer of ``SCORE_BLOCK`` values with in-place exp passes; the LD score
 grid f(r/k, s/k) is built once, and each evaluation is one IPFP run on
 theta times it, which returns the mean <F, A> without building the grid
-A.  A built-in score at theta >= 0 and k >= 450 (the lottery's k = 1000
-fit) runs on the IPFP's convolution source, which holds no k x k array
-beside F; any other run, theta < 0 included, is written into the IPFP
-kernel's one k x k working array.
+A.  Which source the run takes its mat-vecs from, the dense kernel or a
+convolution, is :mod:`permexp.ipfp`'s rule.
 
 All estimating equations here are strictly monotone in theta, so roots
 are located by a bracket search from -1 and 1 that probes outward past

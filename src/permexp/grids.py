@@ -9,6 +9,7 @@ on first read, and its order k.  Score functions are named, vectorized maps
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,6 +100,7 @@ def score_grid(f, k: int) -> np.ndarray:
     temporaries.  A result that is not k x k (a column, a row or a
     constant) is broadcast and copied to one.  A value that is not finite
     raises ValueError naming f: every kernel exp(theta * F) needs finite F.
+    The grid of a built-in score is marked (``_BUILTIN_GRIDS``).
     """
     t = lattice(k)
     t.setflags(write=False)
@@ -106,11 +108,31 @@ def score_grid(f, k: int) -> np.ndarray:
     shape = (t.size, t.size)  # (0, 0) for k < 1, which the callers reject
     if grid.shape != shape:
         grid = np.array(np.broadcast_to(grid, shape))
-    # min and max are nan if any value is; they hold no k x k array
-    if grid.size and not (np.isfinite(grid.min()) and np.isfinite(grid.max())):
+    if not _all_finite(grid):
         raise _not_finite(f, t.size)
     grid.setflags(write=False)
+    if _is_builtin(f):
+        _BUILTIN_GRIDS[id(grid)] = grid
     return grid
+
+
+# The grids score_grid built for a built-in score, by id, while they live.
+# Every built-in has F[r, s] = Phi(r - s) + (F[r, r] + F[s, s]) / 2, so the
+# log kernel of such a grid in the diagonal gauge, theta * F[r, s] -
+# (theta / 2) (F[r, r] + F[s, s]) = theta * Phi(r - s), depends on r - s
+# alone, and IPFP applies it by convolution.  No other grid is marked.
+_BUILTIN_GRIDS = weakref.WeakValueDictionary()
+
+
+def _is_builtin_grid(grid) -> bool:
+    """Whether grid is one that score_grid built for a built-in score."""
+    return _BUILTIN_GRIDS.get(id(grid)) is grid
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite."""
+    # min and max are nan if any value is; they hold no array of values' size
+    return not values.size or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 def _not_finite(f, k: int) -> ValueError:

@@ -41,25 +41,26 @@ sweeps.  Runs at k > 100, and runs that converge within 50 sweeps, are
 those of the sweeps alone, bit for bit.
 
 The two mat-vecs of a sweep come from one of two sources, chosen once per
-run by :func:`limit_matrix`: the dense k x k kernel, or a convolution.
-After the gauge every built-in score's log kernel depends on r - s alone,
+run by :func:`limit_matrix` from the grid it runs on: the dense k x k
+kernel, or a convolution.  The gauged log kernel of a grid that
+``grids.score_grid`` built for a built-in score depends on r - s alone,
 theta * Phi(r - s), and at theta >= 0 it peaks on the diagonal, so K v is
 a convolution with the symbol exp(theta * Phi), which an FFT applies in
 O(k log k) time and O(k) memory (convolutional Sinkhorn: Solomon et al.
-2015; Peyre and Cuturi 2019, ch. 4).  A run takes it when its score is a
-built-in (told by function identity), theta >= 0 and k >= 450; every
-other run, theta < 0, a custom score or a smaller k, takes the dense
-kernel, bit for bit as before.  The convolution has no log domain: a sum
-that leaves float range on it raises ValueError, and the run is not
-redone densely.  It keeps the sweep loop, its residual, its range checks,
-its tolerance and cap and the check of the potentials' size; its iterates
-differ from the dense ones by rounding alone (same sweep counts, w' within
-1e-13, cells within 1e-12 relative: the tests hold both to the dense
-oracle).
+2015; Peyre and Cuturi 2019, ch. 4).  A run takes it on such a grid at
+theta >= 0 and k >= 450; every other run, theta < 0, any other grid or a
+smaller k, takes the dense kernel, bit for bit as before.  The
+convolution has no log domain: a sum that leaves float range on it raises
+ValueError, and the run is not redone densely.  It keeps the sweep loop,
+its residual, its range checks, its tolerance and cap and the check of
+the potentials' size; its iterates differ from the dense ones by rounding
+alone (same sweep counts, w' within 1e-13, cells within 1e-12 relative:
+the tests hold both to the dense oracle).
+
 A run ends with the mean <F, A> of its score grid, taken from the final
-scalings by one more mat-vec; the grid A itself is built on first read,
-so a caller that needs only the mean (w_k_prime, the LD equation) never
-builds it.
+scalings by one more mat-vec; the grid A itself is built on first read
+from F and the final potentials, so a caller that needs only the mean
+(w_k_prime, the LD equation) never builds it.
 """
 from __future__ import annotations
 
@@ -94,16 +95,16 @@ class IpfpResult:
     ``theta`` is the run's temperature.  ``score_mean`` is <F, A>, the
     mean of the score grid F under the scaled grid A, which the run takes
     from its final scalings without building A.  ``grid`` is built on
-    first read, in the run's working array (a fresh k x k array after a
-    run on the convolution, which has none), as ``A = exp(theta * F +
+    first read, in a fresh k x k array, as ``A = exp(theta * F +
     row_log_scales[r] + col_log_scales[s])``, theta * F being the log
     kernel, so that identity holds up to rounding for every cell in float
     range; the result then drops F.  The cells are summed from the gauged
-    log kernel and the potentials less the gauge, so that a gauge near
-    float max does not round the scalings away.  ``residual`` is the final
-    max deviation of any row/column sum from 1/k.  ``iterations`` counts
-    sweeps and ``newton_steps`` the Newton steps taken between them; a run
-    with Newton steps has ``converged`` only once one of them settled it.
+    log kernel and the potentials less the gauge (:func:`_exp_cells`), so
+    that a gauge near float max does not round the scalings away.
+    ``residual`` is the final max deviation of any row/column sum from
+    1/k.  ``iterations`` counts sweeps and ``newton_steps`` the Newton
+    steps taken between them; a run with Newton steps has ``converged``
+    only once one of them settled it.
     """
 
     theta: float
@@ -114,28 +115,17 @@ class IpfpResult:
     col_log_scales: np.ndarray
     converged: bool
     score_mean: float
-    # (F, gauge, row and column potentials less the gauge, [working array],
-    # or [] after a convolution run) until the grid is first read, then the grid
-    _cells: (tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]
-             | CopulaGrid) = field(repr=False)
+    # (F, gauge, row and column potentials less the gauge) until the grid
+    # is first read, then the grid
+    _cells: tuple[np.ndarray, ...] | CopulaGrid = field(repr=False)
 
     @property
     def grid(self) -> CopulaGrid:
         cells = self._cells
         if isinstance(cells, CopulaGrid):
             return cells
-        score, gauge, alpha, beta, spare = cells
-        # the first read takes the run's working array; a read at the same
-        # time in another thread builds the same cells in an array of its own
-        try:
-            w = spare.pop()
-        except IndexError:
-            w = np.empty(score.shape)
-        # exp of the final potentials keeps cells below K's float range exact
-        _log_kernel(w, score, self.theta, gauge)
-        w += alpha[:, None]
-        w += beta
-        np.exp(w, out=w)
+        score, gauge, alpha, beta = cells
+        w = _exp_cells(np.empty(score.shape), score, self.theta, gauge, alpha, beta)
         w.setflags(write=False)
         grid = CopulaGrid(w)
         object.__setattr__(self, "_cells", grid)
@@ -154,7 +144,8 @@ class IpfpNonConvergence(RuntimeError):
         # a run that took Newton steps and did not converge was not settled
         newton = (f" and {result.newton_steps} Newton steps that did not settle it"
                   if result.newton_steps else "")
-        above = ">" if result.residual > tol else "<="
+        # a nan residual is not within tol
+        above = "<=" if result.residual <= tol else ">"
         super().__init__(f"IPFP stopped at residual {result.residual:.3e} {above} tol {tol:.3e} "
                          f"after {result.iterations} sweeps{newton}")
 
@@ -176,6 +167,18 @@ def _log_kernel(out, score, theta, gauge):
     out += gauge
     out += gauge[:, None]
     return out
+
+
+def _exp_cells(out, score, theta, gauge, alpha, beta):
+    """Write exp(gauged log kernel + alpha[r] + beta[s]) into ``out``.
+
+    Taken from the potentials less the gauge, this keeps cells below K's
+    float range exact.
+    """
+    _log_kernel(out, score, theta, gauge)
+    out += alpha[:, None]
+    out += beta
+    return np.exp(out, out=out)
 
 
 def _log_normalize(kern, score, theta, gauge, other, axis):
@@ -276,11 +279,7 @@ def _newton_step(kern, score, theta, gauge, alpha, beta):
 
     def build(a, b):
         """Write A at potentials (a, b) into ``kern``; its deviations."""
-        _log_kernel(kern, score, theta, gauge)
-        np.add(kern, a[:, None], out=kern)
-        np.add(kern, b, out=kern)
-        np.exp(kern, out=kern)
-        return _deviations(kern, target)
+        return _deviations(_exp_cells(kern, score, theta, gauge, a, b), target)
 
     def largest(rows, cols, *_):
         # np.max keeps a nan, which no deviation is below
@@ -325,10 +324,10 @@ def _newton_step(kern, score, theta, gauge, alpha, beta):
     return None
 
 
-# A run of a built-in score at theta >= 0 and k >= _CONVOLUTION_MIN_K takes
-# its mat-vecs from _Convolution.  Its FFTs cost 25 us a mat-vec at k = 400
-# and 40 us at k = 1000, mostly fixed, so the dense product wins at small k
-# on runs of many sweeps.
+# A run on a built-in score's grid at theta >= 0 and k >= _CONVOLUTION_MIN_K
+# takes its mat-vecs from _Convolution.  Its FFTs cost 25 us a mat-vec at
+# k = 400 and 40 us at k = 1000, mostly fixed, so the dense product wins at
+# small k on runs of many sweeps.
 # Whole runs on a given F, dense | convolution, ms, median of 7 alternating
 # (2 cores, numpy 2.4; the sweep counts are equal):
 #
@@ -358,8 +357,8 @@ class _ConvolutionOutOfRange(ValueError):
 class _Convolution:
     """K v and K^T u by FFT, for a gauged log kernel G[r, s] that depends on r - s alone.
 
-    Every built-in score has F[r, s] = Phi(r - s) + (F[r, r] + F[s, s]) / 2,
-    so G = theta * Phi(r - s), and at theta >= 0 its largest value is
+    That holds on a built-in score's grid (``grids._BUILTIN_GRIDS``), where
+    G = theta * Phi(r - s), and at theta >= 0 its largest value is
     G[r, r] = 0.  The symbol t[d] = exp(G[r, s]) for d = r - s is read from
     F's first column (d >= 0) and first row (d < 0), each cell summed in
     the order of :func:`_log_kernel`, and stored circularly in n >= 2k - 1
@@ -441,16 +440,14 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
     A sum out of range is redone in the log domain (:func:`_log_normalize`).
     The gauged log kernel is written into the one k x k working array
     wherever it is read, and never stored apart.  The run ends by
-    writing K o score over K for the mean <score, A>; the result builds the
-    grid A over that array from score and the final potentials on first
-    read.
+    writing K o score over K for the mean <score, A>.
 
     With ``convolve`` the two mat-vecs come from :class:`_Convolution`
     instead, and no k x k array is made: K has its largest entry, 1, on
     the diagonal, so alpha starts at 0; the run takes no Newton step (its
     k is above _NEWTON_MAX_K) and no log-domain step, for which a sum out of
     range raises _ConvolutionOutOfRange; the mean comes from the
-    convolution, and the result builds its grid in a fresh array.
+    convolution.
     """
     k = score.shape[0]
     if not tol > 0:
@@ -544,20 +541,15 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
             row_ok = _SUM_LO <= kv.min() and kv.max() <= _SUM_HI
             col_ok = False
     if convolve:
-        # the grid is built in an array of its own on first read
         score_mean = conv.score_mean(u, v, rows, cols)
-        spare = []
     else:
-        # <F, A> = u . ((K o F) v), with K o F written over K; A is built over
-        # it from the final potentials only when the grid is first read
+        # <F, A> = u . ((K o F) v), with K o F written over K
         np.multiply(kern, score, out=kern)
         score_mean = float(u @ (kern @ v))
-        spare = [kern]
     alpha += np.log(u)
     beta += np.log(v)
     result = IpfpResult(theta, iterations, newton_steps, residual, gauge + alpha, gauge + beta,
-                        residual <= tol and settled, score_mean,
-                        (score, gauge, alpha, beta, spare))
+                        residual <= tol and settled, score_mean, (score, gauge, alpha, beta))
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
     # the grid sums exp(log kernel + alpha (+) beta); rounding potentials of
@@ -579,24 +571,22 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
     The run is on exp(theta * ``score_grid``); ``f`` is read only to build
     that grid, F = grids.score_grid(f, k), when none is given.  A caller
     that also needs F, or solves several theta on one grid, builds it once
-    and passes it; a grid that is not k x k raises ValueError.  log A =
-    theta*F + row_log_scales[r] + col_log_scales[s] holds for the returned
-    result.
+    and passes it.  A grid that score_grid built for a built-in score is
+    run as it is; any other is first copied to a read-only float64 array,
+    so that later writes to it do not reach the result.  A grid that is
+    not k x k, or has a value that is not finite, raises ValueError.
+    log A = theta*F + row_log_scales[r] + col_log_scales[s] holds for the
+    returned result.
 
-    A built-in ``f`` (told by its function's identity) at theta >= 0 and
-    k >= 450 runs on the convolution source (see the module docstring), and
-    ``score_grid``, when given, must then be f's own grid, as every caller
-    passes it; every other run is on the dense kernel.  At k <= 100 a
-    run that has not converged after 50 sweeps takes Newton steps (see the
-    module docstring; ``newton_steps`` counts them).  A run that stops
+    A built-in score's grid runs on the convolution source at theta >= 0
+    and k >= 450 (see the module docstring); every other run is on the
+    dense kernel.  At k <= 100 a run that has not converged after 50
+    sweeps takes Newton steps (see the module docstring; ``newton_steps``
+    counts them).  A run that stops
     short of the tolerance by the sweep cap, or whose Newton steps cannot
-    settle it, raises IpfpNonConvergence.  The default sweep
-    cap is ceil(10 k (1 + |theta|)).  Over the four built-in scores, k in
-    {2, 3, 4, 5, 10, 30} and |theta| in {100, 250, 500}, 143 of the 144
-    runs converge by it, in at most 80 sweeps and 30 Newton steps; sq at
-    k = 3, theta = -500 stops unsettled after 80 sweeps (its four cells
-    beside the centre, 2.5e-25, lie far below what a row sum can see).
-    Where the cap overflows a float, ValueError asks for ``max_iter``.
+    settle it, raises IpfpNonConvergence.  The default sweep cap is
+    ceil(10 k (1 + |theta|)); where it overflows a float, ValueError asks
+    for ``max_iter``.
 
     The grid's row and column sums are within tol of 1/k up to the
     rounding of its potentials (less the gauge), at most eps * max|potential|
@@ -611,14 +601,19 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
         raise ValueError("grid order must be >= 1")
     if score_grid is None:
         score_grid = grids.score_grid(f, k)
-    elif score_grid.shape != (k, k):
+    elif not grids._is_builtin_grid(score_grid):
+        score_grid = np.array(score_grid, dtype=np.float64)
+        if not grids._all_finite(score_grid):
+            raise ValueError("score_grid has a value that is not finite")
+        score_grid.setflags(write=False)
+    if score_grid.shape != (k, k):
         raise ValueError(f"score_grid has shape {score_grid.shape}, not ({k}, {k})")
     if max_iter is None:
         cap = 10 * k * (1.0 + abs(theta))
         if not math.isfinite(cap):
             raise ValueError(f"the default sweep cap overflows at theta = {theta:g}; pass max_iter")
         max_iter = math.ceil(cap)
-    convolve = theta >= 0 and k >= _CONVOLUTION_MIN_K and grids._is_builtin(f)
+    convolve = theta >= 0 and k >= _CONVOLUTION_MIN_K and grids._is_builtin_grid(score_grid)
     return _sinkhorn(score_grid, theta, tol, max_iter, convolve)
 
 

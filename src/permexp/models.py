@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .grids import ScoreFunction, _is_builtin, _not_finite, lattice, score_grid
+from .grids import ScoreFunction, _all_finite, _is_builtin, _not_finite, lattice, score_grid
 
 __all__ = [
     "LinearModel",
@@ -67,7 +67,7 @@ class LinearModel:
         rows = max(1, _CHECK_CELLS // self.n)
         for lo in range(0, self.n, rows):
             block = np.asarray(self.f(t[lo:lo + rows, None], t[None, :]), dtype=np.float64)
-            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            if not _all_finite(block):
                 raise _not_finite(self.f, self.n)
 
 

@@ -149,6 +149,31 @@ class TestLimitMatrix:
         with pytest.raises(ValueError, match="score_grid has shape"):
             limit_matrix(f, 3.0, 50, score_grid=np.zeros(shape))
 
+    def test_later_writes_to_a_given_grid_do_not_reach_the_result(self):
+        # a writeable grid kept by reference until the result's grid is read
+        # would see F *= 3, which moves the row sums off 1/k by 96.5
+        f = get_score("xy")
+        grid = np.array(score_grid(f, 50))
+        res = limit_matrix(None, 5.0, 50, score_grid=grid)
+        grid *= 3.0
+        want = limit_matrix(f, 5.0, 50)
+        assert np.array_equal(res.grid.w, want.grid.w)
+        assert np.abs(res.grid.w.sum(axis=1) - 1.0 / 50).max() <= 1e-12
+        assert variational_value(res) == variational_value(want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_given_grid_that_is_not_finite_is_refused(self, bad):
+        # unchecked, nan and +inf run to the sweep cap at a nan residual, and
+        # -inf gives a converged run with a nan score_mean
+        grid = np.array(score_grid(get_score("xy"), 20))
+        grid[3, 4] = bad
+        with pytest.raises(ValueError, match="score_grid has a value that is not finite"):
+            limit_matrix(None, 3.0, 20, score_grid=grid)
+
+    def test_a_nan_residual_is_not_reported_within_tol(self):
+        res = dataclasses.replace(limit_matrix(get_score("xy"), 3.0, 5), residual=math.nan)
+        assert "residual nan > tol 1.000e-12" in str(IpfpNonConvergence(res, 1e-12))
+
     def test_log_domain_matches_plain(self):
         # oracle: textbook log-domain Sinkhorn from the same diagonal gauge,
         # run for the same sweeps
@@ -565,8 +590,7 @@ def test_results_hold_the_kernel_grid_read_only():
 
 
 def test_grid_reads_agree_across_threads_and_pickling():
-    # the first read builds the grid in the run's working array; reads in
-    # several threads at once, and a pickled copy, give the same cells
+    # reads in several threads at once, and a pickled copy, give the same cells
     f = get_score("xy")
     want = limit_matrix(f, 2.96, 300).grid.w
     res = limit_matrix(f, 2.96, 300)

@@ -11,10 +11,11 @@ read.  Both start from the diagonal gauge; the oracle's zero start, the
 kernel's former one, shows that a score with a zero diagonal (sq,
 footrule) runs bit for bit as it did from that start.  Both take their
 Newton steps on the same schedule, through the kernel's own
-``ipfp._newton_step``, so that what is pinned here is the sweep.  A
-built-in score at theta >= 0 and k >= ``ipfp._CONVOLUTION_MIN_K`` takes
-its mat-vecs from an FFT convolution instead; those runs are held to the
-same oracle within rounding, with equal sweep counts.
+``ipfp._newton_step``, so that what is pinned here is the sweep.  A run
+on a grid that ``score_grid`` built for a built-in score, at theta >= 0
+and k >= ``ipfp._CONVOLUTION_MIN_K``, takes its mat-vecs from an FFT
+convolution instead; those runs are held to the same oracle within
+rounding, with equal sweep counts.
 """
 import math
 from typing import NamedTuple
@@ -282,8 +283,9 @@ def test_limit_matrix_matches_former_kernel_on_every_branch(name, theta, k, max_
     cap = max_iter or int(math.ceil(10 * k * (1.0 + abs(theta))))
     score = _oracle_score_grid(f, k)
     want = _outcome(lambda: _oracle_sinkhorn(score, theta, 1e-12, cap))
-    # the grid without f keeps every run on the dense kernel; xy at k = 1000
-    # and theta >= 0 would take the convolution, held to this oracle below
+    # the oracle's grid, which score_grid did not build, keeps every run on
+    # the dense kernel; xy's own grid at k = 1000 and theta >= 0 would take
+    # the convolution, held to this oracle below
     got = _outcome(lambda: limit_matrix(None, theta, k, max_iter=max_iter, score_grid=score))
     _assert_same_run(got, want)
 
@@ -362,11 +364,42 @@ def test_sum_out_of_range_on_the_convolution_is_an_error(monkeypatch):
     score = score_grid(f, 1000)
     made = _convolutions(monkeypatch)
     monkeypatch.setattr(ipfp, "_SUM_HI", 1.0)
-    dense = limit_matrix(None, 3.0, 1000, score_grid=score)
+    dense = limit_matrix(None, 3.0, 1000, score_grid=np.array(score))
     assert dense.converged
     with pytest.raises(ipfp._ConvolutionOutOfRange, match="row sum left float range"):
         limit_matrix(f, 3.0, 1000, score_grid=score)
     assert made == [1000]
+
+
+def test_the_grid_not_the_score_picks_the_source(monkeypatch):
+    # xy's grid plus 0.3 sin(7r) cos(3s) is not a built-in's grid: with xy
+    # as f the run is the dense one of f = None on it, bit for bit.  A
+    # source chosen by the score would read xy's symbol off this grid, and
+    # its grid would miss its margins by 1.6e-3
+    k = 500
+    r = np.arange(k)
+    grid = score_grid(get_score("xy"), k) + 0.3 * np.sin(7 * r)[:, None] * np.cos(3 * r)
+    made = _convolutions(monkeypatch)
+    got = limit_matrix(get_score("xy"), 3.0, k, score_grid=grid)
+    want = limit_matrix(None, 3.0, k, score_grid=grid)
+    assert made == []
+    _assert_same_run(got, want)
+    assert np.abs(got.grid.w.sum(axis=1) - 1.0 / k).max() <= 1e-12
+
+
+def test_a_built_in_grid_takes_the_convolution_without_its_score(monkeypatch):
+    # the mark is on the grid that score_grid built: f = None runs on it as
+    # f does, and a copy of it, which carries no mark, runs densely
+    k = ipfp._CONVOLUTION_MIN_K
+    f = get_score("footrule")
+    grid = score_grid(f, k)
+    made = _convolutions(monkeypatch)
+    got = limit_matrix(None, 3.0, k, score_grid=grid)
+    assert made == [k]
+    _assert_same_run(got, limit_matrix(f, 3.0, k, score_grid=grid))
+    assert made == [k, k]
+    limit_matrix(None, 3.0, k, score_grid=grid.copy())
+    assert made == [k, k]
 
 
 # Score grids whose column sums leave [e^-200, e^200] only after plain
