@@ -14,7 +14,10 @@ buffer of ``SCORE_BLOCK`` values with in-place exp passes; the LD score
 grid f(r/k, s/k) is built once, and each evaluation is one IPFP run on
 theta times it, which returns the mean <F, A> without building the grid
 A.  Which source the run takes its mat-vecs from, the dense kernel or a
-convolution, is :mod:`permexp.ipfp`'s rule.
+convolution, is :mod:`permexp.ipfp`'s rule: for xy, centered and sq at
+k >= 450 it is the convolution at either sign of theta, so no evaluation
+of such a fit, the bracket's first probe at theta = -1 included, builds
+a k x k kernel.
 
 All estimating equations here are strictly monotone in theta, so roots
 are located by a bracket search from -1 and 1 that probes outward past

@@ -100,7 +100,9 @@ def score_grid(f, k: int) -> np.ndarray:
     temporaries.  A result that is not k x k (a column, a row or a
     constant) is broadcast and copied to one.  A value that is not finite
     raises ValueError naming f: every kernel exp(theta * F) needs finite F.
-    The grid of a built-in score is marked (``_BUILTIN_GRIDS``).
+    The grid is marked as read-only and finite (``_SCORE_GRIDS``), and the
+    grid of a built-in score besides (``_BUILTIN_GRIDS``), unless it is a
+    view that f returned.
     """
     t = lattice(k)
     t.setflags(write=False)
@@ -111,17 +113,28 @@ def score_grid(f, k: int) -> np.ndarray:
     if not _all_finite(grid):
         raise _not_finite(f, t.size)
     grid.setflags(write=False)
-    if _is_builtin(f):
-        _BUILTIN_GRIDS[id(grid)] = grid
+    # a view of f's may share its data with an array that stays writeable
+    if grid.flags.owndata:
+        _SCORE_GRIDS[id(grid)] = grid
+        if _is_builtin(f):
+            _BUILTIN_GRIDS[id(grid)] = grid
     return grid
 
 
-# The grids score_grid built for a built-in score, by id, while they live.
-# Every built-in has F[r, s] = Phi(r - s) + (F[r, r] + F[s, s]) / 2, so the
-# log kernel of such a grid in the diagonal gauge, theta * F[r, s] -
-# (theta / 2) (F[r, r] + F[s, s]) = theta * Phi(r - s), depends on r - s
-# alone, and IPFP applies it by convolution.  No other grid is marked.
+# The grids score_grid built, by id, while they live: read-only and finite,
+# so IPFP runs on them as they are.
+_SCORE_GRIDS = weakref.WeakValueDictionary()
+# Those of them built for a built-in score.  Every built-in has F[r, s] =
+# Phi(r - s) + (F[r, r] + F[s, s]) / 2, so the log kernel of such a grid in
+# the diagonal gauge, theta * F[r, s] - (theta / 2) (F[r, r] + F[s, s]) =
+# theta * Phi(r - s), depends on r - s alone, and IPFP applies it by
+# convolution.  No other grid is marked here.
 _BUILTIN_GRIDS = weakref.WeakValueDictionary()
+
+
+def _is_score_grid(grid) -> bool:
+    """Whether grid is one that score_grid built, read-only and finite."""
+    return _SCORE_GRIDS.get(id(grid)) is grid
 
 
 def _is_builtin_grid(grid) -> bool:

@@ -47,15 +47,24 @@ kernel, or a convolution.  The gauged log kernel of a grid that
 theta * Phi(r - s), and at theta >= 0 it peaks on the diagonal, so K v is
 a convolution with the symbol exp(theta * Phi), which an FFT applies in
 O(k log k) time and O(k) memory (convolutional Sinkhorn: Solomon et al.
-2015; Peyre and Cuturi 2019, ch. 4).  A run takes it on such a grid at
-theta >= 0 and k >= 450; every other run, theta < 0, any other grid or a
-smaller k, takes the dense kernel, bit for bit as before.  The
-convolution has no log domain: a sum that leaves float range on it raises
-ValueError, and the run is not redone densely.  It keeps the sweep loop,
-its residual, its range checks, its tolerance and cap and the check of
-the potentials' size; its iterates differ from the dense ones by rounding
-alone (same sweep counts, w' within 1e-13, cells within 1e-12 relative:
-the tests hold both to the dense oracle).
+2015; Peyre and Cuturi 2019, ch. 4).  At theta < 0 it would peak in a
+corner, where the FFT's rounding, which scales with the peak, loses the
+small cells.  But where Phi is quadratic (xy, centered, sq) the grid
+with its columns reversed, F J, is -Phi(r - s) plus a separable term, so
+the limit at theta is J applied to the limit at |theta|: the run is that
+on exp(|theta| * F), whose symbol exp(|theta| * Phi) peaks on the
+diagonal, and its result is mapped back to F in O(k) (its columns
+reversed, the separable term folded into the potentials, <F, A> from the
+same spectra).  A run takes the convolution on a built-in score's grid
+at k >= 450 and theta >= 0, or theta < 0 where Phi is quadratic; every
+other run, footrule at theta < 0, any other grid or a smaller k, takes
+the dense kernel, bit for bit as before.  The convolution has no log
+domain: a sum that leaves float range on it raises ValueError, and the
+run is not redone densely.  It keeps the sweep loop, its residual, its
+range checks, its tolerance and cap and the check of the potentials'
+size; its iterates differ from the dense ones by rounding alone (same
+sweep counts, w' within 1e-13, cells within 1e-12 relative, 1e-11 for a
+reversed run: the tests hold both to the dense oracle).
 
 A run ends with the mean <F, A> of its score grid, taken from the final
 scalings by one more mat-vec; the grid A itself is built on first read
@@ -115,17 +124,20 @@ class IpfpResult:
     col_log_scales: np.ndarray
     converged: bool
     score_mean: float
-    # (F, gauge, row and column potentials less the gauge) until the grid
-    # is first read, then the grid
-    _cells: tuple[np.ndarray, ...] | CopulaGrid = field(repr=False)
+    # (F, gauge, row and column potentials less the gauge, whether the run
+    # was reversed) until the grid is first read, then the grid
+    _cells: tuple | CopulaGrid = field(repr=False)
 
     @property
     def grid(self) -> CopulaGrid:
         cells = self._cells
         if isinstance(cells, CopulaGrid):
             return cells
-        score, gauge, alpha, beta = cells
-        w = _exp_cells(np.empty(score.shape), score, self.theta, gauge, alpha, beta)
+        score, gauge, alpha, beta, reverse = cells
+        w = np.empty(score.shape)
+        # a reversed run's cells are those of its run at |theta|, columns reversed
+        _exp_cells(w[:, ::-1] if reverse else w, score, abs(self.theta) if reverse else self.theta,
+                   gauge, alpha, beta)
         w.setflags(write=False)
         grid = CopulaGrid(w)
         object.__setattr__(self, "_cells", grid)
@@ -324,10 +336,10 @@ def _newton_step(kern, score, theta, gauge, alpha, beta):
     return None
 
 
-# A run on a built-in score's grid at theta >= 0 and k >= _CONVOLUTION_MIN_K
-# takes its mat-vecs from _Convolution.  Its FFTs cost 25 us a mat-vec at
-# k = 400 and 40 us at k = 1000, mostly fixed, so the dense product wins at
-# small k on runs of many sweeps.
+# A run on a built-in score's grid at k >= _CONVOLUTION_MIN_K, at theta >= 0
+# or reversed, takes its mat-vecs from _Convolution.  Its FFTs cost 25 us a
+# mat-vec at k = 400 and 40 us at k = 1000, mostly fixed, so the dense
+# product wins at small k on runs of many sweeps.
 # Whole runs on a given F, dense | convolution, ms, median of 7 alternating
 # (2 cores, numpy 2.4; the sweep counts are equal):
 #
@@ -354,11 +366,53 @@ class _ConvolutionOutOfRange(ValueError):
                          "on the convolution path")
 
 
+def _phi(score):
+    """Phi(d) = F[r, s] - (F[r, r] + F[s, s]) / 2 for d = r - s.
+
+    Read off F's first column, d = 0 .. k-1, then its first row, d = 1-k .. -1.
+    """
+    diag = np.diagonal(score)
+    col, row = score[:, 0], score[0, :0:-1]
+    d0 = diag[0]
+    return np.concatenate((col - 0.5 * (diag + d0), row - 0.5 * (d0 + diag[:0:-1])))
+
+
+def _reverses(score) -> bool:
+    """Whether a built-in score's grid F reverses into a distance kernel: Phi is quadratic.
+
+    F[r, s] = Phi(r - s) + (F[r, r] + F[s, s]) / 2, and for such F the
+    mixed second difference of F + F J, J reversing the columns, is
+    Phi''(r + s - k + 1) - Phi''(r - s); F + F J is separable, P[r] + Q[s]
+    (:func:`_separable`), exactly when Phi has a constant second difference.
+    Then theta * F = |theta| * (F J - P (+) Q) at theta < 0, so the run on
+    exp(theta * F) is that on exp(|theta| * F) with its columns reversed.
+    xy, centered and sq pass (their second differences stay within
+    2.5 eps * max |Phi| of constant up to k = 5000), and footrule, whose
+    Phi = -|d| / k bends at d = 0 alone, does not.
+    """
+    k = score.shape[0]
+    phi = _phi(score)
+    second = np.diff(np.concatenate((phi[k:], phi[:k])), 2)
+    # second[k - 2] is the one at d = 0
+    return float(np.abs(second - second[k - 2]).max()) <= 64.0 * _EPS * float(np.abs(phi).max())
+
+
+def _separable(score):
+    """P and Q with F[r, s] + F[r, k-1-s] = P[r] + Q[s], on a grid that :func:`_reverses` passes.
+
+    Read off F's first and last columns and its first row; exact up to
+    rounding.  Q[s] = Q[k-1-s] and Q[0] = 0.
+    """
+    rows = score[:, 0] + score[:, -1]
+    return rows, (score[0] + score[0, ::-1]) - rows[0]
+
+
 class _Convolution:
     """K v and K^T u by FFT, for a gauged log kernel G[r, s] that depends on r - s alone.
 
     That holds on a built-in score's grid (``grids._BUILTIN_GRIDS``), where
-    G = theta * Phi(r - s), and at theta >= 0 its largest value is
+    G = theta * Phi(r - s), and at theta >= 0, the only theta it is built
+    for (a reversed run builds it at |theta|), its largest value is
     G[r, r] = 0.  The symbol t[d] = exp(G[r, s]) for d = r - s is read from
     F's first column (d >= 0) and first row (d < 0), each cell summed in
     the order of :func:`_log_kernel`, and stored circularly in n >= 2k - 1
@@ -376,8 +430,7 @@ class _Convolution:
         col, row = score[:, 0], score[0, :0:-1]  # d = 0 .. k-1, then d = 1-k .. -1
         log_t = np.concatenate(((theta * col + gauge[0]) + gauge,
                                 (theta * row + gauge[:0:-1]) + gauge[0]))
-        d0 = self.diag[0]
-        phi = np.concatenate((col - 0.5 * (self.diag + d0), row - 0.5 * (d0 + self.diag[:0:-1])))
+        phi = _phi(score)
         # t and t o Phi, at circular points 0 .. k-1 and n+1-k .. n-1
         sym = np.stack((np.exp(log_t), phi))
         sym[1] *= sym[0]
@@ -447,7 +500,11 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
     the diagonal, so alpha starts at 0; the run takes no Newton step (its
     k is above _NEWTON_MAX_K) and no log-domain step, for which a sum out of
     range raises _ConvolutionOutOfRange; the mean comes from the
-    convolution.
+    convolution.  At theta < 0 (on a grid that :func:`_reverses` passes)
+    it is the run at |theta|, gauge and potentials included, to the last
+    sweep; only the result is mapped back to F, in O(k), with the terms of
+    :func:`_separable`.  The grid is then built from the run at |theta|
+    with its columns reversed.
     """
     k = score.shape[0]
     if not tol > 0:
@@ -457,11 +514,15 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     target = 1.0 / k
+    # at theta < 0 the convolution runs on exp(|theta| * F) and reverses the
+    # columns of its result
+    reverse = convolve and theta < 0
+    kernel_theta = -theta if reverse else theta
     # 0.0 - x keeps the gauge of a zero diagonal (sq, footrule) at +0
-    gauge = np.subtract(0.0, np.diagonal(score) * (0.5 * theta))
+    gauge = np.subtract(0.0, np.diagonal(score) * (0.5 * kernel_theta))
     beta = np.zeros(k)
     if convolve:
-        conv = _Convolution(score, theta, gauge)
+        conv = _Convolution(score, kernel_theta, gauge)
         matvec, rmatvec = conv.matvec, conv.rmatvec
         # the symbol's largest value is exp(0), on the diagonal
         alpha = np.zeros(k)
@@ -548,8 +609,18 @@ def _sinkhorn(score: np.ndarray, theta: float, tol: float, max_iter: int,
         score_mean = float(u @ (kern @ v))
     alpha += np.log(u)
     beta += np.log(v)
-    result = IpfpResult(theta, iterations, newton_steps, residual, gauge + alpha, gauge + beta,
-                        residual <= tol and settled, score_mean, (score, gauge, alpha, beta))
+    row_scales, col_scales = gauge + alpha, gauge + beta
+    if reverse:
+        # A = A' J for the run's A' on exp(|theta| * F): with F + F J = P (+) Q,
+        # log A = theta * F + (row scales + |theta| P) (+) (J col scales + |theta| Q),
+        # and <F, A> = rows . P + cols . Q - <F, A'> (Q = J Q)
+        sep_rows, sep_cols = _separable(score)
+        score_mean = float(rows @ sep_rows + cols @ sep_cols) - score_mean
+        row_scales += kernel_theta * sep_rows
+        col_scales = col_scales[::-1] + kernel_theta * sep_cols
+    result = IpfpResult(theta, iterations, newton_steps, residual, row_scales, col_scales,
+                        residual <= tol and settled, score_mean,
+                        (score, gauge, alpha, beta, reverse))
     if not result.converged:
         raise IpfpNonConvergence(result, tol)
     # the grid sums exp(log kernel + alpha (+) beta); rounding potentials of
@@ -571,20 +642,21 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
     The run is on exp(theta * ``score_grid``); ``f`` is read only to build
     that grid, F = grids.score_grid(f, k), when none is given.  A caller
     that also needs F, or solves several theta on one grid, builds it once
-    and passes it.  A grid that score_grid built for a built-in score is
-    run as it is; any other is first copied to a read-only float64 array,
-    so that later writes to it do not reach the result.  A grid that is
-    not k x k, or has a value that is not finite, raises ValueError.
+    and passes it.  A grid that score_grid built is run as it is; any
+    other is first copied to a read-only float64 array, so that later
+    writes to it do not reach the result.  A grid that is not k x k, or
+    has a value that is not finite, raises ValueError.
     log A = theta*F + row_log_scales[r] + col_log_scales[s] holds for the
     returned result.
 
-    A built-in score's grid runs on the convolution source at theta >= 0
-    and k >= 450 (see the module docstring); every other run is on the
-    dense kernel.  At k <= 100 a run that has not converged after 50
-    sweeps takes Newton steps (see the module docstring; ``newton_steps``
-    counts them).  A run that stops
-    short of the tolerance by the sweep cap, or whose Newton steps cannot
-    settle it, raises IpfpNonConvergence.  The default sweep cap is
+    A built-in score's grid runs on the convolution source at k >= 450,
+    at theta >= 0 and, for xy, centered and sq, whose grids reverse into
+    distance kernels, at theta < 0 as well (see the module docstring);
+    every other run is on the dense kernel.  At k <= 100 a run that has
+    not converged after 50 sweeps takes Newton steps (see the module
+    docstring; ``newton_steps`` counts them).  A run that stops short of
+    the tolerance by the sweep cap, or whose Newton steps cannot settle
+    it, raises IpfpNonConvergence.  The default sweep cap is
     ceil(10 k (1 + |theta|)); where it overflows a float, ValueError asks
     for ``max_iter``.
 
@@ -601,7 +673,7 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
         raise ValueError("grid order must be >= 1")
     if score_grid is None:
         score_grid = grids.score_grid(f, k)
-    elif not grids._is_builtin_grid(score_grid):
+    elif not grids._is_score_grid(score_grid):
         score_grid = np.array(score_grid, dtype=np.float64)
         if not grids._all_finite(score_grid):
             raise ValueError("score_grid has a value that is not finite")
@@ -613,7 +685,8 @@ def limit_matrix(f: ScoreFunction | None, theta: float, k: int, tol: float = DEF
         if not math.isfinite(cap):
             raise ValueError(f"the default sweep cap overflows at theta = {theta:g}; pass max_iter")
         max_iter = math.ceil(cap)
-    convolve = theta >= 0 and k >= _CONVOLUTION_MIN_K and grids._is_builtin_grid(score_grid)
+    convolve = (k >= _CONVOLUTION_MIN_K and grids._is_builtin_grid(score_grid)
+                and (theta >= 0 or _reverses(score_grid)))
     return _sinkhorn(score_grid, theta, tol, max_iter, convolve)
 
 

@@ -236,6 +236,32 @@ class TestRootFinder:
         assert report["pl"]["evaluations"] <= 8
         assert report["ld"]["evaluations"] <= 8
 
+    def test_lottery_ld_fit_runs_on_the_convolution_alone(self, lottery_path, capsys,
+                                                          monkeypatch):
+        # every LD evaluation at k = 1000 is a convolution run, the first
+        # bracket probe at theta = -1 too: no run makes a k x k kernel
+        from permexp import ipfp
+        from permexp.cli import main
+
+        sources, made = [], []
+        sinkhorn, convolution = ipfp._sinkhorn, ipfp._Convolution
+
+        def counted_run(score, theta, tol, max_iter, convolve):
+            sources.append((theta, convolve))
+            return sinkhorn(score, theta, tol, max_iter, convolve)
+
+        def counted_convolution(score, theta, gauge):
+            made.append(score.shape[0])
+            return convolution(score, theta, gauge)
+
+        monkeypatch.setattr(ipfp, "_sinkhorn", counted_run)
+        monkeypatch.setattr(ipfp, "_Convolution", counted_convolution)
+        assert main(["lottery", "--data", str(lottery_path), "--k", "1000"]) == 0
+        evaluations = json.loads(capsys.readouterr().out)["ld"]["evaluations"]
+        assert sources[0] == (-1.0, True)
+        assert [convolve for _, convolve in sources] == [True] * evaluations
+        assert made == [1000] * evaluations
+
 
 class TestRootFinderMatchesScipy:
     @pytest.mark.parametrize("score, root_tol", [

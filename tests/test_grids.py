@@ -142,6 +142,22 @@ class TestOneLattice:
         assert grid.dtype == np.float64 and not grid.flags.writeable
         assert np.array_equal(grid, f(t[:, None], t[None, :]))
 
+    def test_score_grid_marks_what_it_built(self):
+        # every grid score_grid builds is read-only and finite, and IPFP runs
+        # it as it is; only a built-in's may take the convolution.  A view f
+        # returns, which may share data that stays writeable, is not marked
+        from permexp import grids
+
+        backing = np.zeros((6, 6))
+        marks = [(grids._is_score_grid(g), grids._is_builtin_grid(g)) for g in (
+            score_grid(get_score("xy"), 6),
+            score_grid(ScoreFunction("custom xy", lambda x, y: x * y), 6),
+            score_grid(lambda x, y: backing[:, ::-1], 6),
+            score_grid(lambda x, y: np.float64(0.5), 6),
+        )]
+        assert marks == [(True, True), (True, False), (False, False), (True, False)]
+        assert not grids._is_score_grid(np.array(score_grid(get_score("xy"), 6)))
+
     @pytest.mark.parametrize("result", [
         lambda x, y: np.zeros_like(x),                             # k x 1
         lambda x, y: y * 2.0,                                      # 1 x k

@@ -12,10 +12,14 @@ kernel's former one, shows that a score with a zero diagonal (sq,
 footrule) runs bit for bit as it did from that start.  Both take their
 Newton steps on the same schedule, through the kernel's own
 ``ipfp._newton_step``, so that what is pinned here is the sweep.  A run
-on a grid that ``score_grid`` built for a built-in score, at theta >= 0
-and k >= ``ipfp._CONVOLUTION_MIN_K``, takes its mat-vecs from an FFT
-convolution instead; those runs are held to the same oracle within
-rounding, with equal sweep counts.
+on a grid that ``score_grid`` built for a built-in score, at
+k >= ``ipfp._CONVOLUTION_MIN_K`` and theta >= 0, takes its mat-vecs from
+an FFT convolution instead; those runs are held to the same oracle within
+rounding, with equal sweep counts.  So are the runs there at theta < 0 on
+xy, centered and sq, which take the convolution of the reversed problem
+(F with its columns reversed, a distance kernel); the oracle runs that
+problem densely on the double-centred reversed grid, and a tighter run
+of the former kernel on F itself checks the mapping back.
 """
 import math
 from typing import NamedTuple
@@ -333,11 +337,13 @@ def test_convolution_matches_dense_oracle(monkeypatch, name, theta, k):
     assert np.all(np.abs(got.grid.w - want.grid.w) <= 1e-12 * want.grid.w)
 
 
-@pytest.mark.parametrize("name, theta", [("xy", -3.0), ("custom xy", 3.0)])
+@pytest.mark.parametrize("name, theta", [("footrule", -3.0), ("custom xy", 3.0),
+                                         ("custom xy", -3.0)])
 def test_dense_runs_at_large_k_stay_bit_for_bit(monkeypatch, name, theta):
-    # theta < 0, and a score that computes xy but is not the built-in, stay
-    # on the dense kernel at k = 1000, bit for bit the former kernel's
-    f = get_score("xy") if name == "xy" else ScoreFunction(name, lambda x, y: x * y)
+    # footrule at theta < 0, whose reversed grid is no distance kernel, and a
+    # score that computes xy but is not the built-in, stay on the dense
+    # kernel at k = 1000, bit for bit the former kernel's
+    f = get_score(name) if name == "footrule" else ScoreFunction(name, lambda x, y: x * y)
     made = _convolutions(monkeypatch)
     got = limit_matrix(f, theta, 1000)
     want = _oracle_sinkhorn(_oracle_score_grid(f, 1000), theta, 1e-12, 40_000)
@@ -346,14 +352,91 @@ def test_dense_runs_at_large_k_stay_bit_for_bit(monkeypatch, name, theta):
 
 
 def test_convolution_starts_at_the_cut(monkeypatch):
-    f = get_score("footrule")
     made = _convolutions(monkeypatch)
     cut = ipfp._CONVOLUTION_MIN_K
     assert cut > ipfp._NEWTON_MAX_K
-    for k in (cut - 1, cut):
-        limit_matrix(f, 3.0, k)
-    limit_matrix(f, -0.0, cut)
-    assert made == [cut, cut]
+    for name, theta in (("footrule", 3.0), ("xy", -3.0)):
+        for k in (cut - 1, cut):
+            limit_matrix(get_score(name), theta, k)
+    limit_matrix(get_score("footrule"), -0.0, cut)
+    assert made == [cut, cut, cut]
+
+
+def _reversed_problem(score: np.ndarray) -> np.ndarray:
+    """F with its columns reversed, less its row and column means plus its grand mean.
+
+    For xy, centered and sq that is -Phi(r - s) plus a symmetric separable
+    term, so its gauged log kernel at theta < 0 is |theta| Phi(r - s).
+    """
+    grid = np.array(score[:, ::-1])
+    grid -= grid.mean(axis=1, keepdims=True)
+    grid -= grid.mean(axis=0, keepdims=True)
+    return grid
+
+
+# xy, centered and sq, the built-ins whose grids reverse into distance kernels
+_REVERSED_RUNS = [
+    (name, theta, k) for k in (ipfp._CONVOLUTION_MIN_K, 1000)
+    for name in ("xy", "centered", "sq")
+    for theta in (-0.5, -1.0, -3.0, -20.0, -50.0, -500.0)
+]
+
+
+@pytest.mark.parametrize("name, theta, k", _REVERSED_RUNS)
+def test_reversed_convolution_matches_dense_reversed_run(monkeypatch, name, theta, k):
+    # the former kernel runs the reversed problem densely, and its grid's
+    # columns reversed back are the grid at theta: the same sweeps, w', w and
+    # every cell to within 1e-13, 1e-12 and 1e-11 relative (measured at most
+    # 2.3e-16, 8.5e-14 and 2.9e-13)
+    f = get_score(name)
+    score = score_grid(f, k)
+    made = _convolutions(monkeypatch)
+    got = limit_matrix(f, theta, k, score_grid=score)
+    want = _oracle_sinkhorn(_reversed_problem(score), theta, 1e-12,
+                            int(math.ceil(10 * k * (1.0 - theta))))
+    assert made == [k]
+    assert got.converged and got.newton_steps == 0
+    assert got.iterations == want.iterations
+    cells = want.grid.w[:, ::-1]
+    want_mean = float(np.sum(cells * score))
+    assert abs(got.score_mean - want_mean) <= 1e-13
+    # variational_value checks the potentials mapped back to F as well
+    assert abs(ipfp.variational_value(got) - (theta * want_mean - kl_to_uniform(cells))) <= 1e-12
+    assert np.all(np.abs(got.grid.w - cells) <= 1e-11 * cells)
+
+
+@pytest.mark.parametrize("theta", [-1.0, -64.0, -500.0])
+@pytest.mark.parametrize("name", ["xy", "centered", "sq"])
+def test_reversed_convolution_matches_the_dense_run_on_f(name, theta):
+    # both at tol 1e-14, the reversed run and the dense one on an unmarked
+    # copy of F: w' within 1e-11 and every cell of mass within 1e-8 relative
+    # (measured at most 8.9e-13 and 4.5e-10, sq at theta = -500)
+    k = ipfp._CONVOLUTION_MIN_K
+    score = score_grid(get_score(name), k)
+    got = limit_matrix(None, theta, k, tol=1e-14, score_grid=score)
+    want = limit_matrix(None, theta, k, tol=1e-14, score_grid=np.array(score))
+    assert abs(got.score_mean - want.score_mean) <= 1e-11
+    mass = want.grid.w > 1e-300
+    assert np.all(np.abs(got.grid.w - want.grid.w)[mass] <= 1e-8 * want.grid.w[mass])
+    # log A = theta F + alpha (+) beta, with the potentials mapped back to F
+    log_cells = theta * score + got.row_log_scales[:, None] + got.col_log_scales
+    assert np.abs(np.log(got.grid.w) - log_cells).max() <= 1e-11  # measured 2.7e-13
+
+
+@pytest.mark.parametrize("max_iter", [2, None])
+@pytest.mark.parametrize("name, theta", [("xy", 500.0), ("sq", 20.0)])
+def test_a_run_at_negative_theta_is_the_run_at_abs_theta_reversed(name, theta, max_iter):
+    # the same sweeps to the last bit, a stopped run's included: the result
+    # differs only in what is mapped back to F
+    f = get_score(name)
+    k = ipfp._CONVOLUTION_MIN_K
+    got = _outcome(lambda: limit_matrix(f, -theta, k, max_iter=max_iter))
+    ahead = _outcome(lambda: limit_matrix(f, theta, k, max_iter=max_iter))
+    assert got.theta == -theta
+    assert (got.iterations, got.residual, got.converged) == (
+        ahead.iterations, ahead.residual, ahead.converged)
+    assert got.converged == (max_iter is None)
+    assert np.array_equal(got.grid.w, ahead.grid.w[:, ::-1])
 
 
 def test_sum_out_of_range_on_the_convolution_is_an_error(monkeypatch):

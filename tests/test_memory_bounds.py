@@ -3,9 +3,11 @@
 Each fit holds its big array once: the m * C(n,2) pair scores of a PL
 fit, and for LD the score grid F plus one k x k working kernel.  The
 bounds are written as multiples of those arrays; the former code
-peaked at twice each of them.  The Kendall limit density, which builds
-its k x k output from four k x k arrays, is bounded the same way.  An
-IPFP run on the convolution source holds no k x k array beyond F.
+peaked at twice each of them; an LD fit on a custom score's grid, which
+the former run copied, holds the same.  The Kendall limit density, which
+builds its k x k output from four k x k arrays, is bounded the same way.
+An IPFP run on the convolution source, at either sign of theta, holds no
+k x k array beyond F.
 """
 import tracemalloc
 
@@ -14,7 +16,7 @@ import pytest
 
 from permexp import ipfp
 from permexp.estimators import PAIR_BLOCK, estimating_equation, multi_estimate
-from permexp.grids import get_score, score_grid
+from permexp.grids import ScoreFunction, get_score, score_grid
 from permexp.ipfp import limit_matrix
 from permexp.models import kendall_limit_density
 from permexp.perm import Permutation
@@ -81,12 +83,36 @@ def test_ld_evaluation_holds_one_kernel(theta):
     assert peak <= LD_EVALUATION_ARRAYS * k * k * 8
 
 
-def test_convolution_run_holds_no_kernel():
+def _custom_xy(x, y):
+    return x * y
+
+
+@pytest.mark.parametrize("theta", [3.0, 400.0])
+def test_ld_evaluation_on_a_custom_score_holds_one_kernel(theta):
+    # score_grid marks every grid it builds as read-only and finite, so the
+    # run does not copy a custom score's grid: the former one held that copy
+    # beside the kernel, 2 k^2 floats
+    k = 500
+    pi = Permutation(np.random.default_rng(8).permutation(50) + 1)
+    score = estimating_equation([pi], ScoreFunction("custom xy", _custom_xy), "ld", k=k)
+    peak = _peak_bytes(lambda: score(theta))
+    assert peak <= LD_EVALUATION_ARRAYS * k * k * 8
+
+
+def test_a_grid_score_grid_did_not_build_is_copied_once():
+    k = 500
+    grid = np.array(score_grid(ScoreFunction("custom xy", _custom_xy), k))
+    peak = _peak_bytes(lambda: limit_matrix(None, 3.0, k, score_grid=grid))
+    assert 2 * k * k * 8 <= peak <= (1 + LD_EVALUATION_ARRAYS) * k * k * 8
+
+
+@pytest.mark.parametrize("theta", [3.0, -3.0, -500.0])
+def test_convolution_run_holds_no_kernel(theta):
     k = 2000
     f = get_score("xy")
     # loads numpy.fft outside the measured run
     limit_matrix(f, 3.0, ipfp._CONVOLUTION_MIN_K)
     grid = score_grid(f, k)
-    peak = _peak_bytes(lambda: limit_matrix(f, 3.0, k, score_grid=grid))
+    peak = _peak_bytes(lambda: limit_matrix(f, theta, k, score_grid=grid))
     # a dense run adds a k x k kernel, k / 32 = 62 times this bound
     assert peak <= CONVOLUTION_ROW_FLOATS * k * 8
